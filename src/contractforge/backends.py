@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
 from .errors import BackendTransportError, ContractForgeError
 from .inference import InferenceOptions, infer_contract
 from .model import canonicalize
 from .profiling import DataProfile
 from .prompts import STAGE1_PREFIX
+from .transport import send
 
 
 @dataclass
@@ -134,50 +134,37 @@ class HttpBackend(CompletionBackend):
         self._backoff = backoff
         self._auth_env = auth_env
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self._auth_env:
-            import os
-
-            token = os.environ.get(self._auth_env)
-            if token:
-                headers["Authorization"] = f"Bearer {token}"
-        return headers
-
     def complete(self, request: GenerationRequest) -> list[str]:
-        body = {
-            "prompt": request.prompt,
-            "temperature": request.temperature,
-            "max_tokens": request.max_output_chars,
-            "n": request.candidate_count,
-        }
+        body = {"prompt": request.prompt, "temperature": request.temperature,
+                "max_tokens": request.max_output_chars, "n": request.candidate_count}
+        token = os.environ.get(self._auth_env) if self._auth_env else None
+        headers = {"Authorization": f"Bearer {token}"} if token else {}
         delay = self._backoff
         last_error = "no attempt made"
         for attempt in range(self._retries + 1):
             try:
-                response = requests.post(self._url, json=body,
-                                         headers=self._headers(),
-                                         timeout=self._timeout)
-            except requests.RequestException as exc:
+                status, raw = send("POST", self._url, body, headers=headers,
+                                   timeout=self._timeout)
+            except OSError as exc:
                 last_error = f"transport error: {exc}"
             else:
-                if response.status_code >= 500:
-                    last_error = f"server error {response.status_code}"
-                elif response.status_code >= 400:
+                if status >= 500:
+                    last_error = f"server error {status}"
+                elif status >= 400:
                     raise BackendTransportError(
                         f"backend at {self._url} rejected the request: "
-                        f"{response.status_code} {response.text[:200]}")
+                        f"{status} {raw.decode('utf-8', 'replace')[:200]}")
                 else:
-                    return self._parse_response(response)[: request.candidate_count]
+                    return self._parse_response(raw)[: request.candidate_count]
             if attempt < self._retries:
                 time.sleep(delay)
                 delay *= 2
         raise BackendTransportError(
             f"backend at {self._url} unreachable after {self._retries + 1} attempts: {last_error}")
 
-    def _parse_response(self, response) -> list[str]:
+    def _parse_response(self, raw: bytes) -> list[str]:
         try:
-            doc = response.json()
+            doc = json.loads(raw)
         except ValueError as exc:
             raise BackendTransportError(f"backend returned non-JSON body: {exc}") from exc
         completions = doc.get("completions") if isinstance(doc, dict) else None

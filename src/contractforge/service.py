@@ -11,7 +11,9 @@ Endpoints (JSON bodies, canonical contract documents):
     POST /contracts/{name}/compat                   candidate contract -> verdict
 
 Incompatible publishes answer 409 with the verdict reasons; malformed or
-invariant-violating documents answer 400.
+invariant-violating documents answer 400.  A request body whose
+``Content-Length`` is not a non-negative integer, or that is not JSON,
+answers 400; one longer than ``MAX_BODY_BYTES`` answers 413.
 """
 
 from __future__ import annotations
@@ -21,20 +23,66 @@ import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-import requests
-
 from .compatibility import CompatibilityVerdict
 from .errors import (ContractForgeError, NotFoundError, RegistryError,
                      RegistryRejection, RegistryTransportError)
 from .model import Contract, contract_from_doc
 from .registry import RegistryStore
+from .transport import send
 
-_ROUTE_LATEST = re.compile(r"/contracts/([^/]+)\Z")
-_ROUTE_VERSIONS = re.compile(r"/contracts/([^/]+)/versions\Z")
-_ROUTE_VERSION = re.compile(r"/contracts/([^/]+)/versions/([0-9]+)\Z")
-_ROUTE_APPROVE = re.compile(r"/contracts/([^/]+)/versions/([0-9]+)/approve\Z")
-_ROUTE_FEEDBACK = re.compile(r"/contracts/([^/]+)/versions/([0-9]+)/feedback\Z")
-_ROUTE_COMPAT = re.compile(r"/contracts/([^/]+)/compat\Z")
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+
+class _PayloadTooLarge(ContractForgeError):
+    """A request body longer than ``MAX_BODY_BYTES``."""
+
+
+# -- route handlers: (store, decoded body, *path groups) -> (status, reply) --
+
+def _get_latest(store: RegistryStore, _body, name: str):
+    latest = store.latest_approved(name)
+    if latest is None:
+        raise NotFoundError(f"no approved version of {name!r}")
+    return 200, latest[1].to_doc()
+
+
+def _list_versions(store: RegistryStore, _body, name: str):
+    return 200, {
+        "name": name,
+        "compatibility_mode": store.compatibility_mode(name),
+        "versions": [r.to_doc() for r in store.list_versions(name)],
+    }
+
+
+def _approve(store: RegistryStore, body, name: str, version: str):
+    body = body if isinstance(body, dict) else {}
+    reviewer = body.get("reviewer")
+    if not isinstance(reviewer, str) or not reviewer:
+        raise ContractForgeError('body must carry a "reviewer"')
+    return 200, store.approve(name, int(version), reviewer).to_doc()
+
+
+def _feedback(store: RegistryStore, body, name: str, version: str):
+    body = body if isinstance(body, dict) else {}
+    author, note = body.get("author"), body.get("note")
+    if not isinstance(author, str) or not isinstance(note, str):
+        raise ContractForgeError('body must carry "author" and "note"')
+    store.record_feedback(name, int(version), author, note)
+    return 204, None
+
+
+_ROUTES = [(method, re.compile(pattern + r"\Z"), handler) for method, pattern, handler in [
+    ("GET", r"/contracts/([^/]+)", _get_latest),
+    ("PUT", r"/contracts/([^/]+)",
+     lambda store, body, name: (201, {"version": store.publish(name, contract_from_doc(body))})),
+    ("GET", r"/contracts/([^/]+)/versions", _list_versions),
+    ("GET", r"/contracts/([^/]+)/versions/([0-9]+)",
+     lambda store, _body, name, version: (200, store.get_version(name, int(version)).to_doc())),
+    ("POST", r"/contracts/([^/]+)/versions/([0-9]+)/approve", _approve),
+    ("POST", r"/contracts/([^/]+)/versions/([0-9]+)/feedback", _feedback),
+    ("POST", r"/contracts/([^/]+)/compat", lambda store, body, name: (
+        200, store.check_candidate(name, contract_from_doc(body)).to_doc())),
+]]
 
 
 def _make_handler(store: RegistryStore):
@@ -44,111 +92,60 @@ def _make_handler(store: RegistryStore):
         def log_message(self, fmt, *args):  # quiet by default
             pass
 
-        # -- plumbing ----------------------------------------------------
-
         def _reply(self, status: int, doc: dict | None) -> None:
             body = b"" if doc is None else (
                 json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             if body:
                 self.wfile.write(body)
 
-        def _error(self, status: int, message: str) -> None:
-            self._reply(status, {"error": message})
-
         def _read_json(self):
-            length = int(self.headers.get("Content-Length") or 0)
+            text = (self.headers.get("Content-Length") or "0").strip()
+            # Plain digits only: no sign, no "_", short enough for int().  A body
+            # left unread would be parsed as the next request: close instead.
+            if not (text.isascii() and text.isdigit()) or len(text) > 18:
+                self.close_connection = True
+                raise ContractForgeError(f"invalid Content-Length {text[:40]!r}")
+            length = int(text)
+            if length > MAX_BODY_BYTES:
+                self.close_connection = True
+                raise _PayloadTooLarge(
+                    f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
             raw = self.rfile.read(length) if length else b""
             try:
                 return json.loads(raw.decode("utf-8") or "null")
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ContractForgeError(f"request body is not valid JSON: {exc}") from exc
 
-        # -- verbs ---------------------------------------------------------
-
-        def do_GET(self):
+        def _dispatch(self):
             try:
-                match = _ROUTE_VERSION.match(self.path)
-                if match:
-                    contract = store.get_version(match.group(1), int(match.group(2)))
-                    self._reply(200, contract.to_doc())
-                    return
-                match = _ROUTE_VERSIONS.match(self.path)
-                if match:
-                    name = match.group(1)
-                    records = store.list_versions(name)
-                    self._reply(200, {
-                        "name": name,
-                        "compatibility_mode": store.compatibility_mode(name),
-                        "versions": [r.to_doc() for r in records],
-                    })
-                    return
-                match = _ROUTE_LATEST.match(self.path)
-                if match:
-                    latest = store.latest_approved(match.group(1))
-                    if latest is None:
-                        self._error(404, f"no approved version of {match.group(1)!r}")
-                        return
-                    self._reply(200, latest[1].to_doc())
-                    return
-                self._error(404, f"no such route: {self.path}")
-            except NotFoundError as exc:
-                self._error(404, str(exc))
-            except ContractForgeError as exc:
-                self._error(400, str(exc))
-
-        def do_PUT(self):
-            match = _ROUTE_LATEST.match(self.path)
-            if not match:
-                self._error(404, f"no such route: {self.path}")
-                return
-            try:
-                contract = contract_from_doc(self._read_json())
-                version = store.publish(match.group(1), contract)
-                self._reply(201, {"version": version})
+                for method, pattern, handler in _ROUTES:
+                    match = pattern.match(self.path)
+                    if match and method == self.command:
+                        break
+                else:
+                    raise NotFoundError(f"no such route: {self.path}")
+                body = None if self.command == "GET" else self._read_json()
+                self._reply(*handler(store, body, *match.groups()))
+            except _PayloadTooLarge as exc:
+                self._reply(413, {"error": str(exc)})
             except RegistryRejection as exc:
                 self._reply(409, {"compatible": False, "reasons": exc.reasons})
-            except ContractForgeError as exc:
-                self._error(400, str(exc))
-
-        def do_POST(self):
-            try:
-                match = _ROUTE_APPROVE.match(self.path)
-                if match:
-                    body = self._read_json() or {}
-                    reviewer = body.get("reviewer")
-                    if not isinstance(reviewer, str) or not reviewer:
-                        self._error(400, 'body must carry a "reviewer"')
-                        return
-                    record = store.approve(match.group(1), int(match.group(2)), reviewer)
-                    self._reply(200, record.to_doc())
-                    return
-                match = _ROUTE_FEEDBACK.match(self.path)
-                if match:
-                    body = self._read_json() or {}
-                    author, note = body.get("author"), body.get("note")
-                    if not isinstance(author, str) or not isinstance(note, str):
-                        self._error(400, 'body must carry "author" and "note"')
-                        return
-                    store.record_feedback(match.group(1), int(match.group(2)), author, note)
-                    self._reply(204, None)
-                    return
-                match = _ROUTE_COMPAT.match(self.path)
-                if match:
-                    contract = contract_from_doc(self._read_json())
-                    verdict = store.check_candidate(match.group(1), contract)
-                    self._reply(200, verdict.to_doc())
-                    return
-                self._error(404, f"no such route: {self.path}")
             except NotFoundError as exc:
-                self._error(404, str(exc))
+                self._reply(404, {"error": str(exc)})
             except RegistryError as exc:
-                self._error(409, str(exc))
+                # A refused state change (approve twice, ...) is a conflict;
+                # on reads and publishes the request itself was bad.
+                self._reply(409 if self.command == "POST" else 400, {"error": str(exc)})
             except ContractForgeError as exc:
-                self._error(400, str(exc))
+                self._reply(400, {"error": str(exc)})
+
+        do_GET = do_PUT = do_POST = _dispatch
 
     return Handler
 
@@ -183,83 +180,60 @@ class RegistryServer:
 
 
 class RegistryClient:
-    """Thin requests-based client speaking the registry wire format."""
+    """Client speaking the registry wire format through :func:`transport.send`."""
 
     def __init__(self, base_url: str, timeout: float = 10.0):
         self._base = base_url.rstrip("/")
         self._timeout = timeout
 
-    def _request(self, method: str, path: str, body: dict | None = None):
+    def _call(self, method: str, path: str, body: dict | None = None) -> dict:
+        """Send one request; return the JSON object of a 2xx reply or raise
+        the error class its status maps to."""
         try:
-            response = requests.request(method, self._base + path, json=body,
-                                        timeout=self._timeout)
-        except requests.RequestException as exc:
+            status, raw = send(method, self._base + path, body, timeout=self._timeout)
+        except OSError as exc:
             raise RegistryTransportError(f"registry unreachable: {exc}") from exc
-        return response
-
-    @staticmethod
-    def _json(response) -> dict:
         try:
-            return response.json()
+            doc = json.loads(raw or b"{}")
         except ValueError:
-            return {}
-
-    def _raise_for(self, response) -> None:
-        doc = self._json(response)
-        message = doc.get("error", response.text[:200])
-        if response.status_code == 404:
+            doc = None
+        if status >= 300 and not isinstance(doc, dict):
+            doc = {}  # an error page: its text becomes the message
+        reasons = doc.get("reasons", []) if isinstance(doc, dict) else None
+        if (not isinstance(reasons, list) or not all(isinstance(r, str) for r in reasons)
+                or status < 300 and method == "PUT" and type(doc.get("version")) is not int):
+            raise RegistryError(f"registry answered {status} with an ill-typed body: "
+                                f"{raw[:80]!r}")
+        if status < 300:
+            return doc
+        if status == 409 and method == "PUT":
+            raise RegistryRejection(reasons)
+        message = doc.get("error", raw.decode("utf-8", "replace")[:200])
+        if status == 404:
             raise NotFoundError(message)
-        raise RegistryError(f"registry answered {response.status_code}: {message}")
+        raise RegistryError(f"registry answered {status}: {message}")
 
     def publish(self, name: str, contract: Contract) -> int:
-        response = self._request("PUT", f"/contracts/{name}", contract.to_doc())
-        if response.status_code == 201:
-            return int(self._json(response)["version"])
-        if response.status_code == 409:
-            raise RegistryRejection(self._json(response).get("reasons", []))
-        self._raise_for(response)
-        raise AssertionError("unreachable")
+        return self._call("PUT", f"/contracts/{name}", contract.to_doc())["version"]
 
     def get_latest(self, name: str) -> Contract:
-        response = self._request("GET", f"/contracts/{name}")
-        if response.status_code == 200:
-            return contract_from_doc(self._json(response))
-        self._raise_for(response)
-        raise AssertionError("unreachable")
+        return contract_from_doc(self._call("GET", f"/contracts/{name}"))
 
     def get_version(self, name: str, version: int) -> Contract:
-        response = self._request("GET", f"/contracts/{name}/versions/{version}")
-        if response.status_code == 200:
-            return contract_from_doc(self._json(response))
-        self._raise_for(response)
-        raise AssertionError("unreachable")
+        return contract_from_doc(self._call("GET", f"/contracts/{name}/versions/{version}"))
 
     def list_versions(self, name: str) -> dict:
-        response = self._request("GET", f"/contracts/{name}/versions")
-        if response.status_code == 200:
-            return self._json(response)
-        self._raise_for(response)
-        raise AssertionError("unreachable")
+        return self._call("GET", f"/contracts/{name}/versions")
 
     def approve(self, name: str, version: int, reviewer: str) -> dict:
-        response = self._request("POST", f"/contracts/{name}/versions/{version}/approve",
-                                 {"reviewer": reviewer})
-        if response.status_code == 200:
-            return self._json(response)
-        self._raise_for(response)
-        raise AssertionError("unreachable")
+        return self._call("POST", f"/contracts/{name}/versions/{version}/approve",
+                          {"reviewer": reviewer})
 
     def feedback(self, name: str, version: int, author: str, note: str) -> None:
-        response = self._request("POST", f"/contracts/{name}/versions/{version}/feedback",
-                                 {"author": author, "note": note})
-        if response.status_code != 204:
-            self._raise_for(response)
+        self._call("POST", f"/contracts/{name}/versions/{version}/feedback",
+                   {"author": author, "note": note})
 
     def check_compat(self, name: str, contract: Contract) -> CompatibilityVerdict:
-        response = self._request("POST", f"/contracts/{name}/compat", contract.to_doc())
-        if response.status_code == 200:
-            doc = self._json(response)
-            return CompatibilityVerdict(compatible=bool(doc.get("compatible")),
-                                        reasons=list(doc.get("reasons", [])))
-        self._raise_for(response)
-        raise AssertionError("unreachable")
+        doc = self._call("POST", f"/contracts/{name}/compat", contract.to_doc())
+        return CompatibilityVerdict(compatible=bool(doc.get("compatible")),
+                                    reasons=doc.get("reasons", []))

@@ -1,9 +1,14 @@
 """Command-line surface: subcommands, exit codes, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import contractforge
 from contractforge.cli import main
 from contractforge.inference import infer_contract
 from contractforge.model import canonicalize, parse_contract
@@ -85,11 +90,12 @@ class TestGenerateCommand:
 
     def test_unreachable_http_backend_exits_4(self, tmp_path, toy_profile_file):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "backend": {"kind": "http", "url": "http://127.0.0.1:1/complete",
-                        "timeout": 0.2, "retries": 0}}))
-        assert main(["--config", str(config), "generate",
-                     str(toy_profile_file)]) == 4
+        for url in ("http://127.0.0.1:1/complete", "127.0.0.1:1/complete"):
+            config.write_text(json.dumps({
+                "backend": {"kind": "http", "url": url,
+                            "timeout": 0.2, "retries": 0}}))
+            assert main(["--config", str(config), "generate",
+                         str(toy_profile_file)]) == 4
 
     def test_missing_script_path_is_invalid(self, toy_profile_file):
         assert main(["generate", str(toy_profile_file),
@@ -230,6 +236,16 @@ class TestUsage:
         config.write_text('[1, 2, 3]')
         assert main(["--config", str(config), "profile", str(toy_csv),
                      "--format", "delimited"]) == 2
+
+    def test_import_pulls_in_no_http_library(self):
+        src = str(Path(contractforge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = ("import sys, contractforge.cli; "
+                 "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestRegistryCommands:

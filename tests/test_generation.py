@@ -345,10 +345,10 @@ class TestHttpBackend:
         assert len(handler.requests_seen) == 1
 
     def test_unreachable_raises_transport_error(self):
-        backend = HttpBackend("http://127.0.0.1:1/complete", timeout=0.2,
-                              retries=0)
-        with pytest.raises(BackendTransportError, match="unreachable"):
-            backend.complete(GenerationRequest(prompt="p"))
+        for url in ("http://127.0.0.1:1/complete", "127.0.0.1:1/complete"):
+            backend = HttpBackend(url, timeout=0.2, retries=0)
+            with pytest.raises(BackendTransportError, match="unreachable"):
+                backend.complete(GenerationRequest(prompt="p"))
 
     def test_malformed_body_is_transport_error(self, stub_server):
         url, handler = stub_server

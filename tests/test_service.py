@@ -1,15 +1,51 @@
 """Registry HTTP API exercised through the wire client."""
 
 import copy
+import http.client
+import json
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from urllib.parse import urlsplit
 
 import pytest
-import requests
 
-from contractforge.errors import (NotFoundError, RegistryRejection,
+from contractforge.cli import main
+from contractforge.errors import (NotFoundError, RegistryError, RegistryRejection,
                                   RegistryTransportError)
 from contractforge.model import Contract, FieldSpec
 from contractforge.registry import RegistryStore
-from contractforge.service import RegistryClient, RegistryServer
+from contractforge.service import MAX_BODY_BYTES, RegistryClient, RegistryServer
+
+
+def _status(address, method, path, doc=None, data=None):
+    """Send one raw request and return the status it is answered with."""
+    if doc is not None:
+        data = json.dumps(doc).encode("utf-8")
+    url = urlsplit(address)
+    connection = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+    try:
+        connection.request(method, path, body=data)
+        response = connection.getresponse()
+        response.read()
+        return response.status
+    finally:
+        connection.close()
+
+
+def _raw_status(address, head: bytes, body: bytes = b"") -> int | None:
+    """Write ``head`` and ``body`` to a fresh socket; return the status of
+    the reply, or None when the server hangs up without one."""
+    url = urlsplit(address)
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall(head + b"\r\n\r\n" + body)
+        reply = b""
+        while b"\r\n" not in reply:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    return int(reply.split()[1]) if reply else None
 
 
 @pytest.fixture
@@ -102,25 +138,19 @@ class TestErrors:
 
     def test_invalid_document_is_400(self, service, orders):
         _, _, address = service
-        response = requests.put(f"{address}/contracts/orders",
-                                json={"name": "orders"}, timeout=5)
-        assert response.status_code == 400
-        response = requests.put(f"{address}/contracts/orders",
-                                data=b"not json", timeout=5)
-        assert response.status_code == 400
+        assert _status(address, "PUT", "/contracts/orders", {"name": "orders"}) == 400
+        assert _status(address, "PUT", "/contracts/orders", data=b"not json") == 400
 
     def test_approve_conflicts_are_409(self, service, orders):
         client, _, address = service
         client.publish("orders", orders)
         client.approve("orders", 1, "alice")
-        response = requests.post(f"{address}/contracts/orders/versions/1/approve",
-                                 json={"reviewer": "bob"}, timeout=5)
-        assert response.status_code == 409
+        assert _status(address, "POST", "/contracts/orders/versions/1/approve",
+                       {"reviewer": "bob"}) == 409
 
     def test_unknown_route_is_404(self, service):
         _, _, address = service
-        response = requests.get(f"{address}/somewhere/else", timeout=5)
-        assert response.status_code == 404
+        assert _status(address, "GET", "/somewhere/else") == 404
 
     def test_latest_of_unknown_name_is_404(self, service):
         client, _, _ = service
@@ -130,27 +160,128 @@ class TestErrors:
     def test_approve_without_reviewer_is_400(self, service, orders):
         client, _, address = service
         client.publish("orders", orders)
-        response = requests.post(f"{address}/contracts/orders/versions/1/approve",
-                                 json={}, timeout=5)
-        assert response.status_code == 400
+        assert _status(address, "POST", "/contracts/orders/versions/1/approve", {}) == 400
 
     def test_feedback_without_note_is_400(self, service, orders):
         client, _, address = service
         client.publish("orders", orders)
-        response = requests.post(f"{address}/contracts/orders/versions/1/feedback",
-                                 json={"author": "bob"}, timeout=5)
-        assert response.status_code == 400
+        assert _status(address, "POST", "/contracts/orders/versions/1/feedback",
+                       {"author": "bob"}) == 400
+
+    def test_non_object_bodies_are_400(self, service, orders):
+        client, _, address = service
+        client.publish("orders", orders)
+        for route in ("approve", "feedback"):
+            assert _status(address, "POST", f"/contracts/orders/versions/1/{route}",
+                           [1]) == 400
 
     def test_put_on_unknown_route_is_404(self, service, orders):
         _, _, address = service
-        response = requests.put(f"{address}/contracts/orders/versions/1",
-                                json=orders.to_doc(), timeout=5)
-        assert response.status_code == 404
+        assert _status(address, "PUT", "/contracts/orders/versions/1",
+                       orders.to_doc()) == 404
 
     def test_unreachable_registry_raises_transport_error(self):
-        client = RegistryClient("http://127.0.0.1:1", timeout=0.2)
-        with pytest.raises(RegistryTransportError):
-            client.list_versions("orders")
+        for base_url in ("http://127.0.0.1:1", "127.0.0.1:1"):
+            client = RegistryClient(base_url, timeout=0.2)
+            with pytest.raises(RegistryTransportError):
+                client.list_versions("orders")
+
+    def test_registry_errors_answer_400_on_reads_and_publishes(self, service, orders,
+                                                               tmp_path):
+        client, _, address = service
+        assert _status(address, "PUT", "/contracts/.hidden", orders.to_doc()) == 400
+        client.publish("orders", orders)
+        (tmp_path / "registry" / "orders" / "v1.json").unlink()
+        assert _status(address, "GET", "/contracts/orders/versions/1") == 400
+
+    def test_names_are_percent_encoded(self, service):
+        client, _, _ = service
+        with pytest.raises(NotFoundError, match="no%20such"):
+            client.get_latest("no such")
+
+    def test_unknown_verb_is_501(self, service):
+        _, _, address = service
+        assert _status(address, "DELETE", "/contracts/orders") == 501
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("value", [b"ten", b"1.5", b"-1", b"-5", b"+3", b"9" * 5000],
+                             ids=["ten", "1.5", "-1", "-5", "+3", "5000-digits"])
+    def test_malformed_length_is_400(self, service, value):
+        _, _, address = service
+        head = b"PUT /contracts/orders HTTP/1.1\r\nHost: x\r\nContent-Length: " + value
+        assert _raw_status(address, head, b"{}") == 400
+
+    def test_body_over_the_cap_is_413(self, service):
+        _, _, address = service
+        head = (b"POST /contracts/orders/compat HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + str(MAX_BODY_BYTES + 1).encode())
+        assert _raw_status(address, head) == 413
+
+
+class _CannedHandler(BaseHTTPRequestHandler):
+    """Answers every request with the class-level ``status`` and ``body``."""
+
+    status, body = 200, b"{}"
+
+    def _answer(self):
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        self.send_response(self.status)
+        self.send_header("Content-Length", str(len(self.body)))
+        self.end_headers()
+        self.wfile.write(self.body)
+
+    do_GET = do_PUT = do_POST = _answer
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+@pytest.fixture
+def canned():
+    server = HTTPServer(("127.0.0.1", 0), _CannedHandler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield f"127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+class TestIllTypedReplies:
+    @pytest.mark.parametrize("status, body, call", [
+        (201, b"{}", lambda c, k: c.publish("orders", k)),
+        (201, b'{"version": "1"}', lambda c, k: c.publish("orders", k)),
+        (201, b"[1, 2]", lambda c, k: c.publish("orders", k)),
+        (200, b"{}", lambda c, k: c.publish("orders", k)),
+        (200, b"[1, 2]", lambda c, k: c.list_versions("orders")),
+        (200, b"[1, 2]", lambda c, k: c.approve("orders", 1, "alice")),
+        (200, b"not json", lambda c, k: c.get_latest("orders")),
+        (200, b'{"compatible": false, "reasons": 5}', lambda c, k: c.check_compat("orders", k)),
+        (409, b'{"reasons": "abc"}', lambda c, k: c.publish("orders", k)),
+    ], ids=["publish-no-version", "publish-text-version", "publish-array", "publish-200",
+            "list-array", "approve-array", "get-not-json", "compat-reasons-int",
+            "reject-reasons-text"])
+    def test_client_raises_registry_error(self, canned, orders, monkeypatch,
+                                          status, body, call):
+        monkeypatch.setattr(_CannedHandler, "status", status)
+        monkeypatch.setattr(_CannedHandler, "body", body)
+        with pytest.raises(RegistryError, match="registry answered"):
+            call(RegistryClient(f"http://{canned}"), orders)
+
+    @pytest.mark.parametrize("status, body, argv", [
+        (201, b'{"ok": true}', ["publish", "orders", "CONTRACT"]),
+        (200, b"[1, 2]", ["approve", "orders", "1", "--reviewer", "alice"]),
+    ], ids=["publish-no-version", "approve-array"])
+    def test_cli_exits_2_with_an_error_line(self, canned, orders, tmp_path, capsys,
+                                            monkeypatch, status, body, argv):
+        monkeypatch.setattr(_CannedHandler, "status", status)
+        monkeypatch.setattr(_CannedHandler, "body", body)
+        path = tmp_path / "orders.json"
+        path.write_text(json.dumps(orders.to_doc()), encoding="utf-8")
+        argv = [str(path) if a == "CONTRACT" else a for a in argv]
+        assert main(["registry", *argv, "--addr", canned]) == 2
+        assert capsys.readouterr().err.startswith("error: registry answered")
 
 
 class TestServerStoreParity:
