@@ -135,8 +135,12 @@ class HttpBackend(CompletionBackend):
         self._auth_env = auth_env
 
     def complete(self, request: GenerationRequest) -> list[str]:
-        body = {"prompt": request.prompt, "temperature": request.temperature,
-                "max_tokens": request.max_output_chars, "n": request.candidate_count}
+        body = {
+            "prompt": request.prompt,
+            "temperature": request.temperature,
+            "max_tokens": request.max_output_chars,
+            "n": request.candidate_count,
+        }
         token = os.environ.get(self._auth_env) if self._auth_env else None
         headers = {"Authorization": f"Bearer {token}"} if token else {}
         delay = self._backoff
@@ -150,7 +154,7 @@ class HttpBackend(CompletionBackend):
             else:
                 if status >= 500:
                     last_error = f"server error {status}"
-                elif status >= 400:
+                elif status >= 300:  # a 4xx, or a redirect, which is not followed
                     raise BackendTransportError(
                         f"backend at {self._url} rejected the request: "
                         f"{status} {raw.decode('utf-8', 'replace')[:200]}")

@@ -76,10 +76,10 @@ _ROUTES = [(method, re.compile(pattern + r"\Z"), handler) for method, pattern, h
     ("PUT", r"/contracts/([^/]+)",
      lambda store, body, name: (201, {"version": store.publish(name, contract_from_doc(body))})),
     ("GET", r"/contracts/([^/]+)/versions", _list_versions),
-    ("GET", r"/contracts/([^/]+)/versions/([0-9]+)",
+    ("GET", r"/contracts/([^/]+)/versions/([0-9]{1,18})",
      lambda store, _body, name, version: (200, store.get_version(name, int(version)).to_doc())),
-    ("POST", r"/contracts/([^/]+)/versions/([0-9]+)/approve", _approve),
-    ("POST", r"/contracts/([^/]+)/versions/([0-9]+)/feedback", _feedback),
+    ("POST", r"/contracts/([^/]+)/versions/([0-9]{1,18})/approve", _approve),
+    ("POST", r"/contracts/([^/]+)/versions/([0-9]{1,18})/feedback", _feedback),
     ("POST", r"/contracts/([^/]+)/compat", lambda store, body, name: (
         200, store.check_candidate(name, contract_from_doc(body)).to_doc())),
 ]]
@@ -186,9 +186,10 @@ class RegistryClient:
         self._base = base_url.rstrip("/")
         self._timeout = timeout
 
-    def _call(self, method: str, path: str, body: dict | None = None) -> dict:
-        """Send one request; return the JSON object of a 2xx reply or raise
-        the error class its status maps to."""
+    def _call(self, method: str, path: str, body: dict | None = None,
+              ok: int = 200) -> dict:
+        """Send one request; return the JSON object of an ``ok`` reply or
+        raise the error class its status maps to."""
         try:
             status, raw = send(method, self._base + path, body, timeout=self._timeout)
         except OSError as exc:
@@ -197,16 +198,16 @@ class RegistryClient:
             doc = json.loads(raw or b"{}")
         except ValueError:
             doc = None
-        if status >= 300 and not isinstance(doc, dict):
+        if status != ok and not isinstance(doc, dict):
             doc = {}  # an error page: its text becomes the message
-        reasons = doc.get("reasons", []) if isinstance(doc, dict) else None
-        if (not isinstance(reasons, list) or not all(isinstance(r, str) for r in reasons)
-                or status < 300 and method == "PUT" and type(doc.get("version")) is not int):
-            raise RegistryError(f"registry answered {status} with an ill-typed body: "
-                                f"{raw[:80]!r}")
-        if status < 300:
-            return doc
-        if status == 409 and method == "PUT":
+        if status == ok or status == 409 and method == "PUT":
+            reasons = doc.get("reasons", []) if isinstance(doc, dict) else None
+            if (not isinstance(reasons, list) or not all(isinstance(r, str) for r in reasons)
+                    or status == ok == 201 and type(doc.get("version")) is not int):
+                raise RegistryError(f"registry answered {status} with an ill-typed body: "
+                                    f"{raw[:80]!r}")
+            if status == ok:
+                return doc
             raise RegistryRejection(reasons)
         message = doc.get("error", raw.decode("utf-8", "replace")[:200])
         if status == 404:
@@ -214,7 +215,7 @@ class RegistryClient:
         raise RegistryError(f"registry answered {status}: {message}")
 
     def publish(self, name: str, contract: Contract) -> int:
-        return self._call("PUT", f"/contracts/{name}", contract.to_doc())["version"]
+        return self._call("PUT", f"/contracts/{name}", contract.to_doc(), ok=201)["version"]
 
     def get_latest(self, name: str) -> Contract:
         return contract_from_doc(self._call("GET", f"/contracts/{name}"))
@@ -231,7 +232,7 @@ class RegistryClient:
 
     def feedback(self, name: str, version: int, author: str, note: str) -> None:
         self._call("POST", f"/contracts/{name}/versions/{version}/feedback",
-                   {"author": author, "note": note})
+                   {"author": author, "note": note}, ok=204)
 
     def check_compat(self, name: str, contract: Contract) -> CompatibilityVerdict:
         doc = self._call("POST", f"/contracts/{name}/compat", contract.to_doc())

@@ -1,5 +1,6 @@
 """The one HTTP request path, shared by the registry client and the HTTP backend."""
 
+import functools
 import http.client
 import json
 import urllib.error
@@ -11,14 +12,31 @@ import urllib.request
 _URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
 
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Hands a 3xx back as the reply instead of following it: a followed
+    redirect would carry every header, ``Authorization`` included, to
+    whatever host and scheme the ``Location`` names."""
+
+    def redirect_request(self, *args):
+        return None
+
+
+@functools.cache
+def _opener() -> urllib.request.OpenerDirector:
+    # Built on first use, not at import: on newer Pythons the https handler
+    # loads the CA store when it is made.
+    return urllib.request.build_opener(_NoRedirect)
+
+
 def send(method: str, url: str, doc=None, *, timeout: float,
          headers: dict | None = None) -> tuple[int, bytes]:
     """Send one request, with ``doc`` as its JSON body unless it is None.
 
     Returns the status and the raw body of whatever the server answered,
-    error statuses included.  Every transport failure -- refused or reset
-    connection, timeout, protocol error, malformed or non-HTTP URL -- raises
-    ``OSError``.  Proxies come from the usual ``*_proxy`` environment variables.
+    error statuses and redirects included: a redirect is not followed.
+    Every transport failure -- refused or reset connection, timeout, protocol
+    error, malformed or non-HTTP URL -- raises ``OSError``.  Proxies come
+    from the ``*_proxy`` environment variables as set at the first call.
     """
     if not url.lower().startswith(("http://", "https://")):
         raise OSError(f"not an http(s) URL: {url!r}")
@@ -28,7 +46,7 @@ def send(method: str, url: str, doc=None, *, timeout: float,
         request = urllib.request.Request(urllib.parse.quote(url, safe=_URL_SAFE),
                                          data=data, headers=headers, method=method)
         try:
-            response = urllib.request.urlopen(request, timeout=timeout)
+            response = _opener().open(request, timeout=timeout)
         except urllib.error.HTTPError as exc:
             response = exc
         with response:

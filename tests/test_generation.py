@@ -2,6 +2,7 @@
 
 import json
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -316,6 +317,40 @@ def stub_server():
     server.server_close()
 
 
+class _RedirectHandler(BaseHTTPRequestHandler):
+    """Answers every request with a 302 to the class-level ``location`` and
+    records the ``Authorization`` header of every request it is sent."""
+
+    location = ""
+    auth_seen: list = []
+
+    def _answer(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        type(self).auth_seen.append(self.headers.get("Authorization"))
+        self.send_response(302)
+        self.send_header("Location", self.location)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    do_GET = do_POST = _answer
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+@contextmanager
+def _serving(handler):
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
 class TestHttpBackend:
     def test_wire_format_and_response(self, stub_server, monkeypatch):
         url, handler = stub_server
@@ -343,6 +378,21 @@ class TestHttpBackend:
         with pytest.raises(BackendTransportError):
             backend.complete(GenerationRequest(prompt="p"))
         assert len(handler.requests_seen) == 1
+
+    def test_redirect_is_not_followed(self, monkeypatch):
+        # The first host redirects to a second one, which would redirect
+        # onwards: only the first may see the token.
+        first = type("First", (_RedirectHandler,), {"auth_seen": []})
+        second = type("Second", (_RedirectHandler,), {"auth_seen": []})
+        monkeypatch.setenv("FORGE_TOKEN", "sekrit")
+        with _serving(second) as second_url, _serving(first) as first_url:
+            first.location = second.location = second_url + "/elsewhere"
+            backend = HttpBackend(first_url + "/complete", auth_env="FORGE_TOKEN",
+                                  retries=2, backoff=0.01)
+            with pytest.raises(BackendTransportError, match="302"):
+                backend.complete(GenerationRequest(prompt="p"))
+        assert first.auth_seen == ["Bearer sekrit"]
+        assert second.auth_seen == []
 
     def test_unreachable_raises_transport_error(self):
         for url in ("http://127.0.0.1:1/complete", "127.0.0.1:1/complete"):

@@ -152,6 +152,16 @@ class TestErrors:
         _, _, address = service
         assert _status(address, "GET", "/somewhere/else") == 404
 
+    def test_over_long_version_is_404(self, service, orders):
+        client, _, address = service
+        client.publish("orders", orders)
+        nines = "9" * 5000
+        assert _status(address, "GET", f"/contracts/orders/versions/{nines}") == 404
+        assert _status(address, "POST", f"/contracts/orders/versions/{nines}/approve",
+                       {"reviewer": "alice"}) == 404
+        assert _status(address, "POST", f"/contracts/orders/versions/{nines}/feedback",
+                       {"author": "a", "note": "n"}) == 404
+
     def test_latest_of_unknown_name_is_404(self, service):
         client, _, _ = service
         with pytest.raises(NotFoundError):
@@ -254,12 +264,17 @@ class TestIllTypedReplies:
         (201, b'{"version": "1"}', lambda c, k: c.publish("orders", k)),
         (201, b"[1, 2]", lambda c, k: c.publish("orders", k)),
         (200, b"{}", lambda c, k: c.publish("orders", k)),
+        (200, b'{"version": 3}', lambda c, k: c.publish("orders", k)),
+        (201, b"{}", lambda c, k: c.list_versions("orders")),
+        (200, b"", lambda c, k: c.feedback("orders", 1, "a", "n")),
+        (302, b"{}", lambda c, k: c.get_latest("orders")),
         (200, b"[1, 2]", lambda c, k: c.list_versions("orders")),
         (200, b"[1, 2]", lambda c, k: c.approve("orders", 1, "alice")),
         (200, b"not json", lambda c, k: c.get_latest("orders")),
         (200, b'{"compatible": false, "reasons": 5}', lambda c, k: c.check_compat("orders", k)),
         (409, b'{"reasons": "abc"}', lambda c, k: c.publish("orders", k)),
     ], ids=["publish-no-version", "publish-text-version", "publish-array", "publish-200",
+            "publish-200-with-version", "list-201", "feedback-200", "get-302",
             "list-array", "approve-array", "get-not-json", "compat-reasons-int",
             "reject-reasons-text"])
     def test_client_raises_registry_error(self, canned, orders, monkeypatch,
