@@ -9,6 +9,7 @@ stderr.  Exit codes are stable and mutually exclusive:
     3  breaking drift
     4  backend or registry transport failure
     5  registry rejection (incompatible contract)
+   70  internal error (a crash: one ``internal error:`` line on stderr)
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_INVALID = 2
 EXIT_BREAKING_DRIFT = 3
 EXIT_TRANSPORT = 4
 EXIT_REJECTED = 5
+EXIT_INTERNAL = 70
 
 DEFAULT_CONFIG: dict = {
     "backend": {"kind": "oracle", "url": None, "auth_env": None, "script": None,
@@ -234,6 +236,9 @@ def _cmd_registry_serve(args, config) -> int:
     root = args.root or config["registry"]["root"]
     addr = args.addr or config["registry"]["addr"]
     host, _, port = addr.rpartition(":")
+    if not (port.isascii() and port.isdigit() and len(port) <= 5 and int(port) <= 65535):
+        raise ContractForgeError(f"registry address must be host:port with a port in "
+                                 f"0-65535, got {addr!r}")
     store = RegistryStore(root)
     server = RegistryServer(store, host=host or "127.0.0.1", port=int(port))
     _note(f"registry serving {root} at {server.address}")
@@ -307,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "and enforce contracts through a versioned registry.",
         epilog="Exit codes: 0 success, 1 validation violations, 2 invalid input "
                "or contract, 3 breaking drift, 4 backend transport failure, "
-               "5 registry rejection.")
+               "5 registry rejection, 70 internal error.")
     parser.add_argument("--config", help="JSON config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -430,6 +435,9 @@ def main(argv=None) -> int:
     except (ContractForgeError, OSError, json.JSONDecodeError) as exc:
         _note(f"error: {exc}")
         return EXIT_INVALID
+    except Exception as exc:  # a bug, not an input: keep it apart from exit 1
+        _note(f"internal error: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

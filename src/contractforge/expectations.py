@@ -5,17 +5,22 @@ non-null, range, format, uniqueness) without claiming file-format
 compatibility with any external tool.  Observed numeric ranges over-fit the
 sample, so range rules carry warning severity; set and null rules are
 errors.
+
+Value rules compile to ``validation.value_test``, the engine fields use.
+Unlike a field's range, ``between`` fails a non-numeric lexeme; nulls are
+skipped by every kind except ``not_null``, and empty lexemes by every kind.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from . import lexical
 from .errors import ContractForgeError
 from .inference import _numeric_bounds
 from .model import FieldSpec, QualityRule
 from .profiling import DataProfile, lexeme_of
+from .validation import value_test
 
 #: Column must be unique over at least this many rows before a uniqueness
 #: rule is worth asserting; reuses the enum-promotion row floor.
@@ -77,57 +82,24 @@ def synthesize_rules(profile: DataProfile,
     return rules
 
 
-def _column_lexemes(rows: list[dict], column: str) -> list[str | None]:
-    """Column values as lexemes; absent keys and nulls become None."""
-    out: list[str | None] = []
-    for row in rows:
-        value = row.get(column)
-        out.append(None if value is None else lexeme_of(value))
-    return out
-
-
 def evaluate_rules(rules: list[QualityRule],
                    rows: list[dict]) -> list[RuleResult]:
-    """Count failing rows per rule; a rule passes iff no row fails it.
-
-    Null values (absent key or explicit null) are skipped by every kind
-    except not_null; empty-string lexemes are skipped by every kind.
-    """
+    """Count failing rows per rule; a rule passes iff no row fails it.  Each
+    column is read once and each test runs once per distinct lexeme."""
+    columns: dict[str, tuple[int, Counter]] = {}
     results: list[RuleResult] = []
     for rule in rules:
-        lexemes = _column_lexemes(rows, rule.column)
-        failed = 0
+        if rule.column not in columns:
+            counts = Counter(lexeme_of(row.get(rule.column)) for row in rows)
+            del counts[""]
+            columns[rule.column] = counts.pop(None, 0), counts
+        nulls, counts = columns[rule.column]
         if rule.kind == "not_null":
-            failed = sum(1 for v in lexemes if v is None)
+            failed = nulls
         elif rule.kind == "unique":
-            seen: dict[str, int] = {}
-            for v in lexemes:
-                if v is None or v == "":
-                    continue
-                seen[v] = seen.get(v, 0) + 1
-            failed = sum(n - 1 for n in seen.values())
+            failed = counts.total() - len(counts)
         else:
-            for v in lexemes:
-                if v is None or v == "":
-                    continue
-                if not _value_passes(rule, v):
-                    failed += 1
+            test = value_test(rule.kind, rule.params)
+            failed = sum(n for lexeme, n in counts.items() if not test(lexeme))
         results.append(RuleResult(rule=rule, rows_failed=failed))
     return results
-
-
-def _value_passes(rule: QualityRule, lexeme: str) -> bool:
-    if rule.kind == "values_in_set":
-        return lexeme in rule.params["values"]
-    if rule.kind == "between":
-        cls = lexical.classify_lexeme(lexeme)
-        if cls == lexical.INTEGER:
-            value: int | float = int(lexeme)
-        elif cls == lexical.NUMBER:
-            value = float(lexeme)
-        else:
-            return False
-        return rule.params["min"] <= value <= rule.params["max"]
-    if rule.kind == "matches_format":
-        return lexical.classify_lexeme(lexeme) == rule.params["format"]
-    raise ContractForgeError(f"unknown rule kind {rule.kind!r}")

@@ -43,18 +43,18 @@ def infer_column_type(column: ColumnProfile) -> str:
 
 
 def _numeric_bounds(column: ColumnProfile, logical_type: str) -> Constraints | None:
-    values: list[float | int] = []
-    for lexeme in column.sample_values:
-        cls = lexical.classify_lexeme(lexeme)
-        if cls == lexical.INTEGER:
-            values.append(int(lexeme))
-        elif cls == lexical.NUMBER:
-            values.append(float(lexeme))
+    values = [v for v in map(lexical.number_of, column.sample_values) if v is not None]
     if not values:
         return None
     lo, hi = min(values), max(values)
-    if logical_type == "number":
-        lo, hi = float(lo), float(hi)
+    try:
+        if logical_type == "number":
+            lo, hi = float(lo), float(hi)
+    except OverflowError:
+        return None
+    # No range from an overflowing numeral: contract bounds are finite.
+    if math.inf in (abs(lo), abs(hi)):
+        return None
     return Constraints(min_value=lo, max_value=hi)
 
 

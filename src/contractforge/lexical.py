@@ -81,6 +81,18 @@ def classify_lexeme(lexeme: str) -> str:
     return STRING
 
 
+def number_of(lexeme: str) -> int | float | None:
+    """An ``integer`` lexeme's int, a ``number`` lexeme's float, else ``None``;
+    an integer past the int-string digit limit reads as float (±inf)."""
+    cls = classify_lexeme(lexeme)
+    if cls == INTEGER:
+        try:
+            return int(lexeme)
+        except ValueError:
+            return float(lexeme)
+    return float(lexeme) if cls == NUMBER else None
+
+
 def join(a: str, b: str) -> str:
     """Least upper bound of two lexical classes."""
     if a == b:

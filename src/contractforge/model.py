@@ -312,6 +312,8 @@ def parse_contract(text: str) -> Contract:
         raise ContractSyntaxError(
             f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}",
             position=exc.pos, line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # an integer past the int-string digit limit
+        raise ContractSyntaxError("syntax error: integer literal too long to read") from exc
     return contract_from_doc(doc)
 
 

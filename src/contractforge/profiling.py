@@ -243,6 +243,9 @@ def _read_ndjson(text: str, options: IngestOptions) -> tuple[list[str], list[dic
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise IngestError(f"malformed ndjson line {line_no}: {exc.msg}") from exc
+        except ValueError as exc:  # an integer past the int-string digit limit
+            raise IngestError(f"ndjson line {line_no}: integer literal too long "
+                              f"to read") from exc
         if not isinstance(obj, dict):
             raise IngestError(f"malformed ndjson line {line_no}: not a JSON object")
         row = _flatten(obj, options.flatten_depth, line_no)

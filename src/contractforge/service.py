@@ -13,7 +13,9 @@ Endpoints (JSON bodies, canonical contract documents):
 Incompatible publishes answer 409 with the verdict reasons; malformed or
 invariant-violating documents answer 400.  A request body whose
 ``Content-Length`` is not a non-negative integer, or that is not JSON,
-answers 400; one longer than ``MAX_BODY_BYTES`` answers 413.
+answers 400; one longer than ``MAX_BODY_BYTES`` answers 413.  A connection
+that sends nothing for ``READ_TIMEOUT_S`` seconds, mid-body included, is
+closed without a reply.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .registry import RegistryStore
 from .transport import send
 
 MAX_BODY_BYTES = 16 * 1024 * 1024
+READ_TIMEOUT_S = 30.0
 
 
 class _PayloadTooLarge(ContractForgeError):
@@ -88,9 +91,16 @@ _ROUTES = [(method, re.compile(pattern + r"\Z"), handler) for method, pattern, h
 def _make_handler(store: RegistryStore):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        timeout = READ_TIMEOUT_S
 
         def log_message(self, fmt, *args):  # quiet by default
             pass
+
+        def handle(self):
+            try:
+                super().handle()
+            except ConnectionError:  # the client hung up: nobody to answer
+                pass
 
         def _reply(self, status: int, doc: dict | None) -> None:
             body = b"" if doc is None else (
@@ -119,7 +129,7 @@ def _make_handler(store: RegistryStore):
             raw = self.rfile.read(length) if length else b""
             try:
                 return json.loads(raw.decode("utf-8") or "null")
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except ValueError as exc:  # bad UTF-8 or JSON, or an over-long integer
                 raise ContractForgeError(f"request body is not valid JSON: {exc}") from exc
 
         def _dispatch(self):

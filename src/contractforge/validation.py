@@ -1,24 +1,24 @@
 """Check contract syntax, validate rows against a contract, detect drift.
 
-Row semantics: a value of ``None`` is null; any other value is reduced to a
-text lexeme and checked through the lexical lattice (a lexeme conforms to a
-field type when its class sits at or below that type, so integers conform to
-number and everything conforms to string).  Empty-string lexemes classify as
-the lattice bottom and therefore pass type, enum and range checks; only an
-explicit null triggers nullability handling.
-
-Contracts are exhaustive agreements: row keys that name no contract field
-are violations unless ``allow_unknown`` is set.
+Fields and quality rules share one engine: ``field_check`` and ``value_test``
+compile a field or a value rule kind to a per-lexeme check that runs once per
+distinct lexeme.  An enum is the ``values_in_set`` test and a range the
+``between`` test; nullability and the lattice type test (a lexeme conforms
+when its class sits at or below the field type) are field-only.  Both pass
+the empty lexeme and take only ``None``, never ``""``, as null; unlike
+``between``, a field's range reads only numeric lexemes, and only when the
+field has a bound.  Unknown row keys are violations unless ``allow_unknown``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import lexical
 from .errors import ContractForgeError
 from .inference import infer_column_type
-from .model import Contract, parse_contract
+from .model import Contract, FieldSpec, parse_contract
 from .profiling import DataProfile, lexeme_of
 
 TYPE_MISMATCH = "type_mismatch"
@@ -70,40 +70,49 @@ def lattice_type(logical_type: str) -> str:
     return lexical.STRING if logical_type == "enum_string" else logical_type
 
 
-def _numeric_value(lexeme: str, cls: str) -> int | float:
-    return int(lexeme) if cls == lexical.INTEGER else float(lexeme)
+def value_test(kind: str, params: dict) -> Callable[[str], bool]:
+    """Compile a value rule kind to its test of one non-empty lexeme; a field
+    range is ``between`` with either bound ``None``."""
+    if kind == "values_in_set":
+        return params["values"].__contains__
+    if kind == "matches_format":
+        fmt = params["format"]
+        return lambda lexeme: lexical.classify_lexeme(lexeme) == fmt
+    if kind != "between":
+        raise ContractForgeError(f"unknown rule kind {kind!r}")
+    lo, hi = params["min"], params["max"]
+
+    def between(lexeme: str) -> bool:
+        number = lexical.number_of(lexeme)
+        return number is not None and (lo is None or lo <= number) and (hi is None or number <= hi)
+    return between
 
 
-def _check_field(spec, value, row_index: int, out: list[Violation]) -> None:
-    if value is None:
-        if not spec.nullable:
-            out.append(Violation(row_index, spec.name, NULL_VIOLATION, "null"))
-        return
-    lexeme = lexeme_of(value)
-    cls = lexical.classify_lexeme(lexeme)
-    if not lexical.is_subclass(cls, lattice_type(spec.logical_type)):
-        out.append(Violation(row_index, spec.name, TYPE_MISMATCH, lexeme))
-        return
-    if cls == lexical.EMPTY:
-        return
-    c = spec.constraints
+def field_check(spec: FieldSpec) -> Callable[[str | None], str | None]:
+    """Compile a field to ``lexeme -> violation kind | None``: nullability,
+    the lattice type, then the enum or range test through ``value_test``."""
+    expected, c = lattice_type(spec.logical_type), spec.constraints
+    kind, test, tested = None, None, ()
     if spec.logical_type == "enum_string" and c is not None and c.allowed_values is not None:
-        if lexeme not in c.allowed_values:
-            out.append(Violation(row_index, spec.name, ENUM_VIOLATION, lexeme))
-    elif c is not None and cls in (lexical.INTEGER, lexical.NUMBER):
-        number = _numeric_value(lexeme, cls)
-        if (c.min_value is not None and number < c.min_value) or \
-                (c.max_value is not None and number > c.max_value):
-            out.append(Violation(row_index, spec.name, RANGE_VIOLATION, lexeme))
+        kind, tested = ENUM_VIOLATION, lexical.CLASSES[1:]  # all but EMPTY
+        test = value_test("values_in_set", {"values": c.allowed_values})
+    elif c is not None and (c.min_value is not None or c.max_value is not None):
+        kind, tested = RANGE_VIOLATION, (lexical.INTEGER, lexical.NUMBER)
+        test = value_test("between", {"min": c.min_value, "max": c.max_value})
+
+    def check(lexeme: str | None) -> str | None:
+        if lexeme is None:
+            return None if spec.nullable else NULL_VIOLATION
+        cls = lexical.classify_lexeme(lexeme)
+        if not lexical.is_subclass(cls, expected):
+            return TYPE_MISMATCH
+        return kind if cls in tested and not test(lexeme) else None
+    return check
 
 
 def value_conforms(spec, value) -> bool:
     """Would this single value pass row validation for the given field?"""
-    if value is None:
-        return spec.nullable
-    out: list[Violation] = []
-    _check_field(spec, value, 0, out)
-    return not out
+    return field_check(spec)(lexeme_of(value)) is None
 
 
 def validate_rows(contract: Contract, rows: list[dict],
@@ -111,19 +120,25 @@ def validate_rows(contract: Contract, rows: list[dict],
     """Validate rows field by field; a row passes iff it has no violations.
 
     Deterministic output: violations are ordered by row index, then contract
-    field order, then row key order for unknown fields.
+    field order, then row key order for unknown fields.  Each field's check
+    runs once per distinct lexeme.
     """
     known = {f.name for f in contract.fields}
+    checks = [(spec.name, spec.nullable, field_check(spec), {}) for spec in contract.fields]
     violations: list[Violation] = []
     rows_passed = 0
     for index, row in enumerate(rows):
         before = len(violations)
-        for spec in contract.fields:
-            if spec.name not in row:
-                if not spec.nullable:
-                    violations.append(Violation(index, spec.name, MISSING_FIELD, ""))
+        for name, nullable, check, seen in checks:
+            if name not in row:
+                if not nullable:
+                    violations.append(Violation(index, name, MISSING_FIELD, ""))
                 continue
-            _check_field(spec, row[spec.name], index, violations)
+            lexeme = lexeme_of(row[name])
+            kind = seen[lexeme] if lexeme in seen else seen.setdefault(lexeme, check(lexeme))
+            if kind is not None:
+                violations.append(Violation(index, name, kind,
+                                            "null" if lexeme is None else lexeme))
         if not allow_unknown:
             for key, value in row.items():
                 if key not in known:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import contractforge
+from contractforge import cli
 from contractforge.cli import main
 from contractforge.inference import infer_contract
 from contractforge.model import canonicalize, parse_contract
@@ -227,9 +228,29 @@ class TestUsage:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "Exit codes" in out
+        assert "70 internal error" in " ".join(out.split())
 
     def test_no_command_exits_2(self):
         assert main([]) == 2
+
+    def test_crash_exits_70_with_one_line(self, toy_csv, monkeypatch, capsys):
+        def crash(args, config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_profile", crash)
+        assert main(["profile", str(toy_csv)]) == cli.EXIT_INTERNAL == 70
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize("addr", ["127.0.0.1:notaport", "127.0.0.1:70000",
+                                      "127.0.0.1:-1", "127.0.0.1:", "127.0.0.1",
+                                      "127.0.0.1:" + "9" * 5000])
+    def test_serve_with_a_bad_port_exits_2(self, tmp_path, addr, capsys):
+        assert main(["registry", "serve", "--root", str(tmp_path / "r"),
+                     "--addr", addr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: registry address must be host:port")
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
 
     def test_non_object_config_exits_2(self, tmp_path, toy_csv):
         config = tmp_path / "config.json"
@@ -309,3 +330,73 @@ class TestRegistryCommands:
     def test_unreachable_registry_exits_4(self, toy_contract_file):
         assert main(["registry", "publish", "toy", str(toy_contract_file),
                      "--addr", "127.0.0.1:1"]) == 4
+
+
+class TestHugeNumerals:
+    """Numerals past the int-string digit limit or float range never crash."""
+
+    HUGE = "9" * 5000
+
+    def _flow(self, tmp_path, header, rows):
+        data = tmp_path / "data.csv"
+        data.write_bytes(csv_bytes(header, rows))
+        profile, contract = tmp_path / "p.json", tmp_path / "c.json"
+        report, results = tmp_path / "report.json", tmp_path / "results.json"
+        codes = [
+            main(["profile", str(data), "--out", str(profile)]),
+            main(["generate", str(profile), "--out", str(contract)]),
+            main(["validate", str(contract), str(data), "--report", str(report)]),
+            main(["rules", str(profile), str(contract), "--check", str(data),
+                  "--out", str(results)]),
+        ]
+        return (codes, parse_contract(contract.read_text()), json.loads(report.read_text()),
+                json.loads(results.read_text()))
+
+    def test_sampled_huge_integer_runs_the_whole_flow(self, tmp_path):
+        rows = [[f"n{i}", self.HUGE if i == 3 else str(i)] for i in range(30)]
+        codes, contract, report, results = self._flow(tmp_path, ["name", "big"], rows)
+        assert codes == [0, 0, 0, 0]
+        assert contract.fields[1].logical_type == "integer"
+        assert contract.fields[1].constraints is None
+        assert report["rows_passed"] == 30
+        assert all(r["pass"] for r in results)
+
+    def test_unsampled_huge_integer_is_a_range_violation(self, tmp_path):
+        # The profile samples the first 20 distinct values, 0..19; row 25 is
+        # the only value outside that range.
+        rows = [[f"n{i}", self.HUGE if i == 25 else str(i % 20)] for i in range(30)]
+        codes, contract, report, results = self._flow(tmp_path, ["name", "big"], rows)
+        assert codes == [0, 0, 1, 1]
+        assert report["violations"] == [{"row_index": 25, "field_name": "big",
+                                         "kind": "range_violation", "observed": self.HUGE}]
+        assert [(r["rule"]["kind"], r["rows_failed"]) for r in results if not r["pass"]] == [
+            ("between", 1)]
+
+    def test_overflowing_number_gets_no_infinite_bound(self, tmp_path):
+        rows = [[f"n{i}", "1e400" if i == 2 else f"{i}.5"] for i in range(30)]
+        codes, contract, report, results = self._flow(tmp_path, ["name", "x"], rows)
+        assert codes == [0, 0, 0, 0]
+        assert contract.fields[1].logical_type == "number"
+        assert contract.fields[1].constraints is None
+        assert "Infinity" not in canonicalize(contract)
+        assert "between" not in [r["rule"]["kind"] for r in results]
+
+    def test_ndjson_huge_integer_exits_2(self, tmp_path, toy_profile_file,
+                                         toy_contract_file, capsys):
+        data = tmp_path / "huge.ndjson"
+        data.write_text('{"id": 1}\n{"id": ' + self.HUGE + '}\n')
+        for argv in (["profile", str(data)],
+                     ["validate", str(toy_contract_file), str(data)],
+                     ["rules", str(toy_profile_file), str(toy_contract_file),
+                      "--check", str(data)]):
+            assert main(argv + ["--format", "ndjson"]) == 2
+            assert capsys.readouterr().err == (
+                "error: ndjson line 2: integer literal too long to read\n")
+
+    def test_contract_with_huge_integer_exits_2(self, tmp_path, toy_csv, capsys):
+        contract = tmp_path / "huge.contract.json"
+        contract.write_text('{"name": "t", "fields": [{"name": "id", "logical_type": '
+                            '"integer", "nullable": false, "constraints": {"max": '
+                            + self.HUGE + '}}]}')
+        assert main(["validate", str(contract), str(toy_csv)]) == 2
+        assert "integer literal too long" in capsys.readouterr().err

@@ -107,6 +107,18 @@ class TestEvaluate:
         # 15 out of range, "abc" not numeric; null skipped; 5 and 9.5 pass
         assert results[0].rows_failed == 2
 
+    def test_between_reads_huge_numerals(self):
+        rows = [{"n": "9" * 5000}, {"n": "-" + "9" * 5000}, {"n": "1e400"}, {"n": "3"}]
+        rule = QualityRule("between", "n", {"min": 1, "max": 10}, "warning")
+        assert evaluate_rules([rule], rows)[0].rows_failed == 3
+
+    def test_empty_lexeme_is_skipped_and_not_null(self):
+        rows = [{"a": ""}, {"a": ""}, {"a": "x"}]
+        rules = [QualityRule(kind, "a", params, "error") for kind, params in [
+            ("not_null", {}), ("unique", {}), ("values_in_set", {"values": ["x"]}),
+            ("between", {"min": 0, "max": 1}), ("matches_format", {"format": "date"})]]
+        assert [r.rows_failed for r in evaluate_rules(rules, rows)] == [0, 0, 0, 1, 1]
+
     def test_matches_format(self):
         rows = [{"d": "2021-01-01"}, {"d": "01/02/2021"}, {"d": None}]
         rule = QualityRule("matches_format", "d", {"format": "date"}, "error")

@@ -47,6 +47,23 @@ class TestInferField:
         assert spec.constraints.min_value == 1.0
         assert isinstance(spec.constraints.min_value, float)
 
+    @pytest.mark.parametrize("values", [
+        ["1", "9" * 5000, "3"],          # past the int-string digit limit
+        ["-" + "9" * 5000, "1"],
+        ["1.5", "1e400"],                # overflows float
+        ["2.5", "1" + "0" * 400],        # an integer beyond float range
+    ])
+    def test_non_finite_extreme_gives_no_range(self, values):
+        contract = infer_contract(one_column_profile(values))
+        assert contract.fields[0].logical_type in ("integer", "number")
+        assert contract.fields[0].constraints is None
+        assert "Infinity" not in canonicalize(contract)
+
+    def test_long_integer_within_the_digit_limit_keeps_its_range(self):
+        big = "1" + "0" * 400
+        spec = infer_contract(one_column_profile(["1", big])).fields[0]
+        assert (spec.constraints.min_value, spec.constraints.max_value) == (1, int(big))
+
     def test_date_and_timestamp_stay_distinct(self):
         assert infer_contract(one_column_profile(["2021-01-01"])).fields[0].logical_type == "date"
         mixed = one_column_profile(["2021-01-01", "2021-01-01T10:00:00Z"])

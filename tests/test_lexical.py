@@ -1,10 +1,12 @@
 """Lexical classifier grammar and the class lattice."""
 
 import itertools
+import math
 
 import pytest
 
-from contractforge.lexical import CLASSES, classify_lexeme, is_subclass, join, join_all
+from contractforge.lexical import (CLASSES, classify_lexeme, is_subclass, join, join_all,
+                                   number_of)
 
 
 @pytest.mark.parametrize("lexeme,expected", [
@@ -96,3 +98,30 @@ def test_conformance_is_lattice_order():
         assert is_subclass(c, "string")
         assert is_subclass("empty", c)
         assert is_subclass(c, c)
+
+
+@pytest.mark.parametrize("lexeme,expected", [
+    ("-42", -42),
+    ("007", 7),
+    ("99999999999999999999999999", 99999999999999999999999999),
+    ("3.5e2", 350.0),
+    (".5", 0.5),
+    ("7.", 7.0),
+    ("1e400", math.inf),
+    ("-1e400", -math.inf),
+    ("9" * 5000, math.inf),  # past the int-string digit limit
+    ("-" + "9" * 5000, -math.inf),
+    ("", None),
+    ("true", None),
+    ("2021-03-04", None),
+    ("nan", None),
+    ("inf", None),
+])
+def test_number_of(lexeme, expected):
+    assert number_of(lexeme) == expected
+
+
+def test_number_of_reads_integers_as_int_and_numbers_as_float():
+    assert type(number_of("7")) is int
+    assert type(number_of("7.0")) is float
+    assert type(number_of("9" * 5000)) is float

@@ -87,6 +87,10 @@ class TestNdjson:
         with pytest.raises(IngestError, match="line 2"):
             ingest(b'{"a":1}\nnot json\n', "ndjson")
 
+    def test_integer_past_the_digit_limit_is_an_ingest_error(self):
+        with pytest.raises(IngestError, match="line 2: integer literal too long"):
+            ingest(b'{"a":1}\n{"a":' + b"9" * 5000 + b'}\n', "ndjson")
+
     def test_non_object_line_rejected(self):
         with pytest.raises(IngestError, match="line 1.*not a JSON object"):
             ingest(b"[1,2]\n", "ndjson")

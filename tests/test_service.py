@@ -5,11 +5,13 @@ import http.client
 import json
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import urlsplit
 
 import pytest
 
+from contractforge import service as service_module
 from contractforge.cli import main
 from contractforge.errors import (NotFoundError, RegistryError, RegistryRejection,
                                   RegistryTransportError)
@@ -227,6 +229,44 @@ class TestContentLength:
         head = (b"POST /contracts/orders/compat HTTP/1.1\r\nHost: x\r\n"
                 b"Content-Length: " + str(MAX_BODY_BYTES + 1).encode())
         assert _raw_status(address, head) == 413
+
+
+class TestSlowAndVanishingClients:
+    HEAD = b"PUT /contracts/orders HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\n"
+
+    def test_short_body_is_dropped_after_the_read_timeout(self, tmp_path, monkeypatch,
+                                                          capfd):
+        monkeypatch.setattr(service_module, "READ_TIMEOUT_S", 0.3)
+        server = RegistryServer(RegistryStore(tmp_path / "registry")).start()
+        try:
+            url = urlsplit(server.address)
+            with socket.create_connection((url.hostname, url.port), timeout=5) as slow:
+                slow.sendall(self.HEAD + b'{"')
+                # Other clients are answered while the slow one is held.
+                assert _status(server.address, "GET", "/contracts/orders") == 404
+                started = time.monotonic()
+                assert slow.recv(4096) == b""  # closed, no reply
+                assert time.monotonic() - started < 3
+            assert _status(server.address, "GET", "/contracts/orders") == 404
+        finally:
+            server.stop()
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_client_gone_before_the_reply_leaves_no_traceback(self, service, capfd):
+        _, _, address = service
+        url = urlsplit(address)
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            sock.sendall(self.HEAD + b'{"')
+        time.sleep(0.3)  # the handler answers 400 into the closed socket
+        assert _status(address, "GET", "/contracts/orders") == 404
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+
+    def test_integer_past_the_digit_limit_is_400(self, service):
+        _, _, address = service
+        body = b'{"reviewer": ' + b"9" * 5000 + b"}"
+        assert _status(address, "POST", "/contracts/orders/versions/1/approve",
+                       data=body) == 400
 
 
 class _CannedHandler(BaseHTTPRequestHandler):

@@ -54,6 +54,18 @@ class TestValidateRows:
         assert (report.rows_checked, report.rows_passed) == (0, 0)
         assert report.violations == []
 
+    def test_huge_numerals_compare_against_bounds(self):
+        spec = FieldSpec("n", "number", False, Constraints(min_value=-5, max_value=5))
+        rows = [{"n": "9" * 5000}, {"n": "-" + "9" * 5000}, {"n": "1e400"}, {"n": "4"}]
+        report = validate_rows(contract_of(spec), rows)
+        assert [(v.row_index, v.kind) for v in report.violations] == [
+            (0, "range_violation"), (1, "range_violation"), (2, "range_violation")]
+        assert report.violations[0].observed == "9" * 5000
+
+    def test_huge_integer_passes_a_one_sided_range(self):
+        spec = FieldSpec("n", "integer", False, Constraints(min_value=0))
+        assert validate_rows(contract_of(spec), [{"n": "9" * 5000}]).all_passed
+
     def test_enum_violation(self):
         report = validate_rows(contract_of(ENUM_FIELD), [{"status": "deleted"}])
         assert [v.kind for v in report.violations] == ["enum_violation"]
