@@ -17,7 +17,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BackendTransportError, ContractForgeError
+from .errors import BackendTransportError, ContractForgeError, parse_json
 from .inference import InferenceOptions, infer_contract
 from .model import canonicalize
 from .profiling import DataProfile
@@ -91,7 +91,8 @@ class ScriptedBackend(CompletionBackend):
 
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = parse_json(Path(path).read_text(encoding="utf-8"),
+                         context=f"scripted backend fixture {path}")
         if not isinstance(doc, dict):
             raise ContractForgeError("scripted backend fixture must be a JSON object")
         return cls(doc)
@@ -167,10 +168,7 @@ class HttpBackend(CompletionBackend):
             f"backend at {self._url} unreachable after {self._retries + 1} attempts: {last_error}")
 
     def _parse_response(self, raw: bytes) -> list[str]:
-        try:
-            doc = json.loads(raw)
-        except ValueError as exc:
-            raise BackendTransportError(f"backend returned non-JSON body: {exc}") from exc
+        doc = parse_json(raw, BackendTransportError, "backend returned non-JSON body")
         completions = doc.get("completions") if isinstance(doc, dict) else None
         if not isinstance(completions, list) or not all(isinstance(t, str) for t in completions):
             raise BackendTransportError('backend response lacks a "completions" list of texts')

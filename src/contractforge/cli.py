@@ -15,6 +15,7 @@ stderr.  Exit codes are stable and mutually exclusive:
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 from datetime import datetime, timezone
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from .backends import HttpBackend, OracleBackend, ScriptedBackend
 from .errors import (BackendTransportError, ContractForgeError, NotFoundError,
-                     RegistryRejection, RegistryTransportError)
+                     RegistryRejection, RegistryTransportError, parse_json)
 from .evalharness import format_metrics_table, run_eval
 from .expectations import evaluate_rules, synthesize_rules
 from .generation import TWO_PASS, GenerationPolicy, generate_contract
@@ -52,23 +53,35 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override, defaults: dict, where: str) -> dict:
+    """``base`` with ``override`` merged in, recursively.  Each override must
+    have the type of the ``defaults`` value it replaces: an int may stand for
+    a float, and anything may replace a null or an unknown key."""
+    if not isinstance(override, dict):
+        raise ContractForgeError(f"{where} must be a JSON object")
     merged = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _merge(merged[key], value)
-        else:
-            merged[key] = value
+        default = defaults.get(key)
+        if isinstance(default, dict):
+            merged[key] = _merge(base[key], value, default, f"{where} key {key!r}")
+            continue
+        kind = (int, float) if type(default) is float else type(default)
+        if default is not None and (not isinstance(value, kind)
+                                    or isinstance(value, bool) != isinstance(default, bool)):
+            raise ContractForgeError(f"{where} key {key!r} must be {type(default).__name__}, "
+                                     f"not {type(value).__name__}")
+        merged[key] = value
     return merged
+
+
+def _read_json(path: str, what: str):
+    return parse_json(Path(path).read_text(encoding="utf-8"), context=f"{what} {path}")
 
 
 def load_config(path: str | None) -> dict:
     if path is None:
-        return json.loads(json.dumps(DEFAULT_CONFIG))
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ContractForgeError("config file must hold a JSON object")
-    return _merge(DEFAULT_CONFIG, doc)
+        return copy.deepcopy(DEFAULT_CONFIG)
+    return _merge(DEFAULT_CONFIG, _read_json(path, "config file"), DEFAULT_CONFIG, "config file")
 
 
 def _now() -> str:
@@ -104,7 +117,8 @@ def _build_policy(config: dict, args) -> GenerationPolicy:
     section = dict(config["generation"])
     policy_path = getattr(args, "policy", None)
     if policy_path:
-        section = _merge(section, json.loads(Path(policy_path).read_text(encoding="utf-8")))
+        section = _merge(section, _read_json(policy_path, "policy file"),
+                         DEFAULT_CONFIG["generation"], "policy file")
     mode_name = getattr(args, "mode", None) or section["mode"]
     mode = TWO_PASS if mode_name in ("two-pass", "two_pass") else SINGLE_PASS
 
@@ -432,7 +446,7 @@ def main(argv=None) -> int:
     except NotFoundError as exc:
         _note(f"not found: {exc}")
         return EXIT_INVALID
-    except (ContractForgeError, OSError, json.JSONDecodeError) as exc:
+    except (ContractForgeError, OSError, UnicodeDecodeError) as exc:
         _note(f"error: {exc}")
         return EXIT_INVALID
     except Exception as exc:  # a bug, not an input: keep it apart from exit 1

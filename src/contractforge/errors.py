@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 
 class ContractForgeError(Exception):
     """Base class for every error raised by this package."""
@@ -68,3 +70,30 @@ class RegistryRejection(RegistryError):
     def __init__(self, reasons: list[str]):
         self.reasons = list(reasons)
         super().__init__("; ".join(self.reasons) or "incompatible contract")
+
+
+def parse_json(text: str | bytes, error: type[ContractForgeError] = ContractForgeError,
+               context: str | None = None):
+    """``json.loads``, raising ``error`` for any text it cannot read.
+
+    Besides malformed JSON, ``json.loads`` lets three inputs escape as other
+    exceptions: bytes that are not Unicode, an integer past the int-string
+    digit limit (both ``ValueError``) and nesting past the recursion limit
+    (``RecursionError``).  The message is the reason, after ``context`` when
+    one is given; a :class:`ContractSyntaxError` also carries the position
+    of a syntax error.
+    """
+    where: dict = {}
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        reason = str(exc)
+        if issubclass(error, ContractSyntaxError):
+            where = {"position": exc.pos, "line": exc.lineno, "column": exc.colno}
+    except UnicodeDecodeError as exc:
+        reason = str(exc)
+    except ValueError:
+        reason = "integer literal too long to read"
+    except RecursionError:
+        reason = "nesting too deep to read"
+    raise error(f"{context}: {reason}" if context else reason, **where)

@@ -9,12 +9,11 @@ cleanly, by construction.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
 from .backends import CompletionBackend, GenerationRequest
-from .errors import ContractForgeError, ExtractionFailure
+from .errors import ContractForgeError, ExtractionFailure, parse_json
 from .inference import safe_generic_contract
 from .model import Contract, Provenance, contract_from_doc
 from .profiling import DataProfile
@@ -206,7 +205,7 @@ def _wrap_bare_schema(doc: dict) -> dict:
 
 
 def _try_parse(text: str) -> Contract:
-    doc = json.loads(text)
+    doc = parse_json(text, ExtractionFailure)
     if isinstance(doc, dict) and "properties" in doc and "fields" not in doc:
         doc = _wrap_bare_schema(doc)
     return contract_from_doc(doc)
@@ -263,8 +262,8 @@ def _parse_stage1(text: str) -> list[str] | None:
     if span is not None:
         candidate = span
     try:
-        doc = json.loads(candidate)
-    except ValueError:
+        doc = parse_json(candidate)
+    except ContractForgeError:
         return None
     if isinstance(doc, list) and doc and all(isinstance(v, str) for v in doc):
         return [v.strip() for v in doc]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import ContractSyntaxError, InvariantViolation
+from .errors import ContractSyntaxError, InvariantViolation, parse_json
 
 LOGICAL_TYPES = ("boolean", "integer", "number", "string", "date", "timestamp", "enum_string")
 NUMERIC_TYPES = ("integer", "number")
@@ -306,15 +306,7 @@ def contract_from_doc(doc: dict) -> Contract:
 def parse_contract(text: str) -> Contract:
     """Parse contract text, raising a position-annotated error on bad JSON
     and an invariant-naming error on structurally bad documents."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ContractSyntaxError(
-            f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}",
-            position=exc.pos, line=exc.lineno, column=exc.colno) from exc
-    except ValueError as exc:  # an integer past the int-string digit limit
-        raise ContractSyntaxError("syntax error: integer literal too long to read") from exc
-    return contract_from_doc(doc)
+    return contract_from_doc(parse_json(text, ContractSyntaxError, "syntax error"))
 
 
 def canonicalize(contract: Contract) -> str:

@@ -17,7 +17,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .errors import IngestError
+from .errors import IngestError, parse_json
 from .lexical import classify_lexeme
 
 DELIMITED = "delimited"
@@ -37,6 +37,21 @@ class IngestOptions:
     row_cap: int = DEFAULT_ROW_CAP
     flatten_depth: int = 1
     null_tokens: list[str] = field(default_factory=list)
+
+
+def _checked(doc: dict, key: str, kind: type, item: type | None = None):
+    """``doc[key]`` from a profile document, which must be a ``kind`` (whose
+    items, or values for a dict, must be ``item``s); an :class:`IngestError`
+    naming the key otherwise."""
+    if key not in doc:
+        raise IngestError(f"profile lacks key {key!r}")
+    value = doc[key]
+    items = value.values() if isinstance(value, dict) else value
+    if not isinstance(value, kind) or isinstance(value, bool) or item is not None and not all(
+            isinstance(v, item) and not isinstance(v, bool) for v in items):
+        expected = kind.__name__ + (f" of {item.__name__}" if item else "")
+        raise IngestError(f"profile key {key!r} must be {expected}, not {value!r:.40}")
+    return value
 
 
 @dataclass
@@ -63,12 +78,12 @@ class ColumnProfile:
     @classmethod
     def from_doc(cls, doc: dict) -> "ColumnProfile":
         return cls(
-            name=doc["name"],
-            total_count=doc["total_count"],
-            null_count=doc["null_count"],
-            distinct_count=doc["distinct_count"],
-            sample_values=list(doc["sample_values"]),
-            lexical_histogram={k: int(v) for k, v in doc["lexical_histogram"].items()},
+            name=_checked(doc, "name", str),
+            total_count=_checked(doc, "total_count", int),
+            null_count=_checked(doc, "null_count", int),
+            distinct_count=_checked(doc, "distinct_count", int),
+            sample_values=list(_checked(doc, "sample_values", list, str)),
+            lexical_histogram=dict(_checked(doc, "lexical_histogram", dict, int)),
         )
 
 
@@ -100,13 +115,16 @@ class DataProfile:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "DataProfile":
-        return cls(
-            dataset_name=doc["dataset_name"],
-            row_count=doc["row_count"],
-            columns=[ColumnProfile.from_doc(c) for c in doc["columns"]],
-            source_format=doc["source_format"],
-            sample_rows=[dict(r) for r in doc["sample_rows"]],
+        profile = cls(
+            dataset_name=_checked(doc, "dataset_name", str),
+            row_count=_checked(doc, "row_count", int),
+            columns=[ColumnProfile.from_doc(c) for c in _checked(doc, "columns", list, dict)],
+            source_format=_checked(doc, "source_format", str),
+            sample_rows=[dict(r) for r in _checked(doc, "sample_rows", list, dict)],
         )
+        if not all(v is None or isinstance(v, str) for r in profile.sample_rows for v in r.values()):
+            raise IngestError("profile key 'sample_rows' must hold rows of strings and nulls")
+        return profile
 
 
 def dump_profile(profile: DataProfile) -> str:
@@ -116,7 +134,10 @@ def dump_profile(profile: DataProfile) -> str:
 
 
 def load_profile(text: str) -> DataProfile:
-    return DataProfile.from_doc(json.loads(text))
+    doc = parse_json(text, IngestError, "profile")
+    if not isinstance(doc, dict):
+        raise IngestError("profile must be a JSON object")
+    return DataProfile.from_doc(doc)
 
 
 def lexeme_of(value) -> str | None:
@@ -239,13 +260,7 @@ def _read_ndjson(text: str, options: IngestOptions) -> tuple[list[str], list[dic
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"malformed ndjson line {line_no}: {exc.msg}") from exc
-        except ValueError as exc:  # an integer past the int-string digit limit
-            raise IngestError(f"ndjson line {line_no}: integer literal too long "
-                              f"to read") from exc
+        obj = parse_json(line, IngestError, f"ndjson line {line_no}")
         if not isinstance(obj, dict):
             raise IngestError(f"malformed ndjson line {line_no}: not a JSON object")
         row = _flatten(obj, options.flatten_depth, line_no)

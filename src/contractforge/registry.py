@@ -2,38 +2,48 @@
 
 Layout: one directory per contract name under the store root, holding one
 immutable ``v<N>.json`` per version (canonical contract text) plus a
-``meta.json`` with statuses, the compatibility mode and feedback.  Writes go
-to a temp file, are fsynced, then atomically renamed, so a crash never
-leaves a half-written file.  Version files are the authority for which
-versions exist; an orphan version file (crash between the two writes) is
-re-adopted as a draft on the next startup scan.
+``meta.json`` with statuses, the compatibility mode and feedback.  That
+directory is the store's only state.  Every call on a name opens it, takes an
+exclusive ``flock`` on it, reads ``meta.json`` and the ``v*.json`` listing,
+acts, and closes it.  A ``flock`` belongs to an open file description, so the
+lock excludes other threads, other stores on the same root and other
+processes alike: concurrent publishes to one name get distinct consecutive
+versions, and independent names proceed in parallel.  POSIX only (``fcntl``).
 
-Writes are serialized per contract name, so concurrent publishes to one
-name get distinct consecutive versions; independent names proceed in
-parallel.  Reads hit immutable files and need no lock.
+Writes go to a temp file, are fsynced, then atomically renamed, and the
+directory is fsynced after the renames, so a crash never leaves a
+half-written file and a publish is durable before its version number is
+returned.  The versions of a name are the ``meta.json`` records plus any
+orphan ``v<N>.json`` (a crash between the contract and the meta write); an
+orphan reads as a draft published at its file's mtime, and the next write
+records it in ``meta.json``.
 """
 
 from __future__ import annotations
 
-import copy
+import dataclasses
+import fcntl
 import json
 import os
 import re
-import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .compatibility import COMPATIBILITY_MODES, CompatibilityVerdict, check_compatibility
-from .errors import NotFoundError, RegistryError, RegistryRejection
+from .errors import NotFoundError, RegistryError, RegistryRejection, parse_json
 from .model import Contract, canonicalize, parse_contract
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*\Z")
+_VERSION_FILE_RE = re.compile(r"v([1-9][0-9]{0,17})\.json\Z")
 DEFAULT_COMPATIBILITY_MODE = "backward"
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+def _utc(timestamp: float | None = None) -> str:
+    moment = (datetime.now(timezone.utc) if timestamp is None
+              else datetime.fromtimestamp(timestamp, timezone.utc))
+    return moment.isoformat(timespec="seconds")
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -79,208 +89,184 @@ class VersionRecord:
                    feedback=[FeedbackNote.from_doc(f) for f in doc.get("feedback", [])])
 
 
-class _Entry:
-    def __init__(self, name: str, mode: str = DEFAULT_COMPATIBILITY_MODE):
-        self.name = name
-        self.compatibility_mode = mode
-        self.versions: dict[int, VersionRecord] = {}
-        self.lock = threading.Lock()
+@dataclass
+class _State:
+    """One entry as read under its lock: the directory and what it holds."""
+
+    path: Path
+    fd: int
+    mode: str
+    versions: dict[int, VersionRecord]
+
+    def record(self, version: int) -> VersionRecord:
+        record = self.versions.get(version)
+        if record is None:
+            raise NotFoundError(f"contract {self.path.name!r} has no version {version}")
+        return record
+
+    def contract(self, version: int) -> Contract:
+        record = self.record(version)
+        try:
+            text = (self.path / f"v{version}.json").read_text(encoding="utf-8")
+        except OSError as exc:
+            raise RegistryError(f"missing version file for {self.path.name} "
+                                f"v{version}: {exc}") from exc
+        contract = parse_contract(text)
+        contract.status = record.status
+        return contract
+
+    def latest_approved(self) -> tuple[int, Contract] | None:
+        approved = [v for v, r in self.versions.items() if r.status == "approved"]
+        return (max(approved), self.contract(max(approved))) if approved else None
+
+    def verdict(self, candidate: Contract) -> CompatibilityVerdict:
+        approved = self.latest_approved()
+        if approved is None:
+            return CompatibilityVerdict(True, [])
+        return check_compatibility(approved[1], candidate, self.mode)
+
+    def write_meta(self) -> None:
+        doc = {"compatibility_mode": self.mode,
+               "versions": [self.versions[v].to_doc() for v in sorted(self.versions)]}
+        _atomic_write(self.path / "meta.json",
+                      json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True) + "\n")
+        os.fsync(self.fd)  # make the renames durable too
+
+
+def _read_entry(path: Path) -> tuple[str, dict[int, VersionRecord]]:
+    """The compatibility mode and the versions of the entry at ``path``: the
+    ``meta.json`` records plus the orphan version files."""
+    try:
+        meta = parse_json((path / "meta.json").read_bytes(), RegistryError,
+                          f"corrupt {path.name}/meta.json")
+    except FileNotFoundError:
+        meta = {}
+    try:
+        mode = meta.get("compatibility_mode", DEFAULT_COMPATIBILITY_MODE)
+        records = [VersionRecord.from_doc(doc) for doc in meta.get("versions", [])]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise RegistryError(f"corrupt {path.name}/meta.json: {exc!r}") from exc
+    if mode not in COMPATIBILITY_MODES or not all(
+            type(r.version) is int and isinstance(r.status, str) for r in records):
+        raise RegistryError(f"corrupt {path.name}/meta.json: bad mode or version record")
+    versions = {r.version: r for r in records}
+    with os.scandir(path) as entries:
+        for entry in entries:
+            match = _VERSION_FILE_RE.match(entry.name)
+            if match and int(match[1]) not in versions:
+                versions[int(match[1])] = VersionRecord(
+                    version=int(match[1]), status="draft",
+                    published_at=_utc(entry.stat().st_mtime))
+    return mode, versions
 
 
 class RegistryStore:
-    """File-backed registry; safe for concurrent use within one process."""
+    """File-backed registry; safe for concurrent use by threads and processes."""
 
     def __init__(self, root):
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._entries: dict[str, _Entry] = {}
-        self._scan()
 
-    # -- startup -----------------------------------------------------------
-
-    def _scan(self) -> None:
-        for child in sorted(self._root.iterdir()):
-            if not child.is_dir():
-                continue
-            entry = _Entry(child.name)
-            meta_path = child / "meta.json"
-            meta: dict = {}
-            if meta_path.exists():
-                meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            entry.compatibility_mode = meta.get("compatibility_mode",
-                                                DEFAULT_COMPATIBILITY_MODE)
-            by_version = {doc["version"]: VersionRecord.from_doc(doc)
-                          for doc in meta.get("versions", [])}
-            for version_file in child.glob("v*.json"):
-                try:
-                    number = int(version_file.stem[1:])
-                except ValueError:
-                    continue
-                record = by_version.get(number)
-                if record is None:
-                    # orphan from a crash between contract and meta writes
-                    record = VersionRecord(version=number, status="draft",
-                                           published_at=_utc_now())
-                entry.versions[number] = record
-            self._entries[entry.name] = entry
-
-    # -- helpers -----------------------------------------------------------
-
-    def _entry_dir(self, name: str) -> Path:
-        return self._root / name
-
-    def _require_entry(self, name: str) -> _Entry:
-        entry = self._entries.get(name)
-        if entry is None:
-            raise NotFoundError(f"unknown contract {name!r}")
-        return entry
-
-    def _ensure_entry(self, name: str) -> _Entry:
+    @contextmanager
+    def _locked(self, name: str, create: bool = False):
+        """Yield the :class:`_State` of ``name`` read under an exclusive flock
+        on its directory, creating the directory first when ``create``."""
         if not _NAME_RE.match(name):
-            raise RegistryError(f"invalid contract name {name!r}")
-        with self._lock:
-            entry = self._entries.get(name)
-            if entry is None:
-                entry = _Entry(name)
-                self._entry_dir(name).mkdir(parents=True, exist_ok=True)
-                self._entries[name] = entry
-                self._write_meta(entry)
-            return entry
-
-    def _write_meta(self, entry: _Entry) -> None:
-        doc = {
-            "compatibility_mode": entry.compatibility_mode,
-            "versions": [entry.versions[v].to_doc() for v in sorted(entry.versions)],
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
-        _atomic_write(self._entry_dir(entry.name) / "meta.json", text)
-
-    def _load_contract(self, name: str, version: int,
-                       record: VersionRecord) -> Contract:
-        path = self._entry_dir(name) / f"v{version}.json"
+            if create:
+                raise RegistryError(f"invalid contract name {name!r}")
+            raise NotFoundError(f"unknown contract {name!r}")
+        path = self._root / name
         try:
-            contract = parse_contract(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise RegistryError(f"missing version file for {name} v{version}: {exc}") from exc
-        contract.status = record.status
-        return contract
+            if create:
+                path.mkdir(exist_ok=True)
+            fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+        except (FileNotFoundError, NotADirectoryError, FileExistsError) as exc:
+            if create:
+                raise RegistryError(f"cannot create contract {name!r}: {exc}") from exc
+            raise NotFoundError(f"unknown contract {name!r}") from exc
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)  # released by the close
+            yield _State(path, fd, *_read_entry(path))
+        finally:
+            os.close(fd)
 
     # -- public API --------------------------------------------------------
 
-    def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._entries)
-
     def compatibility_mode(self, name: str) -> str:
-        return self._require_entry(name).compatibility_mode
+        with self._locked(name) as state:
+            return state.mode
 
     def set_compatibility_mode(self, name: str, mode: str) -> None:
         if mode not in COMPATIBILITY_MODES:
             raise RegistryError(f"unknown compatibility mode {mode!r}")
-        entry = self._ensure_entry(name)
-        with entry.lock:
-            entry.compatibility_mode = mode
-            self._write_meta(entry)
+        with self._locked(name, create=True) as state:
+            state.mode = mode
+            state.write_meta()
 
     def publish(self, name: str, contract: Contract) -> int:
         """Store a new draft version, enforcing the entry's compatibility
         mode against the latest approved version.  The write is atomic and
         durable before the assigned version number is returned."""
         contract.validate()
-        entry = self._ensure_entry(name)
-        with entry.lock:
-            approved = self._latest_approved_locked(entry)
-            if approved is not None:
-                approved_version, approved_contract = approved
-                verdict = check_compatibility(approved_contract, contract,
-                                              entry.compatibility_mode)
-                if not verdict.compatible:
-                    raise RegistryRejection(verdict.reasons)
-            version = max(entry.versions, default=0) + 1
-            stored = copy.deepcopy(contract)
-            stored.name = name
-            stored.version = version
-            stored.status = "draft"
+        with self._locked(name, create=True) as state:
+            verdict = state.verdict(contract)
+            if not verdict.compatible:
+                raise RegistryRejection(verdict.reasons)
+            version = max(state.versions, default=0) + 1
+            stored = dataclasses.replace(contract, name=name, version=version,
+                                         status="draft")
             stored.validate()
-            _atomic_write(self._entry_dir(name) / f"v{version}.json",
-                          canonicalize(stored))
-            entry.versions[version] = VersionRecord(version=version, status="draft",
-                                                    published_at=_utc_now())
-            self._write_meta(entry)
+            _atomic_write(state.path / f"v{version}.json", canonicalize(stored))
+            state.versions[version] = VersionRecord(version=version, status="draft",
+                                                    published_at=_utc())
+            state.write_meta()
             return version
 
-    def _latest_approved_locked(self, entry: _Entry) -> tuple[int, Contract] | None:
-        approved = [v for v, r in entry.versions.items() if r.status == "approved"]
-        if not approved:
-            return None
-        version = max(approved)
-        return version, self._load_contract(entry.name, version, entry.versions[version])
-
     def latest_approved(self, name: str) -> tuple[int, Contract] | None:
-        entry = self._require_entry(name)
-        with entry.lock:
-            return self._latest_approved_locked(entry)
+        with self._locked(name) as state:
+            return state.latest_approved()
 
     def get_version(self, name: str, version: int) -> Contract:
-        entry = self._require_entry(name)
-        record = entry.versions.get(version)
-        if record is None:
-            raise NotFoundError(f"contract {name!r} has no version {version}")
-        return self._load_contract(name, version, record)
+        with self._locked(name) as state:
+            return state.contract(version)
 
     def get_record(self, name: str, version: int) -> VersionRecord:
-        entry = self._require_entry(name)
-        record = entry.versions.get(version)
-        if record is None:
-            raise NotFoundError(f"contract {name!r} has no version {version}")
-        return copy.deepcopy(record)
+        with self._locked(name) as state:
+            return state.record(version)
 
     def list_versions(self, name: str) -> list[VersionRecord]:
-        entry = self._require_entry(name)
-        with entry.lock:
-            return [copy.deepcopy(entry.versions[v]) for v in sorted(entry.versions)]
+        with self._locked(name) as state:
+            return [state.versions[v] for v in sorted(state.versions)]
 
     def approve(self, name: str, version: int, reviewer: str) -> VersionRecord:
         """Promote a draft; whichever version was approved before becomes
         deprecated, so at most one approved version exists per name."""
-        entry = self._require_entry(name)
-        with entry.lock:
-            record = entry.versions.get(version)
-            if record is None:
-                raise NotFoundError(f"contract {name!r} has no version {version}")
+        with self._locked(name) as state:
+            record = state.record(version)
             if record.status == "approved":
                 raise RegistryError(f"{name} v{version} is already approved")
             if record.status == "deprecated":
                 raise RegistryError(f"cannot approve deprecated version {name} v{version}")
-            for other in entry.versions.values():
+            for other in state.versions.values():
                 if other.status == "approved":
                     other.status = "deprecated"
             record.status = "approved"
             record.reviewer = reviewer
-            self._write_meta(entry)
-            return copy.deepcopy(record)
+            state.write_meta()
+            return record
 
     def record_feedback(self, name: str, version: int, author: str, note: str) -> None:
-        entry = self._require_entry(name)
-        with entry.lock:
-            record = entry.versions.get(version)
-            if record is None:
-                raise NotFoundError(f"contract {name!r} has no version {version}")
-            record.feedback.append(FeedbackNote(at=_utc_now(), author=author, note=note))
-            self._write_meta(entry)
+        with self._locked(name) as state:
+            state.record(version).feedback.append(
+                FeedbackNote(at=_utc(), author=author, note=note))
+            state.write_meta()
 
     def check_candidate(self, name: str, contract: Contract) -> CompatibilityVerdict:
         """Compatibility verdict against the latest approved version without
         publishing; trivially compatible when nothing is approved yet."""
         contract.validate()
-        entry = self._entries.get(name)
-        if entry is None:
+        try:
+            with self._locked(name) as state:
+                return state.verdict(contract)
+        except NotFoundError:  # no such contract: nothing approved
             return CompatibilityVerdict(True, [])
-        with entry.lock:
-            approved = self._latest_approved_locked(entry)
-            if approved is None:
-                return CompatibilityVerdict(True, [])
-            _, approved_contract = approved
-            return check_compatibility(approved_contract, contract,
-                                       entry.compatibility_mode)

@@ -27,7 +27,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .compatibility import CompatibilityVerdict
 from .errors import (ContractForgeError, NotFoundError, RegistryError,
-                     RegistryRejection, RegistryTransportError)
+                     RegistryRejection, RegistryTransportError, parse_json)
 from .model import Contract, contract_from_doc
 from .registry import RegistryStore
 from .transport import send
@@ -127,10 +127,7 @@ def _make_handler(store: RegistryStore):
                 raise _PayloadTooLarge(
                     f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
             raw = self.rfile.read(length) if length else b""
-            try:
-                return json.loads(raw.decode("utf-8") or "null")
-            except ValueError as exc:  # bad UTF-8 or JSON, or an over-long integer
-                raise ContractForgeError(f"request body is not valid JSON: {exc}") from exc
+            return parse_json(raw or b"null", context="request body is not valid JSON")
 
         def _dispatch(self):
             try:
@@ -205,8 +202,8 @@ class RegistryClient:
         except OSError as exc:
             raise RegistryTransportError(f"registry unreachable: {exc}") from exc
         try:
-            doc = json.loads(raw or b"{}")
-        except ValueError:
+            doc = parse_json(raw or b"{}")
+        except ContractForgeError:
             doc = None
         if status != ok and not isinstance(doc, dict):
             doc = {}  # an error page: its text becomes the message

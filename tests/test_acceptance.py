@@ -6,6 +6,7 @@ summary lines alongside the pytest verdicts.
 
 import itertools
 import json
+import os
 import random
 import socket
 import subprocess
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import contractforge
 from contractforge.backends import OracleBackend, ScriptedBackend
 from contractforge.errors import ExtractionFailure
 from contractforge.evalharness import run_eval
@@ -238,6 +240,57 @@ def test_criterion_7_registry_linearizability(tmp_path, toy_profile=None):
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
     report(7, f"8 writers x 25 publishes -> versions 1..200 exactly; "
               f"restart preserved state ({elapsed:.2f}s)")
+
+
+# Each publisher process opens its own store on the shared root and waits for
+# the go file, so that all of them publish at once.
+_PUBLISHER = """
+import os, sys, time
+from contractforge.model import parse_contract
+from contractforge.registry import RegistryStore
+root, contract_path, go = sys.argv[1:]
+store = RegistryStore(root)
+contract = parse_contract(open(contract_path).read())
+while not os.path.exists(go):
+    time.sleep(0.002)
+print(*[store.publish("hot", contract) for _ in range(25)])
+"""
+
+
+def test_criterion_7_registry_linearizability_across_processes(tmp_path):
+    started = time.monotonic()
+    root, go = tmp_path / "registry", tmp_path / "go"
+    contract_path = tmp_path / "hot.json"
+    contract_path.write_text(canonicalize(
+        random_contract(random.Random(5), name="hot", with_rules=False)))
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(contractforge.__file__).resolve().parents[1])}
+    workers = [subprocess.Popen([sys.executable, "-c", _PUBLISHER, str(root),
+                                 str(contract_path), str(go)], env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+               for _ in range(4)]
+    try:
+        go.touch()
+        outputs = [worker.communicate(timeout=60) for worker in workers]
+    finally:
+        for worker in workers:
+            worker.kill()
+    assert [worker.returncode for worker in workers] == [0] * 4, \
+        [err for _, err in outputs]
+    handed_out = sorted(int(v) for out, _ in outputs for v in out.split())
+    assert handed_out == list(range(1, 101)), "gaps or duplicates in versions"
+
+    reopened = RegistryStore(root)
+    records = reopened.list_versions("hot")
+    assert [r.version for r in records] == list(range(1, 101))
+    assert all(r.status == "draft" for r in records)
+    assert [reopened.get_version("hot", v).version for v in range(1, 101)] == \
+           list(range(1, 101))
+    assert RegistryStore(root).list_versions("hot") == records
+    elapsed = time.monotonic() - started
+    assert elapsed < 30.0, f"took {elapsed:.2f}s"
+    report(7, f"4 processes x 25 publishes, one store each -> versions 1..100 "
+              f"exactly ({elapsed:.2f}s)")
 
 
 def test_criterion_8_round_trips(tmp_path, hand_profiles):

@@ -400,3 +400,62 @@ class TestHugeNumerals:
                             + self.HUGE + '}}]}')
         assert main(["validate", str(contract), str(toy_csv)]) == 2
         assert "integer literal too long" in capsys.readouterr().err
+
+
+class TestUnreadableInputs:
+    DEEP = b"[" * 100_000 + b"]" * 100_000
+
+    @pytest.mark.parametrize("text, argv, message", [
+        (DEEP, ["validate", "FILE", "CSV"], "syntax error: nesting too deep"),
+        (DEEP, ["generate", "PROFILE", "--backend", "script", "--script", "FILE"],
+         "scripted backend fixture"),
+        (DEEP, ["generate", "FILE"], "profile: nesting too deep"),
+        (DEEP, ["generate", "PROFILE", "--policy", "FILE"], "policy file"),
+        (DEEP, ["--config", "FILE", "profile", "CSV"], "config file"),
+        (b'{"id": 1}\n' + DEEP, ["validate", "CONTRACT", "FILE", "--format", "ndjson"],
+         "ndjson line 2: nesting too deep"),
+        (lambda profile: profile.replace(b'"row_count": 2', b'"row_count": ' + b"9" * 5000),
+         ["generate", "FILE"],
+         "profile: integer literal too long"),
+        (b"{}", ["generate", "FILE"], "profile lacks key 'dataset_name'"),
+        (b"[1]", ["generate", "PROFILE", "--policy", "FILE"],
+         "policy file must be a JSON object"),
+        (b'{"ingest": 5}', ["--config", "FILE", "profile", "CSV"],
+         "'ingest' must be a JSON object"),
+        (b'{"generation": {"candidates": "x"}}', ["--config", "FILE", "generate", "PROFILE"],
+         "'candidates' must be int, not str"),
+        (b'{"threshold": true}', ["generate", "PROFILE", "--policy", "FILE"],
+         "'threshold' must be float, not bool"),
+        (b'{"name": "\xff"}', ["validate", "FILE", "CSV"], "can't decode byte 0xff"),
+    ], ids=["contract-too-deep", "script-too-deep", "profile-too-deep", "policy-too-deep",
+            "config-too-deep", "ndjson-too-deep", "profile-long-integer", "profile-empty",
+            "policy-array", "config-ingest-int", "config-candidates-text",
+            "policy-threshold-bool", "contract-not-utf8"])
+    def test_exits_2_with_an_error_line(self, tmp_path, toy_csv, toy_profile_file,
+                                        toy_contract_file, capsys, text, argv, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text(toy_profile_file.read_bytes()) if callable(text) else text)
+        paths = {"FILE": bad, "CSV": toy_csv, "PROFILE": toy_profile_file,
+                 "CONTRACT": toy_contract_file}
+        capsys.readouterr()
+        assert main([str(paths.get(a, a)) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+
+    def test_too_deep_completion_falls_back(self, tmp_path, toy_profile_file):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"0": ["[" * 100_000]}))
+        assert main(["generate", str(toy_profile_file), "--backend", "script",
+                     "--script", str(script), "--report", str(tmp_path / "r.json")]) == 0
+        assert json.loads((tmp_path / "r.json").read_text())["fallback"] is True
+
+    def test_ints_stand_for_floats_and_null_defaults_take_anything(self, tmp_path,
+                                                                   toy_profile_file):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"generation": {"temperature": 0, "threshold": 0},
+                                      "backend": {"auth_env": "FORGE_TOKEN"},
+                                      "unknown": [1]}))
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"threshold": 1, "temperature": 0.5}))
+        assert main(["--config", str(config), "generate", str(toy_profile_file),
+                     "--policy", str(policy)]) == 0

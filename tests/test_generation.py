@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from contractforge import backends
 from contractforge.backends import (GenerationRequest, HttpBackend,
                                     OracleBackend, ScriptedBackend)
 from contractforge.errors import (BackendTransportError, ContractForgeError,
@@ -123,6 +124,14 @@ class TestExtract:
         with pytest.raises(ExtractionFailure, match="field names unique"):
             extract_contract(text)
 
+
+    @pytest.mark.parametrize("text, reason", [
+        ("[" * 100_000, "nesting too deep"),
+        ('{"name": "t", "version": ' + "9" * 5000 + "}", "integer literal too long"),
+    ], ids=["too-deep", "long-integer"])
+    def test_unreadable_json_is_an_extraction_failure(self, text, reason):
+        with pytest.raises(ExtractionFailure, match=reason):
+            extract_contract(text)
 
 class TestScore:
     def test_oracle_on_own_profile_scores_one(self, toy_profile):
@@ -246,6 +255,15 @@ class TestGenerate:
                                              GenerationPolicy(mode=TWO_PASS))
         assert report.mode == "single_pass"
         assert report.fallback is False
+
+    def test_too_deep_completions_fall_back(self, toy_profile):
+        backend = ScriptedBackend.from_completions([["[" * 100_000], ["[" * 100_000]])
+        contract, report = generate_contract(toy_profile, backend,
+                                             GenerationPolicy(mode=TWO_PASS))
+        assert report.mode == "single_pass"  # stage 1 unreadable: degraded
+        assert report.fallback is True
+        assert "nesting too deep" in report.candidates[0].error
+        assert contract.provenance.generator_mode == "fallback"
 
     def test_empty_profile_rejected(self):
         from contractforge.profiling import DataProfile
@@ -405,4 +423,12 @@ class TestHttpBackend:
         handler.responses = [(200, {"unexpected": []})]
         backend = HttpBackend(url, retries=0)
         with pytest.raises(BackendTransportError, match="completions"):
+            backend.complete(GenerationRequest(prompt="p"))
+
+    @pytest.mark.parametrize("raw", [b"[" * 100_000, b"9" * 5000],
+                             ids=["too-deep", "long-integer"])
+    def test_unreadable_body_is_transport_error(self, monkeypatch, raw):
+        monkeypatch.setattr(backends, "send", lambda *args, **kwargs: (200, raw))
+        backend = HttpBackend("http://127.0.0.1:1/complete", retries=0)
+        with pytest.raises(BackendTransportError, match="non-JSON body"):
             backend.complete(GenerationRequest(prompt="p"))

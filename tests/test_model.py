@@ -45,6 +45,14 @@ class TestParse:
         assert err.value.position is not None
         assert "line 1" in str(err.value)
 
+    @pytest.mark.parametrize("text, reason", [
+        ("[" * 100_000, "nesting too deep"),
+        ('{"name": ' + "9" * 5000 + "}", "integer literal too long"),
+    ], ids=["too-deep", "long-integer"])
+    def test_unreadable_json_is_a_syntax_error(self, text, reason):
+        with pytest.raises(ContractSyntaxError, match=reason):
+            parse_contract(text)
+
     def test_duplicate_field_names_violate_invariant(self):
         doc = {"name": "x", "fields": [
             {"name": "a", "logical_type": "string", "nullable": True},

@@ -1,6 +1,7 @@
 """Ingest and column profiling over delimited and ndjson sources."""
 
 import io
+import json
 
 import pytest
 
@@ -91,6 +92,10 @@ class TestNdjson:
         with pytest.raises(IngestError, match="line 2: integer literal too long"):
             ingest(b'{"a":1}\n{"a":' + b"9" * 5000 + b'}\n', "ndjson")
 
+    def test_nesting_too_deep_is_an_ingest_error(self):
+        with pytest.raises(IngestError, match="line 2: nesting too deep"):
+            ingest(b'{"a":1}\n' + b"[" * 100_000 + b"\n", "ndjson")
+
     def test_non_object_line_rejected(self):
         with pytest.raises(IngestError, match="line 1.*not a JSON object"):
             ingest(b"[1,2]\n", "ndjson")
@@ -160,6 +165,24 @@ class TestProfileInvariants:
         again = load_profile(text)
         assert dump_profile(again) == text
         assert again == status_profile
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: "[" * 100_000, "profile: nesting too deep"),
+        (lambda doc: json.dumps(doc).replace('"row_count": 30', '"row_count": ' + "9" * 5000),
+         "profile: integer literal too long"),
+        (lambda doc: "[]", "profile must be a JSON object"),
+        (lambda doc: "{}", "lacks key 'dataset_name'"),
+        (lambda doc: json.dumps({**doc, "row_count": "30"}), "'row_count' must be int"),
+        (lambda doc: json.dumps({**doc, "columns": 5}), "'columns' must be list of dict"),
+        (lambda doc: json.dumps({**doc, "columns": [
+            {**doc["columns"][0], "lexical_histogram": {"integer": "x"}}]}),
+         "'lexical_histogram' must be dict of int"),
+        (lambda doc: json.dumps({**doc, "sample_rows": [{"id": 1}]}), "strings and nulls"),
+    ], ids=["too-deep", "long-integer", "array", "empty", "row-count-text",
+            "columns-int", "histogram-text", "sample-row-int"])
+    def test_unreadable_profile_is_an_ingest_error(self, status_profile, edit, message):
+        with pytest.raises(IngestError, match=message):
+            load_profile(edit(status_profile.to_doc()))
 
     def test_sample_rows_capped_and_nulls_normalized(self):
         rows = [[str(i), ""] for i in range(15)]

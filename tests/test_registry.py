@@ -1,6 +1,7 @@
 """Registry store: versioning, approval workflow, persistence, concurrency."""
 
 import copy
+import os
 import threading
 
 import pytest
@@ -250,3 +251,66 @@ class TestCheckCandidate:
         assert not verdict.compatible
         assert verdict.reasons
         assert [r.version for r in store.list_versions("orders")] == [1]
+
+
+class TestSharedRoot:
+    def test_a_second_store_sees_an_approval_at_once(self, tmp_path, orders_v1):
+        first = RegistryStore(tmp_path / "registry")
+        second = RegistryStore(tmp_path / "registry")
+        first.publish("orders", orders_v1)
+        assert second.latest_approved("orders") is None
+        first.approve("orders", 1, "alice")
+        version, approved = second.latest_approved("orders")
+        assert (version, approved.status) == (1, "approved")
+        assert second.publish("orders", orders_v1) == 2
+        assert [r.version for r in first.list_versions("orders")] == [1, 2]
+
+    def test_publish_fsyncs_the_entry_directory_last(self, store, orders_v1, tmp_path,
+                                                     monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(os.fstat(fd))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        store.publish("orders", orders_v1)
+        entry = os.stat(tmp_path / "registry" / "orders")
+        assert (synced[-1].st_dev, synced[-1].st_ino) == (entry.st_dev, entry.st_ino)
+
+    def test_orphan_published_at_is_its_mtime(self, tmp_path, store, orders_v1):
+        store.publish("orders", orders_v1)
+        v2 = tmp_path / "registry" / "orders" / "v2.json"
+        v2.write_text(canonicalize(orders_v1).replace('"version": 1', '"version": 2'))
+        os.utime(v2, (1_700_000_000, 1_700_000_000))
+        assert store.get_record("orders", 2).published_at == "2023-11-14T22:13:20+00:00"
+        assert store.list_versions("orders")[1] == store.get_record("orders", 2)
+
+    @pytest.mark.parametrize("name", [".", "..", ".hidden", "", "a/b"])
+    def test_reads_of_invalid_names_are_not_found(self, store, orders_v1, name):
+        for read in (store.compatibility_mode, store.list_versions, store.latest_approved,
+                     lambda n: store.get_record(n, 1), lambda n: store.get_version(n, 1),
+                     lambda n: store.approve(n, 1, "alice"),
+                     lambda n: store.record_feedback(n, 1, "alice", "x")):
+            with pytest.raises(NotFoundError):
+                read(name)
+        assert store.check_candidate(name, orders_v1).compatible
+        with pytest.raises(RegistryError, match="invalid contract name"):
+            store.set_compatibility_mode(name, "none")
+
+
+class TestCorruptMeta:
+    @pytest.mark.parametrize("text", [
+        "{", "[" * 100_000, '{"versions": [{"version": ' + "9" * 5000 + "}]}", "[]",
+        '{"versions": 5}', '{"versions": [{"version": "1", "status": "draft"}]}',
+        '{"versions": [{"version": 1}]}', '{"compatibility_mode": "sideways"}',
+    ], ids=["truncated", "too-deep", "long-integer", "array", "versions-int",
+            "version-text", "record-short", "unknown-mode"])
+    def test_is_a_registry_error(self, store, orders_v1, tmp_path, text):
+        store.publish("orders", orders_v1)
+        (tmp_path / "registry" / "orders" / "meta.json").write_text(text)
+        for call in (lambda: store.list_versions("orders"),
+                     lambda: store.publish("orders", orders_v1)):
+            with pytest.raises(RegistryError, match="meta.json"):
+                call()

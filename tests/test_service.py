@@ -15,7 +15,7 @@ from contractforge import service as service_module
 from contractforge.cli import main
 from contractforge.errors import (NotFoundError, RegistryError, RegistryRejection,
                                   RegistryTransportError)
-from contractforge.model import Contract, FieldSpec
+from contractforge.model import Contract, FieldSpec, canonicalize
 from contractforge.registry import RegistryStore
 from contractforge.service import MAX_BODY_BYTES, RegistryClient, RegistryServer
 
@@ -215,6 +215,20 @@ class TestErrors:
         _, _, address = service
         assert _status(address, "DELETE", "/contracts/orders") == 501
 
+    @pytest.mark.parametrize("method, path", [("PUT", "/contracts/orders"),
+                                              ("POST", "/contracts/orders/compat")])
+    def test_nesting_too_deep_is_400(self, service, method, path):
+        _, _, address = service
+        assert _status(address, method, path, data=b"[" * 100_000 + b"]" * 100_000) == 400
+
+    def test_corrupt_meta_is_400_and_the_server_lives_on(self, service, orders, tmp_path):
+        client, _, address = service
+        client.publish("orders", orders)
+        (tmp_path / "registry" / "orders" / "meta.json").write_text("[" * 100_000)
+        assert _status(address, "GET", "/contracts/orders/versions") == 400
+        assert _status(address, "PUT", "/contracts/orders", orders.to_doc()) == 400
+        assert _status(address, "GET", "/contracts/ghost") == 404
+
 
 class TestContentLength:
     @pytest.mark.parametrize("value", [b"ten", b"1.5", b"-1", b"-5", b"+3", b"9" * 5000],
@@ -269,6 +283,33 @@ class TestSlowAndVanishingClients:
                        data=body) == 400
 
 
+class TestPathSafety:
+    @pytest.mark.parametrize("method, path, status", [
+        ("GET", "/contracts/..", 404),
+        ("GET", "/contracts/../versions", 404),
+        ("GET", "/contracts/../versions/1", 404),
+        ("POST", "/contracts/../versions/1/approve", 404),
+        ("PUT", "/contracts/..", 400),
+        ("GET", "/contracts/.", 404),
+        ("GET", "/contracts/./versions", 404),
+        ("PUT", "/contracts/.", 400),
+    ])
+    def test_dot_names_reach_nothing_outside_an_entry(self, service, orders, tmp_path,
+                                                       method, path, status):
+        _, _, address = service
+        # The parent of the root looks like an approved entry, where ".." leads.
+        (tmp_path / "v1.json").write_text(canonicalize(orders))
+        (tmp_path / "meta.json").write_text(json.dumps({"versions": [
+            {"version": 1, "status": "approved", "published_at": "2026-01-01T00:00:00+00:00",
+             "reviewer": "alice", "feedback": []}]}))
+        before = sorted(str(p) for p in tmp_path.rglob("*"))
+        body = {"reviewer": "bob"} if method == "POST" else orders.to_doc()
+        assert _status(address, method, path, None if method == "GET" else body) == status
+        assert sorted(str(p) for p in tmp_path.rglob("*")) == before
+        assert json.loads((tmp_path / "meta.json").read_text())["versions"][0]["reviewer"] \
+            == "alice"
+
+
 class _CannedHandler(BaseHTTPRequestHandler):
     """Answers every request with the class-level ``status`` and ``body``."""
 
@@ -313,10 +354,12 @@ class TestIllTypedReplies:
         (200, b"not json", lambda c, k: c.get_latest("orders")),
         (200, b'{"compatible": false, "reasons": 5}', lambda c, k: c.check_compat("orders", k)),
         (409, b'{"reasons": "abc"}', lambda c, k: c.publish("orders", k)),
+        (200, b"[" * 100_000, lambda c, k: c.get_latest("orders")),
+        (200, b"9" * 5000, lambda c, k: c.list_versions("orders")),
     ], ids=["publish-no-version", "publish-text-version", "publish-array", "publish-200",
             "publish-200-with-version", "list-201", "feedback-200", "get-302",
             "list-array", "approve-array", "get-not-json", "compat-reasons-int",
-            "reject-reasons-text"])
+            "reject-reasons-text", "get-too-deep", "list-long-integer"])
     def test_client_raises_registry_error(self, canned, orders, monkeypatch,
                                           status, body, call):
         monkeypatch.setattr(_CannedHandler, "status", status)
