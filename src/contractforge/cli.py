@@ -56,7 +56,9 @@ DEFAULT_CONFIG: dict = {
 def _merge(base: dict, override, defaults: dict, where: str) -> dict:
     """``base`` with ``override`` merged in, recursively.  Each override must
     have the type of the ``defaults`` value it replaces: an int may stand for
-    a float, and anything may replace a null or an unknown key."""
+    a float, a null default takes a string or null, a list default takes a
+    list of strings, and an int is never negative.  An unknown key takes
+    anything."""
     if not isinstance(override, dict):
         raise ContractForgeError(f"{where} must be a JSON object")
     merged = dict(base)
@@ -65,11 +67,20 @@ def _merge(base: dict, override, defaults: dict, where: str) -> dict:
         if isinstance(default, dict):
             merged[key] = _merge(base[key], value, default, f"{where} key {key!r}")
             continue
-        kind = (int, float) if type(default) is float else type(default)
-        if default is not None and (not isinstance(value, kind)
-                                    or isinstance(value, bool) != isinstance(default, bool)):
-            raise ContractForgeError(f"{where} key {key!r} must be {type(default).__name__}, "
+        if default is None:
+            ok = key not in defaults or value is None or isinstance(value, str)
+            expected = "str or null"
+        else:
+            kind = (int, float) if type(default) is float else type(default)
+            ok = isinstance(value, kind) and isinstance(value, bool) == isinstance(default, bool)
+            expected = type(default).__name__
+        if not ok:
+            raise ContractForgeError(f"{where} key {key!r} must be {expected}, "
                                      f"not {type(value).__name__}")
+        if type(default) is int and value < 0:
+            raise ContractForgeError(f"{where} key {key!r} must be >= 0, not {value}")
+        if type(default) is list and not all(isinstance(item, str) for item in value):
+            raise ContractForgeError(f"{where} key {key!r} must hold only strings")
         merged[key] = value
     return merged
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import ContractForgeError
 from .inference import _numeric_bounds
 from .model import FieldSpec, QualityRule
-from .profiling import DataProfile, lexeme_of
+from .profiling import DataProfile, column_lexemes
 from .validation import value_test
 
 #: Column must be unique over at least this many rows before a uniqueness
@@ -90,7 +90,7 @@ def evaluate_rules(rules: list[QualityRule],
     results: list[RuleResult] = []
     for rule in rules:
         if rule.column not in columns:
-            counts = Counter(lexeme_of(row.get(rule.column)) for row in rows)
+            counts = Counter(column_lexemes(rows, rule.column))
             del counts[""]
             columns[rule.column] = counts.pop(None, 0), counts
         nulls, counts = columns[rule.column]

@@ -13,13 +13,15 @@ one column into the least general class that covers them all.  The lattice:
 Any two distinct non-empty classes without an order between them join to
 ``string``; in particular ``join(date, timestamp) == string`` because a bare
 date is not a valid timestamp lexeme.
+
+There is no memo: a table holds too many distinct lexemes for any cache to
+pay.  Callers tally a column first and classify each distinct lexeme once.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import re
-from functools import lru_cache
 
 EMPTY = "empty"
 BOOLEAN = "boolean"
@@ -32,15 +34,19 @@ STRING = "string"
 #: All lexical classes, bottom first, top last.
 CLASSES = (EMPTY, BOOLEAN, INTEGER, NUMBER, DATE, TIMESTAMP, STRING)
 
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
-_NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")
-_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}\Z")
-_TIMESTAMP_RE = re.compile(
-    r"([0-9]{4}-[0-9]{2}-[0-9]{2})"          # date part
-    r"T([0-9]{2}):([0-9]{2})"                # hours:minutes
-    r"(?::([0-9]{2})(?:\.[0-9]+)?)?"         # optional seconds + fraction
-    r"(?:[Zz]|[+-][0-9]{2}:?[0-9]{2})?\Z"    # optional zone
+#: One alternation whose ``lastgroup`` names the class; the alternatives are
+#: tried in class order, and each must reach the end of the lexeme.
+_LEXEME_RE = re.compile(
+    r"(?P<integer>[+-]?[0-9]+\Z)"
+    r"|(?P<number>[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?\Z)"
+    r"|(?P<date>[0-9]{4}-[0-9]{2}-[0-9]{2}\Z)"
+    r"|(?P<timestamp>(?P<day>[0-9]{4}-[0-9]{2}-[0-9]{2})"   # date part
+    r"T(?P<hour>[0-9]{2}):(?P<minute>[0-9]{2})"              # hours:minutes
+    r"(?::(?P<second>[0-9]{2})(?:\.[0-9]+)?)?"               # optional seconds + fraction
+    r"(?:[Zz]|[+-][0-9]{2}:?[0-9]{2})?\Z)"                   # optional zone
 )
+#: First characters of every integer, number, date and timestamp lexeme.
+_NUMERIC_START = "+-.0123456789"
 
 
 def _valid_date(text: str) -> bool:
@@ -51,7 +57,6 @@ def _valid_date(text: str) -> bool:
     return True
 
 
-@lru_cache(maxsize=65536)
 def classify_lexeme(lexeme: str) -> str:
     """Assign one lexical class to a raw text value.
 
@@ -61,30 +66,33 @@ def classify_lexeme(lexeme: str) -> str:
     """
     if lexeme == "":
         return EMPTY
-    if lexeme.lower() in ("true", "false"):
-        return BOOLEAN
-    if _INTEGER_RE.match(lexeme):
-        return INTEGER
-    if _NUMBER_RE.match(lexeme):
-        return NUMBER
-    if _DATE_RE.match(lexeme):
+    if lexeme[0] not in _NUMERIC_START:
+        return BOOLEAN if lexeme.lower() in ("true", "false") else STRING
+    m = _LEXEME_RE.match(lexeme)
+    if m is None:
+        return STRING
+    cls = m.lastgroup
+    if cls == DATE:
         return DATE if _valid_date(lexeme) else STRING
-    m = _TIMESTAMP_RE.match(lexeme)
-    if m:
-        if not _valid_date(m.group(1)):
+    if cls == TIMESTAMP:
+        day, hour, minute, second = m.group("day", "hour", "minute", "second")
+        if not _valid_date(day):
             return STRING
-        hour, minute = int(m.group(2)), int(m.group(3))
-        second = int(m.group(4)) if m.group(4) else 0
-        if hour < 24 and minute < 60 and second < 60:
+        # Two ASCII digits each, so text order is number order.
+        if hour < "24" and minute < "60" and (second or "00") < "60":
             return TIMESTAMP
         return STRING
-    return STRING
+    return cls
 
 
 def number_of(lexeme: str) -> int | float | None:
     """An ``integer`` lexeme's int, a ``number`` lexeme's float, else ``None``;
     an integer past the int-string digit limit reads as float (±inf)."""
-    cls = classify_lexeme(lexeme)
+    return number_in_class(lexeme, classify_lexeme(lexeme))
+
+
+def number_in_class(lexeme: str, cls: str) -> int | float | None:
+    """``number_of`` for a lexeme already classified as ``cls``."""
     if cls == INTEGER:
         try:
             return int(lexeme)

@@ -8,6 +8,11 @@ ndjson (one JSON object per line, nested keys flattened to dot-joined paths).
 Null conventions: in delimited input the empty cell is null (the literals
 ``"null"``/``"NA"`` are data unless listed in ``IngestOptions.null_tokens``);
 in ndjson both explicit ``null`` and an absent key count as null.
+
+Profiling runs a column at a time: ``column_lexemes`` reads a column out of
+the rows, and ``profile_column`` tallies it and classifies each distinct
+lexeme once, after the per-column metrics of Deequ (Schelter et al., VLDB
+2018).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import IngestError, parse_json
@@ -160,32 +166,42 @@ def lexeme_of(value) -> str | None:
     return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
 
 
+def column_lexemes(rows: list[dict], name: str, absent=None) -> list:
+    """The column ``name`` of ``rows`` as lexemes, ``None`` for null and
+    ``absent`` where a row lacks the key.
+
+    A column of text and nulls comes back as it is; any other value sends
+    every cell through ``lexeme_of``, because tallies key on the cells and
+    ``True``, ``1`` and ``1.0`` are one dict key while lists are none.
+    """
+    column = [row.get(name, absent) for row in rows]
+    if set(map(type, column)) <= {str, type(None), type(absent)}:
+        return column
+    return [cell if cell is absent else lexeme_of(cell) for cell in column]
+
+
 def profile_column(values: list, name: str = "",
                    value_cap: int = DEFAULT_VALUE_CAP) -> ColumnProfile:
     """Profile one column given its raw lexemes (``None`` or ``""`` = null).
 
     Counts are exact over the full list; ``sample_values`` keeps the first
     ``value_cap`` *distinct* non-null lexemes in first-seen order, so small
-    value domains are retained completely.
+    value domains are retained completely.  The column is tallied first, so
+    each distinct lexeme is classified once; the tally keeps first-seen
+    order, and so does the histogram.
     """
+    tally = Counter(values)
     histogram: dict[str, int] = {}
-    null_count = 0
-    distinct: dict[str, None] = {}
-    for value in values:
-        lexeme = "" if value is None else value
-        cls = classify_lexeme(lexeme)
-        histogram[cls] = histogram.get(cls, 0) + 1
-        if lexeme == "":
-            null_count += 1
-        else:
-            distinct.setdefault(lexeme)
-    samples = list(distinct)[:value_cap]
+    for lexeme, count in tally.items():
+        cls = classify_lexeme("" if lexeme is None else lexeme)
+        histogram[cls] = histogram.get(cls, 0) + count
+    null_count = tally.pop(None, 0) + tally.pop("", 0)
     return ColumnProfile(
         name=name,
         total_count=len(values),
         null_count=null_count,
-        distinct_count=len(distinct),
-        sample_values=samples,
+        distinct_count=len(tally),
+        sample_values=list(tally)[:value_cap],
         lexical_histogram=histogram,
     )
 
@@ -219,7 +235,7 @@ def _read_delimited(text: str, options: IngestOptions) -> tuple[list[str], list[
         if name in seen:
             raise IngestError(f"duplicate column name {name!r} after normalization")
         seen.add(name)
-    null_tokens = set(options.null_tokens)
+    nulls = dict.fromkeys(["", *options.null_tokens])
     rows: list[dict] = []
     for index, record in enumerate(reader):
         if not record:  # blank line, not a record
@@ -229,10 +245,7 @@ def _read_delimited(text: str, options: IngestOptions) -> tuple[list[str], list[
                 f"ragged row {index + 1} (line {reader.line_num}): "
                 f"expected {len(columns)} cells, got {len(record)}"
             )
-        row: dict = {}
-        for name, cell in zip(columns, record):
-            row[name] = None if (cell == "" or cell in null_tokens) else cell
-        rows.append(row)
+        rows.append(dict(zip(columns, map(nulls.get, record, record))))
     return columns, rows
 
 
@@ -249,7 +262,7 @@ def _flatten(obj: dict, depth: int, line_no: int) -> dict:
         else:
             if name in flat:
                 raise IngestError(f"line {line_no}: duplicate key {name!r} after normalization")
-            flat[name] = lexeme_of(value)
+            flat[name] = value if value is None or type(value) is str else lexeme_of(value)
     return flat
 
 
@@ -303,8 +316,7 @@ def ingest(source, source_format: str, options: IngestOptions | None = None,
     options = options or IngestOptions()
     columns, rows = read_table(source, source_format, options)
     profiles = [
-        profile_column([row.get(name) for row in rows], name=name,
-                       value_cap=options.value_cap)
+        profile_column(column_lexemes(rows, name), name=name, value_cap=options.value_cap)
         for name in columns
     ]
     return DataProfile(

@@ -8,18 +8,23 @@ when its class sits at or below the field type) are field-only.  Both pass
 the empty lexeme and take only ``None``, never ``""``, as null; unlike
 ``between``, a field's range reads only numeric lexemes, and only when the
 field has a bound.  Unknown row keys are violations unless ``allow_unknown``.
+
+Validation runs a column at a time: each field's column is read once, each
+distinct lexeme in it gets one verdict, and only a column holding a failing
+lexeme or a missing key is walked again, to flag the rows that hold one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable
 
 from . import lexical
 from .errors import ContractForgeError
 from .inference import infer_column_type
 from .model import Contract, FieldSpec, parse_contract
-from .profiling import DataProfile, lexeme_of
+from .profiling import DataProfile, column_lexemes, lexeme_of
 
 TYPE_MISMATCH = "type_mismatch"
 NULL_VIOLATION = "null_violation"
@@ -27,6 +32,10 @@ ENUM_VIOLATION = "enum_violation"
 RANGE_VIOLATION = "range_violation"
 UNKNOWN_FIELD = "unknown_field"
 MISSING_FIELD = "missing_field"
+
+#: Stands for a key a row lacks in the columns ``validate_rows`` reads.
+_ABSENT = object()
+_ROW_INDEX = attrgetter("row_index")
 
 
 @dataclass
@@ -72,7 +81,7 @@ def lattice_type(logical_type: str) -> str:
 
 def value_test(kind: str, params: dict) -> Callable[[str], bool]:
     """Compile a value rule kind to its test of one non-empty lexeme; a field
-    range is ``between`` with either bound ``None``."""
+    range shares the bounds test of ``between``, with either bound ``None``."""
     if kind == "values_in_set":
         return params["values"].__contains__
     if kind == "matches_format":
@@ -80,34 +89,55 @@ def value_test(kind: str, params: dict) -> Callable[[str], bool]:
         return lambda lexeme: lexical.classify_lexeme(lexeme) == fmt
     if kind != "between":
         raise ContractForgeError(f"unknown rule kind {kind!r}")
-    lo, hi = params["min"], params["max"]
+    within = _within(params["min"], params["max"])
 
     def between(lexeme: str) -> bool:
         number = lexical.number_of(lexeme)
-        return number is not None and (lo is None or lo <= number) and (hi is None or number <= hi)
+        return number is not None and within(number)
     return between
+
+
+def _within(lo, hi) -> Callable[[int | float], bool]:
+    """The bounds test of ``between`` on a number; a ``None`` bound is open."""
+    return lambda number: (lo is None or lo <= number) and (hi is None or number <= hi)
 
 
 def field_check(spec: FieldSpec) -> Callable[[str | None], str | None]:
     """Compile a field to ``lexeme -> violation kind | None``: nullability,
-    the lattice type, then the enum or range test through ``value_test``."""
+    the lattice type, then the enum test through ``value_test`` or the
+    range test on the number the type test already classified."""
     expected, c = lattice_type(spec.logical_type), spec.constraints
-    kind, test, tested = None, None, ()
-    if spec.logical_type == "enum_string" and c is not None and c.allowed_values is not None:
-        kind, tested = ENUM_VIOLATION, lexical.CLASSES[1:]  # all but EMPTY
-        test = value_test("values_in_set", {"values": c.allowed_values})
-    elif c is not None and (c.min_value is not None or c.max_value is not None):
-        kind, tested = RANGE_VIOLATION, (lexical.INTEGER, lexical.NUMBER)
-        test = value_test("between", {"min": c.min_value, "max": c.max_value})
+    conforming = {cls for cls in lexical.CLASSES if lexical.is_subclass(cls, expected)}
+    null_kind = None if spec.nullable else NULL_VIOLATION
+    enum = spec.logical_type == "enum_string" and c is not None and c.allowed_values is not None
+    if not enum and c is not None and (c.min_value is not None or c.max_value is not None):
+        within = _within(c.min_value, c.max_value)
 
-    def check(lexeme: str | None) -> str | None:
+        def check_range(lexeme: str | None) -> str | None:
+            if lexeme is None:
+                return null_kind
+            cls = lexical.classify_lexeme(lexeme)
+            if cls not in conforming:
+                return TYPE_MISMATCH
+            number = lexical.number_in_class(lexeme, cls)
+            return RANGE_VIOLATION if number is not None and not within(number) else None
+        return check_range
+    if expected == lexical.STRING:
+        # Every class sits below string: only nulls and an enum miss fail.
+        allowed = value_test("values_in_set", {"values": c.allowed_values}) if enum else None
+
+        def check_text(lexeme: str | None) -> str | None:
+            if lexeme is None:
+                return null_kind
+            failed = allowed is not None and lexeme != "" and not allowed(lexeme)
+            return ENUM_VIOLATION if failed else None
+        return check_text
+
+    def check_type(lexeme: str | None) -> str | None:
         if lexeme is None:
-            return None if spec.nullable else NULL_VIOLATION
-        cls = lexical.classify_lexeme(lexeme)
-        if not lexical.is_subclass(cls, expected):
-            return TYPE_MISMATCH
-        return kind if cls in tested and not test(lexeme) else None
-    return check
+            return null_kind
+        return None if lexical.classify_lexeme(lexeme) in conforming else TYPE_MISMATCH
+    return check_type
 
 
 def value_conforms(spec, value) -> bool:
@@ -121,32 +151,35 @@ def validate_rows(contract: Contract, rows: list[dict],
 
     Deterministic output: violations are ordered by row index, then contract
     field order, then row key order for unknown fields.  Each field's check
-    runs once per distinct lexeme.
+    runs once per distinct lexeme of its column, and a column's rows are
+    visited only when the column holds a failing lexeme or a missing key.
     """
-    known = {f.name for f in contract.fields}
-    checks = [(spec.name, spec.nullable, field_check(spec), {}) for spec in contract.fields]
     violations: list[Violation] = []
-    rows_passed = 0
-    for index, row in enumerate(rows):
-        before = len(violations)
-        for name, nullable, check, seen in checks:
-            if name not in row:
-                if not nullable:
-                    violations.append(Violation(index, name, MISSING_FIELD, ""))
-                continue
-            lexeme = lexeme_of(row[name])
-            kind = seen[lexeme] if lexeme in seen else seen.setdefault(lexeme, check(lexeme))
+    for spec in contract.fields:
+        name, check = spec.name, field_check(spec)
+        column = column_lexemes(rows, name, _ABSENT)
+        missing = None if spec.nullable else MISSING_FIELD
+        failing = {}  # lexeme -> (violation kind, observed text)
+        for lexeme in set(column):
+            kind = missing if lexeme is _ABSENT else check(lexeme)
             if kind is not None:
-                violations.append(Violation(index, name, kind,
-                                            "null" if lexeme is None else lexeme))
-        if not allow_unknown:
-            for key, value in row.items():
-                if key not in known:
-                    observed = "null" if value is None else lexeme_of(value)
-                    violations.append(Violation(index, key, UNKNOWN_FIELD, observed))
-        if len(violations) == before:
-            rows_passed += 1
-    return ValidationReport(rows_checked=len(rows), rows_passed=rows_passed,
+                failing[lexeme] = kind, ("" if lexeme is _ABSENT else
+                                         "null" if lexeme is None else lexeme)
+        if failing:
+            violations += [Violation(index, name, *failing[lexeme])
+                           for index, lexeme in enumerate(column) if lexeme in failing]
+    if not allow_unknown:
+        known = {f.name for f in contract.fields}
+        for index, row in enumerate(rows):
+            if not row.keys() <= known:
+                for key, value in row.items():
+                    if key not in known:
+                        observed = "null" if value is None else lexeme_of(value)
+                        violations.append(Violation(index, key, UNKNOWN_FIELD, observed))
+    # Stable: within a row, field order and then row key order stay.
+    violations.sort(key=_ROW_INDEX)
+    failed_rows = len(set(map(_ROW_INDEX, violations)))
+    return ValidationReport(rows_checked=len(rows), rows_passed=len(rows) - failed_rows,
                             violations=violations)
 
 

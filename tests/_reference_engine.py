@@ -1,20 +1,29 @@
-"""Reference copy of the two per-value engines the shared one replaced.
+"""Reference copies of the per-cell engines the column-at-a-time ones replaced.
 
-Independent of ``validation`` and ``expectations`` internals: row validation
-runs ``_check_field`` per cell and rule evaluation runs ``_value_passes`` per
-value, exactly as before the two were folded into one compiled check.  Used
-only by the differential tests, which require the live engine to produce
-the same reports.  Numbers are read with plain ``int``/``float``, so inputs
-must stay within the int-string digit limit.
+Independent of ``validation``, ``expectations``, ``profiling`` and
+``lexical`` internals: row validation runs ``_check_field`` per cell, rule
+evaluation runs ``_value_passes`` per value, ``classify_lexeme`` is the
+regex ladder, and ``profile_column`` classifies every cell, exactly as
+before.  The readers build rows cell by cell as before.  Used only by the
+differential tests, which require the live engine to produce the same
+reports, profiles and rows.  Numbers are read with plain ``int``/``float``,
+so inputs must stay within the int-string digit limit.
 """
 
 from __future__ import annotations
 
+import csv
+import datetime as _dt
+import io
+import re
+
 from contractforge import lexical
-from contractforge.errors import ContractForgeError
+from contractforge.errors import ContractForgeError, IngestError, parse_json
 from contractforge.expectations import RuleResult
+from contractforge.lexical import BOOLEAN, DATE, EMPTY, INTEGER, NUMBER, STRING, TIMESTAMP
 from contractforge.model import Contract, QualityRule
-from contractforge.profiling import lexeme_of
+from contractforge.profiling import (DELIMITED, SOURCE_FORMATS, ColumnProfile, DataProfile,
+                                     IngestOptions, _decode, lexeme_of)
 from contractforge.validation import (ENUM_VIOLATION, MISSING_FIELD, NULL_VIOLATION,
                                       RANGE_VIOLATION, TYPE_MISMATCH, UNKNOWN_FIELD,
                                       ValidationReport, Violation, lattice_type)
@@ -30,7 +39,7 @@ def _check_field(spec, value, row_index: int, out: list[Violation]) -> None:
             out.append(Violation(row_index, spec.name, NULL_VIOLATION, "null"))
         return
     lexeme = lexeme_of(value)
-    cls = lexical.classify_lexeme(lexeme)
+    cls = classify_lexeme(lexeme)
     if not lexical.is_subclass(cls, lattice_type(spec.logical_type)):
         out.append(Violation(row_index, spec.name, TYPE_MISMATCH, lexeme))
         return
@@ -107,7 +116,7 @@ def _value_passes(rule: QualityRule, lexeme: str) -> bool:
     if rule.kind == "values_in_set":
         return lexeme in rule.params["values"]
     if rule.kind == "between":
-        cls = lexical.classify_lexeme(lexeme)
+        cls = classify_lexeme(lexeme)
         if cls == lexical.INTEGER:
             value: int | float = int(lexeme)
         elif cls == lexical.NUMBER:
@@ -116,5 +125,174 @@ def _value_passes(rule: QualityRule, lexeme: str) -> bool:
             return False
         return rule.params["min"] <= value <= rule.params["max"]
     if rule.kind == "matches_format":
-        return lexical.classify_lexeme(lexeme) == rule.params["format"]
+        return classify_lexeme(lexeme) == rule.params["format"]
     raise ContractForgeError(f"unknown rule kind {rule.kind!r}")
+
+
+# -- lexical: the classifier ladder ----------------------------------------------
+
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
+_NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}\Z")
+_TIMESTAMP_RE = re.compile(
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2})"          # date part
+    r"T([0-9]{2}):([0-9]{2})"                # hours:minutes
+    r"(?::([0-9]{2})(?:\.[0-9]+)?)?"         # optional seconds + fraction
+    r"(?:[Zz]|[+-][0-9]{2}:?[0-9]{2})?\Z"    # optional zone
+)
+
+
+def _valid_date(text: str) -> bool:
+    try:
+        _dt.date.fromisoformat(text)
+    except ValueError:
+        return False
+    return True
+
+
+def classify_lexeme(lexeme: str) -> str:
+    if lexeme == "":
+        return EMPTY
+    if lexeme.lower() in ("true", "false"):
+        return BOOLEAN
+    if _INTEGER_RE.match(lexeme):
+        return INTEGER
+    if _NUMBER_RE.match(lexeme):
+        return NUMBER
+    if _DATE_RE.match(lexeme):
+        return DATE if _valid_date(lexeme) else STRING
+    m = _TIMESTAMP_RE.match(lexeme)
+    if m:
+        if not _valid_date(m.group(1)):
+            return STRING
+        hour, minute = int(m.group(2)), int(m.group(3))
+        second = int(m.group(4)) if m.group(4) else 0
+        if hour < 24 and minute < 60 and second < 60:
+            return TIMESTAMP
+        return STRING
+    return STRING
+
+
+# -- profiling: per-cell profile and row-by-row readers ---------------------------
+
+def profile_column(values: list, name: str = "", value_cap: int = 20) -> ColumnProfile:
+    histogram: dict[str, int] = {}
+    null_count = 0
+    distinct: dict[str, None] = {}
+    for value in values:
+        lexeme = "" if value is None else value
+        cls = classify_lexeme(lexeme)
+        histogram[cls] = histogram.get(cls, 0) + 1
+        if lexeme == "":
+            null_count += 1
+        else:
+            distinct.setdefault(lexeme)
+    samples = list(distinct)[:value_cap]
+    return ColumnProfile(
+        name=name,
+        total_count=len(values),
+        null_count=null_count,
+        distinct_count=len(distinct),
+        sample_values=samples,
+        lexical_histogram=histogram,
+    )
+
+
+def _read_delimited(text: str, options: IngestOptions) -> tuple[list[str], list[dict]]:
+    if len(options.delimiter) != 1:
+        raise IngestError(f"delimiter must be one character, got {options.delimiter!r}")
+    reader = csv.reader(io.StringIO(text), delimiter=options.delimiter)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestError("no data") from None
+    columns = [name.strip() for name in header]
+    seen: set[str] = set()
+    for name in columns:
+        if name in seen:
+            raise IngestError(f"duplicate column name {name!r} after normalization")
+        seen.add(name)
+    null_tokens = set(options.null_tokens)
+    rows: list[dict] = []
+    for index, record in enumerate(reader):
+        if not record:  # blank line, not a record
+            continue
+        if len(record) != len(columns):
+            raise IngestError(
+                f"ragged row {index + 1} (line {reader.line_num}): "
+                f"expected {len(columns)} cells, got {len(record)}"
+            )
+        row: dict = {}
+        for name, cell in zip(columns, record):
+            row[name] = None if (cell == "" or cell in null_tokens) else cell
+        rows.append(row)
+    return columns, rows
+
+
+def _flatten(obj: dict, depth: int, line_no: int) -> dict:
+    flat: dict = {}
+    for key, value in obj.items():
+        name = str(key).strip()
+        if isinstance(value, dict) and depth > 0 and value:
+            for inner_key, inner_value in _flatten(value, depth - 1, line_no).items():
+                path = f"{name}.{inner_key}"
+                if path in flat:
+                    raise IngestError(f"line {line_no}: duplicate key {path!r} after normalization")
+                flat[path] = inner_value
+        else:
+            if name in flat:
+                raise IngestError(f"line {line_no}: duplicate key {name!r} after normalization")
+            flat[name] = lexeme_of(value)
+    return flat
+
+
+def _read_ndjson(text: str, options: IngestOptions) -> tuple[list[str], list[dict]]:
+    columns: list[str] = []
+    seen: set[str] = set()
+    rows: list[dict] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        obj = parse_json(line, IngestError, f"ndjson line {line_no}")
+        if not isinstance(obj, dict):
+            raise IngestError(f"malformed ndjson line {line_no}: not a JSON object")
+        row = _flatten(obj, options.flatten_depth, line_no)
+        for name in row:
+            if name not in seen:
+                seen.add(name)
+                columns.append(name)
+        rows.append(row)
+    if not rows:
+        raise IngestError("no data")
+    return columns, rows
+
+
+def read_table(source, source_format: str,
+               options: IngestOptions | None = None) -> tuple[list[str], list[dict]]:
+    options = options or IngestOptions()
+    if source_format not in SOURCE_FORMATS:
+        raise IngestError(f"unknown source format {source_format!r}")
+    text = _decode(source)
+    if not text.strip():
+        raise IngestError("no data")
+    if source_format == DELIMITED:
+        return _read_delimited(text, options)
+    return _read_ndjson(text, options)
+
+
+def ingest(source, source_format: str, options: IngestOptions | None = None,
+           dataset_name: str = "dataset") -> DataProfile:
+    options = options or IngestOptions()
+    columns, rows = read_table(source, source_format, options)
+    profiles = [
+        profile_column([row.get(name) for row in rows], name=name,
+                       value_cap=options.value_cap)
+        for name in columns
+    ]
+    return DataProfile(
+        dataset_name=dataset_name,
+        row_count=len(rows),
+        columns=profiles,
+        source_format=source_format,
+        sample_rows=[dict(r) for r in rows[: options.row_cap]],
+    )

@@ -427,10 +427,27 @@ class TestUnreadableInputs:
         (b'{"threshold": true}', ["generate", "PROFILE", "--policy", "FILE"],
          "'threshold' must be float, not bool"),
         (b'{"name": "\xff"}', ["validate", "FILE", "CSV"], "can't decode byte 0xff"),
+        (b'{"backend": {"kind": "script", "script": 5}}',
+         ["--config", "FILE", "generate", "PROFILE"], "'script' must be str or null, not int"),
+        (b'{"backend": {"kind": "http", "url": 5}}', ["--config", "FILE", "generate", "PROFILE"],
+         "'url' must be str or null, not int"),
+        (b'{"backend": {"auth_env": [1]}}', ["--config", "FILE", "generate", "PROFILE"],
+         "'auth_env' must be str or null, not list"),
+        (b'{"ingest": {"null_tokens": [["NA"]]}}', ["--config", "FILE", "profile", "CSV"],
+         "'null_tokens' must hold only strings"),
+        (b'{"ingest": {"value_cap": -1}}', ["--config", "FILE", "profile", "CSV"],
+         "'value_cap' must be >= 0, not -1"),
+        (b'{"ingest": {"row_cap": -1}}', ["--config", "FILE", "profile", "CSV"],
+         "'row_cap' must be >= 0, not -1"),
+        (b'{"ingest": {"flatten_depth": -1}}', ["--config", "FILE", "profile", "CSV"],
+         "'flatten_depth' must be >= 0, not -1"),
     ], ids=["contract-too-deep", "script-too-deep", "profile-too-deep", "policy-too-deep",
             "config-too-deep", "ndjson-too-deep", "profile-long-integer", "profile-empty",
             "policy-array", "config-ingest-int", "config-candidates-text",
-            "policy-threshold-bool", "contract-not-utf8"])
+            "policy-threshold-bool", "contract-not-utf8", "config-script-int",
+            "config-url-int", "config-auth-env-list", "config-null-token-list",
+            "config-value-cap-negative", "config-row-cap-negative",
+            "config-flatten-depth-negative"])
     def test_exits_2_with_an_error_line(self, tmp_path, toy_csv, toy_profile_file,
                                         toy_contract_file, capsys, text, argv, message):
         bad = tmp_path / "bad.json"

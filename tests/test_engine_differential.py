@@ -89,6 +89,37 @@ VALUES = st.one_of(
 )
 ROWS = st.lists(st.dictionaries(COLUMNS | st.just("unknown"), VALUES, max_size=8),
                 max_size=8)
+#: Cells one dict key apart (``True``, ``1``, ``1.0``) or unhashable (a list)
+#: until they are read as lexemes, with the text ``"1"`` and an absent key.
+ABSENT = object()
+COLLIDING = [True, 1, 1.0, "1", [1], ABSENT]
+
+
+@st.composite
+def rows_with_collisions(draw):
+    """``ROWS``, where half the time one column holds every colliding cell."""
+    rows = [dict(row) for row in draw(ROWS)]
+    if draw(st.booleans()):
+        column = draw(COLUMNS)
+        cells = draw(st.permutations(COLLIDING)) + draw(st.lists(st.sampled_from(COLLIDING),
+                                                                 max_size=3))
+        rows += [{} for _ in range(len(cells) - len(rows))]
+        for row, cell in zip(rows, cells):
+            row.pop(column, None)
+            if cell is not ABSENT:
+                row[column] = cell
+    return rows
+
+
+def _colliding_columns(rows) -> set[str]:
+    out = set()
+    for name in {key for row in rows for key in row}:
+        cells = {repr(row[name]) if name in row else "absent" for row in rows}
+        if {"True", "1", "1.0", "'1'", "[1]", "absent"} <= cells:
+            out.add(name)
+    return out
+
+
 BOUNDS = st.integers(-10, 10) | st.floats(-10, 10)
 RULES = st.lists(st.one_of(
     st.builds(lambda c: QualityRule("not_null", c), COLUMNS),
@@ -104,21 +135,25 @@ RULES = st.lists(st.one_of(
 
 
 def test_random_tables_match_reference():
-    kinds, outcomes, examples = set(), set(), []
+    kinds, outcomes, examples, collisions = set(), set(), [], 0
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(rng=st.randoms(use_true_random=False), rules=RULES, rows=ROWS,
+    @given(rng=st.randoms(use_true_random=False), rules=RULES, rows=rows_with_collisions(),
            allow_unknown=st.booleans())
     def check(rng, rules, rows, allow_unknown):
+        nonlocal collisions
         contract = random_contract(rng, max_fields=6, with_rules=False)
         live, ref = _both(contract, rules, rows, allow_unknown)
         assert live == ref
+        read = set(contract.field_names()) | {rule.column for rule in rules}
+        collisions += bool(_colliding_columns(rows) & read)
         examples.append(len(rows))
         kinds.update(v["kind"] for v in live[0]["violations"])
         outcomes.update((r["rule"]["kind"], r["pass"]) for r in live[1])
 
     check()
     assert len(examples) >= 200
+    assert collisions >= 20, collisions
     assert kinds == {"type_mismatch", "null_violation", "enum_violation", "range_violation",
                      "unknown_field", "missing_field"}
     assert outcomes == {(kind, passed) for kind in
