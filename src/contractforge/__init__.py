@@ -10,7 +10,8 @@ The usual flow:
     store = RegistryStore("registry")
     version = store.publish("orders", contract)
     store.approve("orders", version, reviewer="alice")
-    validate_rows(contract, rows)
+    columns, table = read_table(open("batch.csv", "rb"), "delimited")
+    validate_rows(contract, table)
 """
 
 from .backends import (CompletionBackend, GenerationRequest, HttpBackend,
@@ -31,13 +32,13 @@ from .lexical import classify_lexeme, join
 from .model import (Constraints, Contract, FieldSpec, Provenance, QualityRule,
                     canonicalize, contract_from_doc, parse_contract,
                     to_json_schema)
-from .profiling import (ColumnProfile, DataProfile, IngestOptions,
+from .profiling import (ColumnProfile, DataProfile, IngestOptions, Table,
                         dump_profile, ingest, load_profile, profile_column,
                         read_table)
 from .prompts import SINGLE_PASS, TWO_PASS_STAGE1, TWO_PASS_STAGE2, build_prompt
 from .registry import RegistryStore, VersionRecord
 from .service import RegistryClient, RegistryServer
 from .validation import (DriftReport, ValidationReport, check_syntax,
-                         detect_drift, validate_rows)
+                         detect_drift, failing_rows, validate_rows)
 
 __version__ = "0.1.0"

@@ -7,19 +7,21 @@ sample, so range rules carry warning severity; set and null rules are
 errors.
 
 Value rules compile to ``validation.value_test``, the engine fields use.
-Unlike a field's range, ``between`` fails a non-numeric lexeme; nulls are
-skipped by every kind except ``not_null``, and empty lexemes by every kind.
+Unlike a field's range, ``between`` fails a non-numeric lexeme; nulls (and
+absent keys) are skipped by every kind except ``not_null``, and empty
+lexemes by every kind.  Rules read the kept column tallies and classes of
+a :class:`~.profiling.Table`, so a table that was just validated is not
+tallied or classified again.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ContractForgeError
 from .inference import _numeric_bounds
 from .model import FieldSpec, QualityRule
-from .profiling import DataProfile, column_lexemes
+from .profiling import ABSENT, DataProfile, Table
 from .validation import value_test
 
 #: Column must be unique over at least this many rows before a uniqueness
@@ -82,24 +84,23 @@ def synthesize_rules(profile: DataProfile,
     return rules
 
 
-def evaluate_rules(rules: list[QualityRule],
-                   rows: list[dict]) -> list[RuleResult]:
-    """Count failing rows per rule; a rule passes iff no row fails it.  Each
-    column is read once and each test runs once per distinct lexeme."""
-    columns: dict[str, tuple[int, Counter]] = {}
+def evaluate_rules(rules: list[QualityRule], rows) -> list[RuleResult]:
+    """Count failing rows per rule over rows (a :class:`Table` or a list of
+    row dicts); a rule passes iff no row fails it.  Each test runs once per
+    distinct lexeme of the column."""
+    table = Table.from_rows(rows)
     results: list[RuleResult] = []
     for rule in rules:
-        if rule.column not in columns:
-            counts = Counter(column_lexemes(rows, rule.column))
-            del counts[""]
-            columns[rule.column] = counts.pop(None, 0), counts
-        nulls, counts = columns[rule.column]
+        tally = table.tally(rule.column)
         if rule.kind == "not_null":
-            failed = nulls
+            failed = tally[None] + tally[ABSENT]
         elif rule.kind == "unique":
-            failed = counts.total() - len(counts)
+            # Non-blank cells less their distinct values.
+            blanks = [cell for cell in (None, ABSENT, "") if cell in tally]
+            failed = len(table) - sum(tally[cell] for cell in blanks) - (len(tally) - len(blanks))
         else:
             test = value_test(rule.kind, rule.params)
-            failed = sum(n for lexeme, n in counts.items() if not test(lexeme))
+            failed = sum(tally[lexeme] for lexeme, cls in table.classes(rule.column).items()
+                         if lexeme and not test(lexeme, cls))
         results.append(RuleResult(rule=rule, rows_failed=failed))
     return results

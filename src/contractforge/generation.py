@@ -18,7 +18,7 @@ from .inference import safe_generic_contract
 from .model import Contract, Provenance, contract_from_doc
 from .profiling import DataProfile
 from .prompts import SINGLE_PASS, TWO_PASS_STAGE1, TWO_PASS_STAGE2, build_prompt
-from .validation import validate_rows
+from .validation import failing_rows
 
 TWO_PASS = "two_pass"
 
@@ -248,8 +248,8 @@ def score_candidate(contract: Contract, profile: DataProfile) -> float:
     fields = {f.name.strip() for f in contract.fields}
     coverage = len(fields & columns) / max(1, len(columns))
     if profile.sample_rows:
-        report = validate_rows(contract, profile.sample_rows)
-        row_pass_rate = report.rows_passed / report.rows_checked
+        rows = len(profile.sample_rows)
+        row_pass_rate = (rows - len(failing_rows(contract, profile.sample_rows))) / rows
     else:
         row_pass_rate = 1.0
     hallucination_rate = len(fields - columns) / max(1, len(fields))

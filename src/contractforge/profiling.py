@@ -9,10 +9,15 @@ Null conventions: in delimited input the empty cell is null (the literals
 ``"null"``/``"NA"`` are data unless listed in ``IngestOptions.null_tokens``);
 in ndjson both explicit ``null`` and an absent key count as null.
 
-Profiling runs a column at a time: ``column_lexemes`` reads a column out of
-the rows, and ``profile_column`` tallies it and classifies each distinct
-lexeme once, after the per-column metrics of Deequ (Schelter et al., VLDB
-2018).
+``read_table`` reads a source into a :class:`Table`, which holds one tuple
+of lexemes per column.  A column's summary, the tally of its cells and the
+lexical class of each distinct lexeme, is computed the first time each part
+is asked for and kept, so row validation and rule evaluation on one table
+share one scan per column, after the shared per-column metrics of Deequ
+(Schelter et al., VLDB 2018).  ``ingest`` profiles its own table a column
+at a time with ``profile_column``, which computes the same two parts and
+keeps neither.  Read as a sequence, a table gives the row dicts of the
+public API, built on demand.
 """
 
 from __future__ import annotations
@@ -21,10 +26,13 @@ import csv
 import io
 import json
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 
 from .errors import IngestError, parse_json
-from .lexical import classify_lexeme
+from .lexical import EMPTY, classify_lexeme
 
 DELIMITED = "delimited"
 NDJSON = "ndjson"
@@ -43,6 +51,16 @@ class IngestOptions:
     row_cap: int = DEFAULT_ROW_CAP
     flatten_depth: int = 1
     null_tokens: list[str] = field(default_factory=list)
+
+
+def _check_options(options: IngestOptions) -> None:
+    for name in ("value_cap", "row_cap", "flatten_depth"):
+        value = getattr(options, name)
+        if type(value) is not int or value < 0:
+            raise IngestError(f"{name} must be a non-negative integer, got {value!r:.40}")
+    tokens = options.null_tokens
+    if not isinstance(tokens, (list, tuple)) or not all(isinstance(t, str) for t in tokens):
+        raise IngestError(f"null_tokens must be a list of strings, got {tokens!r:.40}")
 
 
 def _checked(doc: dict, key: str, kind: type, item: type | None = None):
@@ -166,23 +184,142 @@ def lexeme_of(value) -> str | None:
     return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
 
 
-def column_lexemes(rows: list[dict], name: str, absent=None) -> list:
-    """The column ``name`` of ``rows`` as lexemes, ``None`` for null and
-    ``absent`` where a row lacks the key.
+class _Absent:
+    __slots__ = ()
 
-    A column of text and nulls comes back as it is; any other value sends
-    every cell through ``lexeme_of``, because tallies key on the cells and
-    ``True``, ``1`` and ``1.0`` are one dict key while lists are none.
+    def __repr__(self) -> str:
+        return "ABSENT"
+
+
+#: Stands, in a :class:`Table` column, for a key a row lacks.
+ABSENT = _Absent()
+_LEXEME_TYPES = {str, type(None), _Absent}
+#: ``lexeme_of`` for a cell of one scalar type.
+_TEXT_OF = {int: str, float: repr, bool: {True: "true", False: "false"}.__getitem__}
+
+
+def _lexemes(cells: list) -> tuple:
+    """A column's cells as lexemes: kept as they are when they hold only text,
+    nulls and ``ABSENT``, and otherwise read like ``lexeme_of`` does, because
+    ``True``, ``1`` and ``1.0`` are one dict key and lists are none."""
+    kinds = set(map(type, cells)) - _LEXEME_TYPES
+    if not kinds:
+        return tuple(cells)
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind in _TEXT_OF:
+        text = _TEXT_OF[kind]
+        return tuple([text(cell) if type(cell) is kind else cell for cell in cells])
+    return tuple(cell if cell is ABSENT else lexeme_of(cell) for cell in cells)
+
+
+def _classes(tally: Counter) -> dict[str, str]:
+    """The lexical class of each distinct lexeme of a column's tally, in its
+    first-seen order; ``None`` and ``ABSENT`` have none."""
+    lexemes = [cell for cell in tally if isinstance(cell, str)]
+    return dict(zip(lexemes, map(classify_lexeme, lexemes)))
+
+
+class Table(Sequence):
+    """Every row of a source, held a column at a time.
+
+    ``columns`` names the columns in first-seen order, and each column is a
+    tuple of lexemes: ``None`` for null and :data:`ABSENT` where a row lacks
+    the key.  As a sequence a table gives row dicts, built on demand, each
+    with the keys present on its row in that row's own order; it equals a
+    list of the same dicts.  A table is immutable, so ``tally`` and
+    ``classes`` compute a column's summary once and keep it.
     """
-    column = [row.get(name, absent) for row in rows]
-    if set(map(type, column)) <= {str, type(None), type(absent)}:
-        return column
-    return [cell if cell is absent else lexeme_of(cell) for cell in column]
+
+    def __init__(self, columns, cells, length: int, key_orders: dict | None = None):
+        self.columns = tuple(columns)
+        self._cells = dict(zip(self.columns, cells))
+        self._length = length
+        # Row index -> that row's keys, for rows whose keys are not in column order.
+        self._key_orders = key_orders or {}
+        self._tallies: dict[str, Counter] = {}
+        self._classes: dict[str, dict[str, str]] = {}
+
+    @classmethod
+    def from_rows(cls, rows) -> "Table":
+        """The table of a list of row dicts, whose values are read as lexemes
+        with ``lexeme_of``; a :class:`Table` is returned as it is."""
+        if isinstance(rows, Table):
+            return rows
+        shapes = dict.fromkeys(map(tuple, rows))  # each distinct key sequence
+        positions: dict = {}  # column name -> first-seen position
+        unordered: dict[tuple, tuple] = {}  # key sequences not in column order
+        for keys in shapes:
+            for key in keys:
+                positions.setdefault(key, len(positions))
+            at = [positions[key] for key in keys]
+            if at != sorted(at):
+                unordered[keys] = keys
+        key_orders = {index: shared for index, keys in enumerate(map(tuple, rows))
+                      if (shared := unordered.get(keys))} if unordered else {}
+        # Keys every row holds, whose columns need no default.
+        everywhere = set.intersection(*map(set, shapes)) if shapes else set()
+        cells = [_lexemes(list(map(itemgetter(name), rows)) if name in everywhere
+                          else [row.get(name, ABSENT) for row in rows])
+                 for name in positions]
+        return cls(positions, cells, len(rows), key_orders)
+
+    def column(self, name: str) -> tuple:
+        """The cells of column ``name``; all ``ABSENT`` for a name the table
+        lacks."""
+        cells = self._cells.get(name)
+        return (ABSENT,) * self._length if cells is None else cells
+
+    def tally(self, name: str) -> Counter:
+        """The cells of column ``name`` counted, in first-seen order;
+        computed on first use and kept, so callers must not change it."""
+        tally = self._tallies.get(name)
+        if tally is None:
+            tally = self._tallies[name] = Counter(self.column(name))
+        return tally
+
+    def classes(self, name: str) -> dict[str, str]:
+        """The lexical class of each distinct lexeme of column ``name``, in
+        first-seen order; computed on first use and kept, so callers must
+        not change it."""
+        classes = self._classes.get(name)
+        if classes is None:
+            classes = self._classes[name] = _classes(self.tally(name))
+        return classes
+
+    def _row(self, index: int) -> dict:
+        cells = self._cells
+        return {name: cell for name in self._key_orders.get(index, self.columns)
+                if (cell := cells[name][index]) is not ABSENT}
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._row(i) for i in range(*index.indices(self._length))]
+        position = index + self._length if index < 0 else index
+        if not 0 <= position < self._length:
+            raise IndexError("table row index out of range")
+        return self._row(position)
+
+    def __iter__(self):
+        return map(self._row, range(self._length))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Table, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Table(columns={list(self.columns)!r}, rows={self._length})"
 
 
-def profile_column(values: list, name: str = "",
+def profile_column(values: Sequence, name: str = "",
                    value_cap: int = DEFAULT_VALUE_CAP) -> ColumnProfile:
-    """Profile one column given its raw lexemes (``None`` or ``""`` = null).
+    """Profile one column given its raw lexemes (``None``, ``""`` and
+    ``ABSENT`` = null).
 
     Counts are exact over the full list; ``sample_values`` keeps the first
     ``value_cap`` *distinct* non-null lexemes in first-seen order, so small
@@ -191,17 +328,17 @@ def profile_column(values: list, name: str = "",
     order, and so does the histogram.
     """
     tally = Counter(values)
+    classes = _classes(tally)
     histogram: dict[str, int] = {}
-    for lexeme, count in tally.items():
-        cls = classify_lexeme("" if lexeme is None else lexeme)
+    for cell, count in tally.items():
+        cls = classes.get(cell, EMPTY)
         histogram[cls] = histogram.get(cls, 0) + count
-    null_count = tally.pop(None, 0) + tally.pop("", 0)
     return ColumnProfile(
         name=name,
         total_count=len(values),
-        null_count=null_count,
-        distinct_count=len(tally),
-        sample_values=list(tally)[:value_cap],
+        null_count=tally[None] + tally[""] + tally[ABSENT],
+        distinct_count=len(classes) - ("" in classes),
+        sample_values=list(islice(filter(None, classes), value_cap)),
         lexical_histogram=histogram,
     )
 
@@ -221,7 +358,7 @@ def _decode(source) -> str:
         raise IngestError(f"input is not valid UTF-8: {exc}") from exc
 
 
-def _read_delimited(text: str, options: IngestOptions) -> tuple[list[str], list[dict]]:
+def _read_delimited(text: str, options: IngestOptions) -> Table:
     if len(options.delimiter) != 1:
         raise IngestError(f"delimiter must be one character, got {options.delimiter!r}")
     reader = csv.reader(io.StringIO(text), delimiter=options.delimiter)
@@ -235,8 +372,7 @@ def _read_delimited(text: str, options: IngestOptions) -> tuple[list[str], list[
         if name in seen:
             raise IngestError(f"duplicate column name {name!r} after normalization")
         seen.add(name)
-    nulls = dict.fromkeys(["", *options.null_tokens])
-    rows: list[dict] = []
+    records: list[list[str]] = []
     for index, record in enumerate(reader):
         if not record:  # blank line, not a record
             continue
@@ -245,8 +381,10 @@ def _read_delimited(text: str, options: IngestOptions) -> tuple[list[str], list[
                 f"ragged row {index + 1} (line {reader.line_num}): "
                 f"expected {len(columns)} cells, got {len(record)}"
             )
-        rows.append(dict(zip(columns, map(nulls.get, record, record))))
-    return columns, rows
+        records.append(record)
+    nulls = dict.fromkeys(["", *options.null_tokens])
+    cells = [tuple(map(nulls.get, column, column)) for column in zip(*records)]
+    return Table(columns, cells or [()] * len(columns), len(records))
 
 
 def _flatten(obj: dict, depth: int, line_no: int) -> dict:
@@ -262,48 +400,63 @@ def _flatten(obj: dict, depth: int, line_no: int) -> dict:
         else:
             if name in flat:
                 raise IngestError(f"line {line_no}: duplicate key {name!r} after normalization")
-            flat[name] = value if value is None or type(value) is str else lexeme_of(value)
+            flat[name] = value
     return flat
 
 
-def _read_ndjson(text: str, options: IngestOptions) -> tuple[list[str], list[dict]]:
-    columns: list[str] = []
-    seen: set[str] = set()
+def _read_ndjson(text: str, options: IngestOptions) -> Table:
+    # Where ``raw_decode`` reads a whole line, its value is what ``json.loads``
+    # returns; every other line, a bad one included, goes through
+    # ``parse_json``, which gives the same value or the error.
+    decode = json.JSONDecoder().raw_decode
+    stripped: dict[tuple, bool] = {}  # a line's keys -> none needs stripping
     rows: list[dict] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        obj = parse_json(line, IngestError, f"ndjson line {line_no}")
+        try:
+            obj, end = decode(line)
+        except (ValueError, RecursionError):
+            end = None
+        if end != len(line):
+            obj = parse_json(line, IngestError, f"ndjson line {line_no}")
         if not isinstance(obj, dict):
             raise IngestError(f"malformed ndjson line {line_no}: not a JSON object")
-        row = _flatten(obj, options.flatten_depth, line_no)
-        for name in row:
-            if name not in seen:
-                seen.add(name)
-                columns.append(name)
-        rows.append(row)
+        # An object holds a nested object only if its line holds a second
+        # brace; a flat one with stripped keys is already a row.
+        keys = tuple(obj)
+        flat = stripped.get(keys)
+        if flat is None:
+            flat = stripped[keys] = all(key == key.strip() for key in keys)
+        if not flat or line.count("{") > 1:
+            obj = _flatten(obj, options.flatten_depth, line_no)
+        rows.append(obj)
     if not rows:
         raise IngestError("no data")
-    return columns, rows
+    return Table.from_rows(rows)
 
 
 def read_table(source, source_format: str,
-               options: IngestOptions | None = None) -> tuple[list[str], list[dict]]:
-    """Read every row of a source as (column names, row maps).
+               options: IngestOptions | None = None) -> tuple[list[str], Table]:
+    """Read every row of a source as (column names, :class:`Table`).
 
-    Row values are lexemes or ``None``; ndjson rows omit keys that were
-    absent on that line.  Used by ingest and by row-level validation, which
-    needs all rows rather than the capped profile sample.
+    Cells are lexemes or ``None``; an ndjson row lacks the keys absent on
+    its line.  Used by ingest and by row-level validation, which needs all
+    rows rather than the capped profile sample; ``list(table)`` gives the
+    rows as dicts.
     """
     options = options or IngestOptions()
+    _check_options(options)
     if source_format not in SOURCE_FORMATS:
         raise IngestError(f"unknown source format {source_format!r}")
     text = _decode(source)
     if not text.strip():
         raise IngestError("no data")
     if source_format == DELIMITED:
-        return _read_delimited(text, options)
-    return _read_ndjson(text, options)
+        table = _read_delimited(text, options)
+    else:
+        table = _read_ndjson(text, options)
+    return list(table.columns), table
 
 
 def ingest(source, source_format: str, options: IngestOptions | None = None,
@@ -314,15 +467,14 @@ def ingest(source, source_format: str, options: IngestOptions | None = None,
     profile.  Columns appear in first-seen order.
     """
     options = options or IngestOptions()
-    columns, rows = read_table(source, source_format, options)
-    profiles = [
-        profile_column(column_lexemes(rows, name), name=name, value_cap=options.value_cap)
-        for name in columns
-    ]
+    columns, table = read_table(source, source_format, options)
     return DataProfile(
         dataset_name=dataset_name,
-        row_count=len(rows),
-        columns=profiles,
+        row_count=len(table),
+        # Nothing else reads this table, so no column's summary is kept: one
+        # column's tally and classes are alive at a time.
+        columns=[profile_column(table.column(name), name, options.value_cap)
+                 for name in columns],
         source_format=source_format,
-        sample_rows=[dict(r) for r in rows[: options.row_cap]],
+        sample_rows=table[: options.row_cap],
     )

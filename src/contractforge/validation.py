@@ -1,30 +1,35 @@
 """Check contract syntax, validate rows against a contract, detect drift.
 
 Fields and quality rules share one engine: ``field_check`` and ``value_test``
-compile a field or a value rule kind to a per-lexeme check that runs once per
-distinct lexeme.  An enum is the ``values_in_set`` test and a range the
+compile a field or a value rule kind to a check of one ``(lexeme, class)``
+pair that runs once per distinct lexeme, on the class the table already
+holds.  An enum is the ``values_in_set`` test and a range the
 ``between`` test; nullability and the lattice type test (a lexeme conforms
 when its class sits at or below the field type) are field-only.  Both pass
 the empty lexeme and take only ``None``, never ``""``, as null; unlike
 ``between``, a field's range reads only numeric lexemes, and only when the
 field has a bound.  Unknown row keys are violations unless ``allow_unknown``.
 
-Validation runs a column at a time: each field's column is read once, each
-distinct lexeme in it gets one verdict, and only a column holding a failing
-lexeme or a missing key is walked again, to flag the rows that hold one.
+Validation reads the kept column tallies and classes of a
+:class:`~.profiling.Table` (a list of row dicts becomes one through
+``Table.from_rows``): each distinct lexeme of a field's column gets one
+verdict, and only a column holding a failing lexeme or a missing key is
+walked again, to flag the rows that hold one.  ``validate_rows`` turns
+those rows into violations; ``failing_rows`` only collects their indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import compress, count, repeat
+from operator import attrgetter, is_not
 from typing import Callable
 
 from . import lexical
 from .errors import ContractForgeError
 from .inference import infer_column_type
 from .model import Contract, FieldSpec, parse_contract
-from .profiling import DataProfile, column_lexemes, lexeme_of
+from .profiling import ABSENT, DataProfile, Table, lexeme_of
 
 TYPE_MISMATCH = "type_mismatch"
 NULL_VIOLATION = "null_violation"
@@ -33,8 +38,6 @@ RANGE_VIOLATION = "range_violation"
 UNKNOWN_FIELD = "unknown_field"
 MISSING_FIELD = "missing_field"
 
-#: Stands for a key a row lacks in the columns ``validate_rows`` reads.
-_ABSENT = object()
 _ROW_INDEX = attrgetter("row_index")
 
 
@@ -79,20 +82,22 @@ def lattice_type(logical_type: str) -> str:
     return lexical.STRING if logical_type == "enum_string" else logical_type
 
 
-def value_test(kind: str, params: dict) -> Callable[[str], bool]:
-    """Compile a value rule kind to its test of one non-empty lexeme; a field
-    range shares the bounds test of ``between``, with either bound ``None``."""
+def value_test(kind: str, params: dict) -> Callable[[str, str], bool]:
+    """Compile a value rule kind to its test of one non-empty lexeme and its
+    class; a field range shares the bounds test of ``between``, with either
+    bound ``None``."""
     if kind == "values_in_set":
-        return params["values"].__contains__
+        values = params["values"]
+        return lambda lexeme, cls: lexeme in values
     if kind == "matches_format":
         fmt = params["format"]
-        return lambda lexeme: lexical.classify_lexeme(lexeme) == fmt
+        return lambda lexeme, cls: cls == fmt
     if kind != "between":
         raise ContractForgeError(f"unknown rule kind {kind!r}")
     within = _within(params["min"], params["max"])
 
-    def between(lexeme: str) -> bool:
-        number = lexical.number_of(lexeme)
+    def between(lexeme: str, cls: str) -> bool:
+        number = lexical.number_in_class(lexeme, cls)
         return number is not None and within(number)
     return between
 
@@ -102,10 +107,10 @@ def _within(lo, hi) -> Callable[[int | float], bool]:
     return lambda number: (lo is None or lo <= number) and (hi is None or number <= hi)
 
 
-def field_check(spec: FieldSpec) -> Callable[[str | None], str | None]:
-    """Compile a field to ``lexeme -> violation kind | None``: nullability,
-    the lattice type, then the enum test through ``value_test`` or the
-    range test on the number the type test already classified."""
+def field_check(spec: FieldSpec) -> Callable[[str | None, str | None], str | None]:
+    """Compile a field to ``(lexeme, class) -> violation kind | None``, where
+    the class is ``None`` for a null: nullability, the lattice type, then the
+    enum test through ``value_test`` or the range test on the number."""
     expected, c = lattice_type(spec.logical_type), spec.constraints
     conforming = {cls for cls in lexical.CLASSES if lexical.is_subclass(cls, expected)}
     null_kind = None if spec.nullable else NULL_VIOLATION
@@ -113,10 +118,9 @@ def field_check(spec: FieldSpec) -> Callable[[str | None], str | None]:
     if not enum and c is not None and (c.min_value is not None or c.max_value is not None):
         within = _within(c.min_value, c.max_value)
 
-        def check_range(lexeme: str | None) -> str | None:
+        def check_range(lexeme: str | None, cls: str | None) -> str | None:
             if lexeme is None:
                 return null_kind
-            cls = lexical.classify_lexeme(lexeme)
             if cls not in conforming:
                 return TYPE_MISMATCH
             number = lexical.number_in_class(lexeme, cls)
@@ -126,61 +130,98 @@ def field_check(spec: FieldSpec) -> Callable[[str | None], str | None]:
         # Every class sits below string: only nulls and an enum miss fail.
         allowed = value_test("values_in_set", {"values": c.allowed_values}) if enum else None
 
-        def check_text(lexeme: str | None) -> str | None:
+        def check_text(lexeme: str | None, cls: str | None) -> str | None:
             if lexeme is None:
                 return null_kind
-            failed = allowed is not None and lexeme != "" and not allowed(lexeme)
+            failed = allowed is not None and lexeme != "" and not allowed(lexeme, cls)
             return ENUM_VIOLATION if failed else None
         return check_text
 
-    def check_type(lexeme: str | None) -> str | None:
+    def check_type(lexeme: str | None, cls: str | None) -> str | None:
         if lexeme is None:
             return null_kind
-        return None if lexical.classify_lexeme(lexeme) in conforming else TYPE_MISMATCH
+        return None if cls in conforming else TYPE_MISMATCH
     return check_type
 
 
 def value_conforms(spec, value) -> bool:
     """Would this single value pass row validation for the given field?"""
-    return field_check(spec)(lexeme_of(value)) is None
+    lexeme = lexeme_of(value)
+    cls = None if lexeme is None else lexical.classify_lexeme(lexeme)
+    return field_check(spec)(lexeme, cls) is None
 
 
-def validate_rows(contract: Contract, rows: list[dict],
-                  allow_unknown: bool = False) -> ValidationReport:
-    """Validate rows field by field; a row passes iff it has no violations.
-
-    Deterministic output: violations are ordered by row index, then contract
-    field order, then row key order for unknown fields.  Each field's check
-    runs once per distinct lexeme of its column, and a column's rows are
-    visited only when the column holds a failing lexeme or a missing key.
-    """
-    violations: list[Violation] = []
+def _failing_columns(contract: Contract, table: Table):
+    """Per field whose column holds a failing lexeme or lacks a required
+    key: its name, its cells, and ``{cell: (violation kind, observed)}``."""
     for spec in contract.fields:
         name, check = spec.name, field_check(spec)
-        column = column_lexemes(rows, name, _ABSENT)
+        tally = table.tally(name)
+        # Every class sits below string, so a text field's check reads none.
+        textual = lattice_type(spec.logical_type) == lexical.STRING
+        classes = {} if textual else table.classes(name)
         missing = None if spec.nullable else MISSING_FIELD
-        failing = {}  # lexeme -> (violation kind, observed text)
-        for lexeme in set(column):
-            kind = missing if lexeme is _ABSENT else check(lexeme)
+        failing = {}
+        for cell in tally:
+            kind = missing if cell is ABSENT else check(cell, classes.get(cell))
             if kind is not None:
-                failing[lexeme] = kind, ("" if lexeme is _ABSENT else
-                                         "null" if lexeme is None else lexeme)
+                failing[cell] = kind, ("" if cell is ABSENT else "null" if cell is None else cell)
         if failing:
-            violations += [Violation(index, name, *failing[lexeme])
-                           for index, lexeme in enumerate(column) if lexeme in failing]
+            yield name, table.column(name), failing
+
+
+def _rows_holding(column: tuple, cells: dict):
+    """The indices of the cells of ``column`` that are keys of ``cells``."""
+    return compress(count(), map(cells.__contains__, column))
+
+
+def _unknown_rows(contract: Contract, table: Table) -> set[int]:
+    """Indices of the rows holding a key that is not a contract field."""
+    known = {f.name for f in contract.fields}
+    rows: set[int] = set()
+    for name in table.columns:
+        if name not in known:
+            rows.update(compress(count(), map(is_not, table.column(name), repeat(ABSENT))))
+    return rows
+
+
+def validate_rows(contract: Contract, rows,
+                  allow_unknown: bool = False) -> ValidationReport:
+    """Validate rows (a :class:`Table` or a list of row dicts) field by field;
+    a row passes iff it has no violations.
+
+    Deterministic output: violations are ordered by row index, then contract
+    field order, then row key order for unknown fields.
+    """
+    table = Table.from_rows(rows)
+    violations: list[Violation] = []
+    for name, column, failing in _failing_columns(contract, table):
+        violations += [Violation(index, name, *failing[column[index]])
+                       for index in _rows_holding(column, failing)]
     if not allow_unknown:
         known = {f.name for f in contract.fields}
-        for index, row in enumerate(rows):
-            if not row.keys() <= known:
-                for key, value in row.items():
-                    if key not in known:
-                        observed = "null" if value is None else lexeme_of(value)
-                        violations.append(Violation(index, key, UNKNOWN_FIELD, observed))
+        for index in sorted(_unknown_rows(contract, table)):
+            for key, value in table[index].items():
+                if key not in known:
+                    observed = "null" if value is None else value
+                    violations.append(Violation(index, key, UNKNOWN_FIELD, observed))
     # Stable: within a row, field order and then row key order stay.
     violations.sort(key=_ROW_INDEX)
     failed_rows = len(set(map(_ROW_INDEX, violations)))
-    return ValidationReport(rows_checked=len(rows), rows_passed=len(rows) - failed_rows,
+    return ValidationReport(rows_checked=len(table), rows_passed=len(table) - failed_rows,
                             violations=violations)
+
+
+def failing_rows(contract: Contract, rows, allow_unknown: bool = False) -> set[int]:
+    """The indices of the rows ``validate_rows`` would fail, found the same
+    way but without building a :class:`Violation` per failure."""
+    table = Table.from_rows(rows)
+    failed: set[int] = set()
+    for _, column, failing in _failing_columns(contract, table):
+        failed.update(_rows_holding(column, failing))
+    if not allow_unknown:
+        failed |= _unknown_rows(contract, table)
+    return failed
 
 
 @dataclass

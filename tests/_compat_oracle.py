@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product
 
 from contractforge.model import Contract, FieldSpec
-from contractforge.validation import validate_rows
+from contractforge.validation import failing_rows
 
 ABSENT = object()
 
@@ -46,8 +46,7 @@ def _field_domain(specs: list[FieldSpec]) -> list:
 
 
 def _pass_vector(contract: Contract, rows: list[dict]) -> list[bool]:
-    report = validate_rows(contract, rows)
-    failed = {v.row_index for v in report.violations}
+    failed = failing_rows(contract, rows)
     return [i not in failed for i in range(len(rows))]
 
 

@@ -16,8 +16,8 @@ from _builders import ENUM_POOL, FIELD_NAMES, random_contract
 from contractforge.expectations import evaluate_rules, synthesize_rules
 from contractforge.inference import infer_contract
 from contractforge.model import QualityRule, parse_contract
-from contractforge.profiling import ingest, read_table
-from contractforge.validation import validate_rows
+from contractforge.profiling import Table, ingest, read_table
+from contractforge.validation import failing_rows, validate_rows
 
 HAND_LABELED = Path(__file__).parent / "data" / "hand_labeled"
 TABLES = sorted(p.stem for p in HAND_LABELED.glob("*.csv"))
@@ -159,3 +159,51 @@ def test_random_tables_match_reference():
     assert outcomes == {(kind, passed) for kind in
                         ("not_null", "unique", "values_in_set", "between", "matches_format")
                         for passed in (False, True)}
+
+
+def _documents(contract, rules, rows, allow_unknown, rules_first=False):
+    """The validation and rule documents for rows, evaluated in either order."""
+    if rules_first:
+        results = [r.to_doc() for r in evaluate_rules(rules, rows)]
+    report = validate_rows(contract, rows, allow_unknown).to_doc()
+    if not rules_first:
+        results = [r.to_doc() for r in evaluate_rules(rules, rows)]
+    return report, results
+
+
+def test_one_table_gives_the_documents_of_its_rows():
+    """Validation and rules read a table's kept column summaries: on a table,
+    on its rows as a list, in either order and twice on one table, the
+    documents are the same."""
+    orders = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(rng=st.randoms(use_true_random=False), rules=RULES, rows=rows_with_collisions(),
+           allow_unknown=st.booleans(), rules_first=st.booleans())
+    def check(rng, rules, rows, allow_unknown, rules_first):
+        contract = random_contract(rng, max_fields=6, with_rules=False)
+        table = Table.from_rows(rows)
+        expected = _documents(contract, rules, list(table), allow_unknown)
+        assert _documents(contract, rules, rows, allow_unknown) == expected
+        assert _documents(contract, rules, table, allow_unknown, rules_first) == expected
+        assert _documents(contract, rules, table, allow_unknown, not rules_first) == expected
+        orders.add(rules_first)
+
+    check()
+    assert orders == {False, True}
+
+
+def test_failing_rows_are_the_rows_with_violations():
+    outcomes = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rng=st.randoms(use_true_random=False), rows=rows_with_collisions(),
+           allow_unknown=st.booleans())
+    def check(rng, rows, allow_unknown):
+        contract = random_contract(rng, max_fields=6, with_rules=False)
+        failed = {v.row_index for v in validate_rows(contract, rows, allow_unknown).violations}
+        assert failing_rows(contract, rows, allow_unknown) == failed
+        outcomes.add((bool(failed), len(failed) < len(rows)))
+
+    check()
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}

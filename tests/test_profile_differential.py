@@ -10,6 +10,7 @@ import csv
 import io
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,11 @@ from hypothesis import strategies as st
 
 import _reference_engine as reference
 from contractforge.errors import IngestError
+from contractforge.expectations import evaluate_rules
 from contractforge.lexical import classify_lexeme
+from contractforge.model import Constraints, Contract, FieldSpec, QualityRule
 from contractforge.profiling import IngestOptions, dump_profile, ingest, read_table
+from contractforge.validation import validate_rows
 
 HAND_LABELED = Path(__file__).parent / "data" / "hand_labeled"
 TABLES = sorted(p.stem for p in HAND_LABELED.glob("*.csv"))
@@ -196,6 +200,143 @@ def test_random_tables_match_reference():
             seen["nulls"] += column["null_count"] > 0
             seen["repeats"] += column["distinct_count"] + column["null_count"] \
                 < column["total_count"]
+
+    check()
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+# -- ndjson: the engine on the reader's table ------------------------------------
+
+LIVE = SimpleNamespace(read_table=read_table, ingest=ingest, validate_rows=validate_rows,
+                       evaluate_rules=evaluate_rules)
+RULE_KINDS = [("not_null", {}), ("unique", {}), ("between", {"min": 0, "max": 2}),
+              ("matches_format", {"format": "date"})]
+
+
+def _enforced(data: bytes, contract: Contract, options: IngestOptions | None = None):
+    """(live, reference) outcomes of reading ndjson ``data`` and enforcing
+    ``contract`` and a rule of every kind per field on it: the rows and
+    their key order, the profile and its sample rows' key order, both
+    validation reports and the rule results; or the error each raised."""
+    rules = [QualityRule(kind, spec.name, params, "warning")
+             for spec in contract.fields for kind, params in RULE_KINDS]
+
+    def run(engine):
+        try:
+            columns, rows = engine.read_table(data, "ndjson", options)
+            profile = engine.ingest(data, "ndjson", options, dataset_name="t")
+        except IngestError as exc:
+            return "error", str(exc)
+        return (columns, list(rows), [list(row) for row in rows], dump_profile(profile),
+                [list(row) for row in profile.sample_rows],
+                [engine.validate_rows(contract, rows, allow).to_doc() for allow in (False, True)],
+                [result.to_doc() for result in engine.evaluate_rules(rules, rows)])
+    return run(LIVE), run(reference)
+
+
+def _contract(*fields: tuple) -> Contract:
+    contract = Contract("t", [FieldSpec(*field) for field in fields])
+    contract.validate()
+    return contract
+
+
+def test_ndjson_rows_keep_their_key_order():
+    """Unknown-field violations and sample rows follow each line's own key
+    order, also where it differs from the first-seen column order."""
+    data = (b'{"a":"1","b":"x","z":"u"}\n{"q":1,"z":2,"a":"x"}\n'
+            b'{"b":null,"a":2}\n{"z":null,"b":"y","q":[1]}\n')
+    live, ref = _enforced(data, _contract(("a", "integer", False), ("b", "string", False)))
+    assert live == ref
+    assert live[2] == [["a", "b", "z"], ["q", "z", "a"], ["b", "a"], ["z", "b", "q"]]
+    assert live[4] == live[2]
+    unknown = [(v["row_index"], v["field_name"]) for v in live[5][0]["violations"]
+               if v["kind"] == "unknown_field"]
+    assert unknown == [(0, "z"), (1, "q"), (1, "z"), (3, "z"), (3, "q")]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_ndjson_nested_objects_match_reference(depth):
+    data = (b'{"a":{"b":{"c":1}},"d":{},"e":{"f":"x"}}\n'
+            b'{"e":{"f":null},"a":{"b":2}}\n{"a":{"b":{"c":"3","g":true}}}\n')
+    contract = _contract(("a", "string", False), ("a.b", "integer", True),
+                         ("a.b.c", "integer", False), ("d", "string", True), ("e.f", "string", False))
+    live, ref = _enforced(data, contract, IngestOptions(flatten_depth=depth))
+    assert live[0] != "error"
+    assert live == ref
+
+
+def test_ndjson_keys_that_need_stripping_match_reference():
+    data = b'{" a ":"1","b":"2"}\n{"a":"x","b ":null}\n{"b":"3"," c":{" d":4}}\n'
+    contract = _contract(("a", "integer", False), ("b", "integer", True),
+                         ("c.d", "integer", True))
+    live, ref = _enforced(data, contract)
+    assert live[0] == ["a", "b", "c.d"]
+    assert live == ref
+
+
+def test_ndjson_lines_with_outer_whitespace_match_reference():
+    data = b' {"a":"1"}\n{"a":2}\t\n\t{"a":{"b":3}} \n{"a":4}\r\n'
+    live, ref = _enforced(data, _contract(("a", "integer", True), ("a.b", "integer", True)))
+    assert live[0] == ["a", "a.b"]
+    assert live == ref
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{"a":1," a":2}\n', "line 1: duplicate key 'a'"),
+    (b'{"a":1}\n{"a.b":1,"a":{"b":2}}\n', "line 2: duplicate key 'a.b'"),
+    (b'{"a":{"b":1},"a.b ":2}\n', "line 1: duplicate key 'a.b'"),
+    (b'{"a":1}\n\n{"b":1,"b ":2}\nnot json\n', "line 3: duplicate key 'b'"),
+    (b'{"a":1}\n{"a":1}x\n{"a ":1,"a":2}\n', "ndjson line 2: Extra data"),
+], ids=["stripped", "flattened", "flattened-then-stripped", "before-a-bad-line",
+        "after-a-bad-line"])
+def test_ndjson_duplicate_keys_are_the_reference_errors(data, message):
+    live, ref = _enforced(data, _contract(("a", "string", True)))
+    assert live == ref
+    assert live[0] == "error" and message in live[1]
+
+
+FIELD_KINDS = st.sampled_from([
+    ("string", None), ("integer", None), ("number", Constraints(min_value=-1, max_value=1)),
+    ("boolean", None), ("enum_string", Constraints(allowed_values=["1", "x"])),
+])
+
+
+@st.composite
+def ndjson_contracts(draw) -> Contract:
+    names = draw(st.lists(st.sampled_from(["id", "v", "w", "n", "v.a", "w.b", "v.a.b"]),
+                          min_size=1, max_size=4, unique=True))
+    kinds = [draw(FIELD_KINDS) for _ in names]
+    return _contract(*((name, kind, draw(st.booleans()), constraints)
+                       for name, (kind, constraints) in zip(names, kinds)))
+
+
+@st.composite
+def reordered_ndjson_tables(draw) -> bytes:
+    """Lines holding any keys in any order, now and then one to be stripped."""
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        keys = draw(st.permutations(["id", "v", "w", "n", "z"]))[:draw(st.integers(0, 5))]
+        obj = {(f" {key}" if draw(st.integers(0, 9)) == 0 else key): draw(VALUES) for key in keys}
+        lines.append(json.dumps(obj) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def test_random_ndjson_enforcement_matches_reference():
+    seen = {"tables": 0, "error": 0, "violations": 0, "reordered": 0}
+
+    @derandomized(150)
+    @given(data=ndjson_tables() | reordered_ndjson_tables(), options=OPTIONS,
+           contract=ndjson_contracts())
+    def check(data, options, contract):
+        live, ref = _enforced(data, contract, options)
+        assert live == ref
+        if live[0] == "error":
+            seen["error"] += 1
+            return
+        seen["tables"] += 1
+        seen["violations"] += bool(live[5][0]["violations"])
+        first_seen = live[0]
+        seen["reordered"] += any(keys != sorted(keys, key=first_seen.index) for keys in live[2])
 
     check()
     assert all(count >= 20 for count in seen.values()), seen

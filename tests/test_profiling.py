@@ -2,11 +2,12 @@
 
 import io
 import json
+from collections.abc import Sequence
 
 import pytest
 
 from contractforge.errors import IngestError
-from contractforge.profiling import (IngestOptions, dump_profile, ingest,
+from contractforge.profiling import (ABSENT, IngestOptions, Table, dump_profile, ingest,
                                      load_profile, profile_column, read_table)
 from conftest import csv_bytes, profile_of
 
@@ -216,3 +217,68 @@ def test_unknown_format_rejected():
 def test_invalid_utf8_rejected():
     with pytest.raises(IngestError, match="UTF-8"):
         ingest(b"a,b\n\xff\xfe,2\n", "delimited")
+
+
+@pytest.mark.parametrize("options, message", [
+    (IngestOptions(value_cap=-1), "value_cap must be a non-negative integer"),
+    (IngestOptions(row_cap=-1), "row_cap must be a non-negative integer"),
+    (IngestOptions(value_cap=-1, row_cap=-1), "value_cap"),
+    (IngestOptions(flatten_depth=-1), "flatten_depth must be a non-negative integer"),
+    (IngestOptions(value_cap=2.5), "value_cap"),
+    (IngestOptions(row_cap=True), "row_cap"),
+    (IngestOptions(null_tokens=[None]), "null_tokens must be a list of strings"),
+    (IngestOptions(null_tokens="NA"), "null_tokens must be a list of strings"),
+])
+def test_bad_options_are_ingest_errors(options, message):
+    for call in (read_table, ingest):
+        with pytest.raises(IngestError, match=message):
+            call(b"a\n1\n2\n3\n", "delimited", options)
+
+
+class TestTable:
+    NDJSON = b'{"a":"1","b":"x"}\n{"c":2,"a":null}\n{}\n'
+    ROWS = [{"a": "1", "b": "x"}, {"c": "2", "a": None}, {}]
+
+    def test_a_sequence_of_row_dicts(self):
+        columns, table = read_table(self.NDJSON, "ndjson")
+        assert columns == ["a", "b", "c"] and isinstance(table, Sequence)
+        assert len(table) == 3
+        assert list(table) == self.ROWS
+        assert table == self.ROWS and self.ROWS == table and table == table
+        assert table != self.ROWS[:2] and table != [*self.ROWS[:2], {"a": None}]
+        assert table != tuple(self.ROWS)
+        assert table[1] == table[-2] == self.ROWS[1]
+        assert table[:2] == self.ROWS[:2] and table[::-1] == self.ROWS[::-1]
+        with pytest.raises(IndexError):
+            table[3]
+        with pytest.raises(IndexError):
+            table[-4]
+
+    def test_rows_keep_their_own_key_order_and_lack_absent_keys(self):
+        _, table = read_table(self.NDJSON, "ndjson")
+        assert [list(row) for row in table] == [["a", "b"], ["c", "a"], []]
+        assert sum(len(row) for row in table) == 4
+        assert table.column("b") == ("x", ABSENT, ABSENT)
+        assert table.column("nope") == (ABSENT,) * 3
+
+    def test_delimited_columns_and_a_header_only_table(self):
+        columns, table = read_table(b"a,b\n1,\n\n3,4\n", "delimited")
+        assert columns == ["a", "b"] and table == [{"a": "1", "b": None}, {"a": "3", "b": "4"}]
+        assert table.column("b") == (None, "4")
+        columns, table = read_table(b"a,b\n", "delimited")
+        assert columns == ["a", "b"] and len(table) == 0 and table == []
+        assert table.column("a") == ()
+
+    def test_from_rows_reads_values_as_lexemes(self):
+        table = Table.from_rows([{"n": 1, "f": True}, {"f": 1.0, "n": None, "l": [1]}])
+        assert [list(row) for row in table] == [["n", "f"], ["f", "n", "l"]]
+        assert table == [{"n": "1", "f": "true"}, {"f": "1.0", "n": None, "l": "[1]"}]
+        assert Table.from_rows(table) is table
+
+    def test_a_column_summary_is_computed_once(self):
+        _, table = read_table(b"a\n1\nx\n1\n\"\"\n", "delimited")
+        assert list(table.tally("a").items()) == [("1", 2), ("x", 1), (None, 1)]
+        assert list(table.classes("a").items()) == [("1", "integer"), ("x", "string")]
+        assert table.tally("a") is table.tally("a")
+        assert table.classes("a") is table.classes("a")
+        assert table.tally("nope") == {ABSENT: 4} and table.classes("nope") == {}
