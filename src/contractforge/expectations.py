@@ -11,7 +11,7 @@ Unlike a field's range, ``between`` fails a non-numeric lexeme; nulls (and
 absent keys) are skipped by every kind except ``not_null``, and empty
 lexemes by every kind.  Rules read the kept column tallies and classes of
 a :class:`~.profiling.Table`, so a table that was just validated is not
-tallied or classified again.
+tallied or classified again; ``values_in_set`` reads only the tally.
 """
 
 from __future__ import annotations
@@ -100,7 +100,10 @@ def evaluate_rules(rules: list[QualityRule], rows) -> list[RuleResult]:
             failed = len(table) - sum(tally[cell] for cell in blanks) - (len(tally) - len(blanks))
         else:
             test = value_test(rule.kind, rule.params)
-            failed = sum(tally[lexeme] for lexeme, cls in table.classes(rule.column).items()
+            # Set membership reads no class, so it classifies nothing.
+            classes = ({cell: None for cell in tally if isinstance(cell, str)}
+                       if rule.kind == "values_in_set" else table.classes(rule.column))
+            failed = sum(tally[lexeme] for lexeme, cls in classes.items()
                          if lexeme and not test(lexeme, cls))
         results.append(RuleResult(rule=rule, rows_failed=failed))
     return results

@@ -29,7 +29,6 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import itemgetter
 
 from .errors import IngestError, parse_json
 from .lexical import EMPTY, classify_lexeme
@@ -53,11 +52,14 @@ class IngestOptions:
     null_tokens: list[str] = field(default_factory=list)
 
 
+def _check_count(name: str, value) -> None:
+    if type(value) is not int or value < 0:
+        raise IngestError(f"{name} must be a non-negative integer, got {value!r:.40}")
+
+
 def _check_options(options: IngestOptions) -> None:
     for name in ("value_cap", "row_cap", "flatten_depth"):
-        value = getattr(options, name)
-        if type(value) is not int or value < 0:
-            raise IngestError(f"{name} must be a non-negative integer, got {value!r:.40}")
+        _check_count(name, getattr(options, name))
     tokens = options.null_tokens
     if not isinstance(tokens, (list, tuple)) or not all(isinstance(t, str) for t in tokens):
         raise IngestError(f"null_tokens must be a list of strings, got {tokens!r:.40}")
@@ -193,23 +195,12 @@ class _Absent:
 
 #: Stands, in a :class:`Table` column, for a key a row lacks.
 ABSENT = _Absent()
-_LEXEME_TYPES = {str, type(None), _Absent}
-#: ``lexeme_of`` for a cell of one scalar type.
-_TEXT_OF = {int: str, float: repr, bool: {True: "true", False: "false"}.__getitem__}
 
 
 def _lexemes(cells: list) -> tuple:
-    """A column's cells as lexemes: kept as they are when they hold only text,
-    nulls and ``ABSENT``, and otherwise read like ``lexeme_of`` does, because
-    ``True``, ``1`` and ``1.0`` are one dict key and lists are none."""
-    kinds = set(map(type, cells)) - _LEXEME_TYPES
-    if not kinds:
-        return tuple(cells)
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind in _TEXT_OF:
-        text = _TEXT_OF[kind]
-        return tuple([text(cell) if type(cell) is kind else cell for cell in cells])
-    return tuple(cell if cell is ABSENT else lexeme_of(cell) for cell in cells)
+    """A column's cells read with ``lexeme_of``, because ``True``, ``1`` and
+    ``1.0`` are one dict key and lists are none; ``ABSENT`` stays."""
+    return tuple([cell if cell is ABSENT else lexeme_of(cell) for cell in cells])
 
 
 def _classes(tally: Counter) -> dict[str, str]:
@@ -256,11 +247,7 @@ class Table(Sequence):
                 unordered[keys] = keys
         key_orders = {index: shared for index, keys in enumerate(map(tuple, rows))
                       if (shared := unordered.get(keys))} if unordered else {}
-        # Keys every row holds, whose columns need no default.
-        everywhere = set.intersection(*map(set, shapes)) if shapes else set()
-        cells = [_lexemes(list(map(itemgetter(name), rows)) if name in everywhere
-                          else [row.get(name, ABSENT) for row in rows])
-                 for name in positions]
+        cells = [_lexemes([row.get(name, ABSENT) for row in rows]) for name in positions]
         return cls(positions, cells, len(rows), key_orders)
 
     def column(self, name: str) -> tuple:
@@ -327,6 +314,7 @@ def profile_column(values: Sequence, name: str = "",
     each distinct lexeme is classified once; the tally keeps first-seen
     order, and so does the histogram.
     """
+    _check_count("value_cap", value_cap)
     tally = Counter(values)
     classes = _classes(tally)
     histogram: dict[str, int] = {}
@@ -405,30 +393,16 @@ def _flatten(obj: dict, depth: int, line_no: int) -> dict:
 
 
 def _read_ndjson(text: str, options: IngestOptions) -> Table:
-    # Where ``raw_decode`` reads a whole line, its value is what ``json.loads``
-    # returns; every other line, a bad one included, goes through
-    # ``parse_json``, which gives the same value or the error.
-    decode = json.JSONDecoder().raw_decode
-    stripped: dict[tuple, bool] = {}  # a line's keys -> none needs stripping
     rows: list[dict] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            obj, end = decode(line)
-        except (ValueError, RecursionError):
-            end = None
-        if end != len(line):
-            obj = parse_json(line, IngestError, f"ndjson line {line_no}")
+        obj = parse_json(line, IngestError, f"ndjson line {line_no}")
         if not isinstance(obj, dict):
             raise IngestError(f"malformed ndjson line {line_no}: not a JSON object")
         # An object holds a nested object only if its line holds a second
         # brace; a flat one with stripped keys is already a row.
-        keys = tuple(obj)
-        flat = stripped.get(keys)
-        if flat is None:
-            flat = stripped[keys] = all(key == key.strip() for key in keys)
-        if not flat or line.count("{") > 1:
+        if line.count("{") > 1 or not all(key == key.strip() for key in obj):
             obj = _flatten(obj, options.flatten_depth, line_no)
         rows.append(obj)
     if not rows:

@@ -15,7 +15,8 @@ Validation reads the kept column tallies and classes of a
 ``Table.from_rows``): each distinct lexeme of a field's column gets one
 verdict, and only a column holding a failing lexeme or a missing key is
 walked again, to flag the rows that hold one.  ``validate_rows`` turns
-those rows into violations; ``failing_rows`` only collects their indices.
+those rows into violations; ``failing_rows`` only collects their indices,
+unknown keys always included.
 """
 
 from __future__ import annotations
@@ -212,15 +213,14 @@ def validate_rows(contract: Contract, rows,
                             violations=violations)
 
 
-def failing_rows(contract: Contract, rows, allow_unknown: bool = False) -> set[int]:
-    """The indices of the rows ``validate_rows`` would fail, found the same
-    way but without building a :class:`Violation` per failure."""
+def failing_rows(contract: Contract, rows) -> set[int]:
+    """The indices of the rows ``validate_rows`` would fail (unknown keys
+    included), found the same way but without building a :class:`Violation`
+    per failure."""
     table = Table.from_rows(rows)
-    failed: set[int] = set()
+    failed = _unknown_rows(contract, table)
     for _, column, failing in _failing_columns(contract, table):
         failed.update(_rows_holding(column, failing))
-    if not allow_unknown:
-        failed |= _unknown_rows(contract, table)
     return failed
 
 

@@ -197,12 +197,11 @@ def test_failing_rows_are_the_rows_with_violations():
     outcomes = set()
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(rng=st.randoms(use_true_random=False), rows=rows_with_collisions(),
-           allow_unknown=st.booleans())
-    def check(rng, rows, allow_unknown):
+    @given(rng=st.randoms(use_true_random=False), rows=rows_with_collisions())
+    def check(rng, rows):
         contract = random_contract(rng, max_fields=6, with_rules=False)
-        failed = {v.row_index for v in validate_rows(contract, rows, allow_unknown).violations}
-        assert failing_rows(contract, rows, allow_unknown) == failed
+        failed = {v.row_index for v in validate_rows(contract, rows).violations}
+        assert failing_rows(contract, rows) == failed
         outcomes.add((bool(failed), len(failed) < len(rows)))
 
     check()

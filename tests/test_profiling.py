@@ -233,6 +233,9 @@ def test_bad_options_are_ingest_errors(options, message):
     for call in (read_table, ingest):
         with pytest.raises(IngestError, match=message):
             call(b"a\n1\n2\n3\n", "delimited", options)
+    if message.startswith("value_cap"):
+        with pytest.raises(IngestError, match=message):
+            profile_column(["1", "2", "3"], "a", options.value_cap)
 
 
 class TestTable:
