@@ -26,8 +26,7 @@ from .evalharness import CorpusMetrics, TableMetrics, run_eval, structural_accur
 from .expectations import RuleResult, evaluate_rules, synthesize_rules
 from .generation import (GenerationPolicy, GenerationReport, TWO_PASS,
                          extract_contract, generate_contract, score_candidate)
-from .inference import (InferenceOptions, infer_contract, infer_field,
-                        safe_generic_contract)
+from .inference import infer_contract, infer_field, safe_generic_contract
 from .lexical import classify_lexeme, join
 from .model import (Constraints, Contract, FieldSpec, Provenance, QualityRule,
                     canonicalize, contract_from_doc, parse_contract,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BackendTransportError, ContractForgeError, parse_json
-from .inference import InferenceOptions, infer_contract
+from .inference import infer_contract
 from .model import canonicalize
 from .profiling import DataProfile
 from .prompts import STAGE1_PREFIX
@@ -62,15 +62,13 @@ class OracleBackend(CompletionBackend):
 
     backend_id = "oracle"
 
-    def __init__(self, profile: DataProfile,
-                 options: InferenceOptions | None = None):
+    def __init__(self, profile: DataProfile):
         self._profile = profile
-        self._options = options
 
     def complete(self, request: GenerationRequest) -> list[str]:
         if request.prompt.startswith(STAGE1_PREFIX):
             return [json.dumps(self._profile.column_names())]
-        return [canonicalize(infer_contract(self._profile, self._options))]
+        return [canonicalize(infer_contract(self._profile))]
 
 
 class ScriptedBackend(CompletionBackend):

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import argparse
 import copy
-import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .backends import HttpBackend, OracleBackend, ScriptedBackend
 from .errors import (BackendTransportError, ContractForgeError, NotFoundError,
-                     RegistryRejection, RegistryTransportError, parse_json)
+                     RegistryRejection, RegistryTransportError, dump_json,
+                     parse_json)
 from .evalharness import format_metrics_table, run_eval
 from .expectations import evaluate_rules, synthesize_rules
 from .generation import TWO_PASS, GenerationPolicy, generate_contract
@@ -107,7 +107,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_doc(doc, out: str | None) -> None:
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+    _emit(dump_json(doc), out)
 
 
 def _note(message: str) -> None:

@@ -63,8 +63,8 @@ def _value_set_reasons(name: str, narrow: FieldSpec, wide: FieldSpec) -> list[st
 
 def _subsumption_reasons(old: Contract, new: Contract) -> list[str]:
     """Why some row valid under ``old`` would be rejected by ``new``."""
-    old_fields = {f.name.strip(): f for f in old.fields}
-    new_fields = {f.name.strip(): f for f in new.fields}
+    old_fields = {f.name: f for f in old.fields}
+    new_fields = {f.name: f for f in new.fields}
     reasons: list[str] = []
     for name in old_fields:
         if name not in new_fields:
@@ -171,13 +171,13 @@ def diff(old: Contract, new: Contract) -> ContractDiff:
     if old.name != new.name:
         result.constraint_changes.append(
             {"name": old.name, "description": f"contract renamed to {new.name!r}"})
-    old_fields = {f.name.strip(): f for f in old.fields}
-    new_fields = {f.name.strip(): f for f in new.fields}
+    old_fields = {f.name: f for f in old.fields}
+    new_fields = {f.name: f for f in new.fields}
     result.added_fields = sorted(n for n in new_fields if n not in old_fields)
     result.removed_fields = sorted(n for n in old_fields if n not in new_fields)
     common = [n for n in old_fields if n in new_fields]
-    old_order = [f.name.strip() for f in old.fields if f.name.strip() in new_fields]
-    new_order = [f.name.strip() for f in new.fields if f.name.strip() in old_fields]
+    old_order = [f.name for f in old.fields if f.name in new_fields]
+    new_order = [f.name for f in new.fields if f.name in old_fields]
     if old_order != new_order:
         result.constraint_changes.append(
             {"name": old.name, "description": "field order changed"})

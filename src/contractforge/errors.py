@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its one JSON reader
+(``parse_json``) and one JSON writer (``dump_json``)."""
 
 from __future__ import annotations
 
@@ -97,3 +98,10 @@ def parse_json(text: str | bytes, error: type[ContractForgeError] = ContractForg
     except RecursionError:
         reason = "nesting too deep to read"
     raise error(f"{context}: {reason}" if context else reason, **where)
+
+
+def dump_json(doc) -> str:
+    """The canonical text of a document, paired with :func:`parse_json`: keys
+    sorted, 2-space indent, non-ASCII escaped, newline-terminated.  Every
+    contract, profile, registry file and CLI or service reply is written so."""
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True) + "\n"

@@ -55,14 +55,15 @@ class CorpusMetrics:
 
 def structural_accuracy(generated: Contract, truth: Contract) -> float:
     """Fraction of ground-truth fields the generated contract reproduces
-    with the same trimmed name and a conformant type (exact match, plus
-    integer accepted where truth says number)."""
+    with the same name and a conformant type (exact match, plus integer
+    accepted where truth says number).  Names match as written: a contract
+    that parses has trimmed names."""
     if not truth.fields:
         raise ContractForgeError("truth contract has no fields")
-    generated_types = {f.name.strip(): f.logical_type for f in generated.fields}
+    generated_types = {f.name: f.logical_type for f in generated.fields}
     hits = 0
     for spec in truth.fields:
-        got = generated_types.get(spec.name.strip())
+        got = generated_types.get(spec.name)
         if got is None:
             continue
         if got == spec.logical_type or \

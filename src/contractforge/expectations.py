@@ -19,14 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractForgeError
-from .inference import _numeric_bounds
+from .inference import ENUM_MIN_ROWS, _numeric_bounds
 from .model import FieldSpec, QualityRule
 from .profiling import ABSENT, DataProfile, Table
 from .validation import value_test
 
 #: Column must be unique over at least this many rows before a uniqueness
 #: rule is worth asserting; reuses the enum-promotion row floor.
-UNIQUE_MIN_ROWS = 20
+UNIQUE_MIN_ROWS = ENUM_MIN_ROWS
 
 
 @dataclass

@@ -27,6 +27,8 @@ TRIM_TO_BRACES = "trim_to_braces"
 REMOVE_TRAILING_COMMAS = "remove_trailing_commas"
 
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\s*\n?(.*?)```", re.DOTALL)
+# A JSON string literal, up to its closing quote or the end of the text.
+_STRING_LITERAL = r'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)'
 
 
 @dataclass
@@ -83,6 +85,14 @@ def strip_fences(text: str) -> str:
     return match.group(1) if match else text
 
 
+def _outside_strings(text: str, pattern: str):
+    """Yield the start of each match of ``pattern`` in ``text`` that lies
+    outside JSON string literals."""
+    for match in re.finditer(f"({_STRING_LITERAL})|{pattern}", text, re.DOTALL):
+        if match.group(1) is None:
+            yield match.start()
+
+
 def _balanced_span(text: str, open_char: str, close_char: str) -> str | None:
     """First balanced span between the delimiters, string-literal aware.
 
@@ -91,22 +101,10 @@ def _balanced_span(text: str, open_char: str, close_char: str) -> str | None:
     """
     stack: list[int] = []
     best: tuple[int, int] | None = None
-    in_string = False
-    escaped = False
-    for pos, ch in enumerate(text):
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == open_char:
+    for pos in _outside_strings(text, f"[{re.escape(open_char + close_char)}]"):
+        if text[pos] == open_char:
             stack.append(pos)
-        elif ch == close_char and stack:
+        elif stack:
             start = stack.pop()
             if best is None or start < best[0]:
                 best = (start, pos)
@@ -122,32 +120,12 @@ def trim_to_braces(text: str) -> str:
 
 def remove_trailing_commas(text: str) -> str:
     """Drop commas that directly precede a closer, outside string literals."""
-    out: list[str] = []
-    in_string = False
-    escaped = False
-    for ch in text:
-        if in_string:
-            out.append(ch)
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-            out.append(ch)
-            continue
-        if ch in "}]":
-            # walk back over whitespace to find a trailing comma
-            idx = len(out) - 1
-            while idx >= 0 and out[idx] in " \t\r\n":
-                idx -= 1
-            if idx >= 0 and out[idx] == ",":
-                del out[idx]
-        out.append(ch)
-    return "".join(out)
+    pieces: list[str] = []
+    start = 0
+    for pos in _outside_strings(text, r",(?=[ \t\r\n]*[}\]])"):
+        pieces.append(text[start:pos])
+        start = pos + 1
+    return "".join(pieces) + text[start:]
 
 
 _SCHEMA_TYPE_MAP = {"integer": "integer", "number": "number",
@@ -244,8 +222,8 @@ def extract_contract(completion: str) -> tuple[Contract, list[str]]:
 def score_candidate(contract: Contract, profile: DataProfile) -> float:
     """Validator score in [0, 1]: column coverage (0.5), sample-row pass
     rate (0.3) and absence of invented fields (0.2)."""
-    columns = {c.name.strip() for c in profile.columns}
-    fields = {f.name.strip() for f in contract.fields}
+    columns = set(profile.column_names())
+    fields = set(contract.field_names())
     coverage = len(fields & columns) / max(1, len(columns))
     if profile.sample_rows:
         rows = len(profile.sample_rows)
@@ -284,7 +262,6 @@ def generate_contract(profile: DataProfile, backend: CompletionBackend,
     if not profile.columns:
         raise ContractForgeError("empty profile")
 
-    effective_mode = SINGLE_PASS if policy.mode not in (TWO_PASS,) else TWO_PASS
     stage1_columns = None
     if policy.mode == TWO_PASS:
         stage1_request = GenerationRequest(
@@ -295,12 +272,13 @@ def generate_contract(profile: DataProfile, backend: CompletionBackend,
         )
         stage1_texts = backend.complete(stage1_request)
         stage1_columns = _parse_stage1(stage1_texts[0]) if stage1_texts else None
-        if stage1_columns is None:
-            effective_mode = SINGLE_PASS  # degrade rather than fail
+    # Two-pass iff stage 1 yielded columns: a failed stage 1 degrades to
+    # single-pass rather than failing.
+    two_pass = stage1_columns is not None
 
-    prompt_mode = TWO_PASS_STAGE2 if stage1_columns is not None else SINGLE_PASS
     request = GenerationRequest(
-        prompt=build_prompt(profile, prompt_mode, stage1_columns),
+        prompt=build_prompt(profile, TWO_PASS_STAGE2 if two_pass else SINGLE_PASS,
+                            stage1_columns),
         temperature=policy.temperature,
         max_output_chars=policy.max_output_chars,
         candidate_count=policy.candidate_count,
@@ -317,26 +295,21 @@ def generate_contract(profile: DataProfile, backend: CompletionBackend,
             record.error = str(exc)
         candidates.append(record)
 
-    best: int | None = None
-    for index, record in enumerate(candidates):
-        if record.parsed is None:
-            continue
-        if best is None or record.score > candidates[best].score:
-            best = index
-
-    if best is None or candidates[best].score < policy.threshold:
+    # The first of the best scores wins.
+    best = max((i for i, record in enumerate(candidates) if record.parsed is not None),
+               key=lambda i: candidates[i].score, default=None)
+    if best is not None and candidates[best].score < policy.threshold:
+        best = None
+    if best is None:
         contract = safe_generic_contract(profile, generated_at=policy.generated_at)
         contract.provenance.backend_id = backend.backend_id
-        report = GenerationReport(candidates=candidates, chosen=None,
-                                  fallback=True, mode=effective_mode)
-        report.validate()
-        return contract, report
-
-    contract = candidates[best].parsed
-    contract.provenance = Provenance(backend_id=backend.backend_id,
-                                     generator_mode="backend",
-                                     generated_at=policy.generated_at)
+    else:
+        contract = candidates[best].parsed
+        contract.provenance = Provenance(backend_id=backend.backend_id,
+                                         generator_mode="backend",
+                                         generated_at=policy.generated_at)
     report = GenerationReport(candidates=candidates, chosen=best,
-                              fallback=False, mode=effective_mode)
+                              fallback=best is None,
+                              mode=TWO_PASS if two_pass else SINGLE_PASS)
     report.validate()
     return contract, report

@@ -3,13 +3,13 @@
 This is the engine's ground-truth path: it serves as an independent oracle
 for evaluating generated contracts, as a generation backend in its own
 right, and as the producer of the safe fallback contract used when no
-generated candidate survives validation.
+generated candidate survives validation.  Inference has no settings: the
+enum-promotion thresholds are the module constants below.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import lexical
 from .errors import ContractForgeError
@@ -18,16 +18,12 @@ from .profiling import ColumnProfile, DataProfile
 
 ORACLE_BACKEND_ID = "oracle"
 
-
-@dataclass
-class InferenceOptions:
-    # Enum promotion: at least this many rows and at most
-    # min(enum_max_values, ceil(enum_fraction * rows)) distinct values.
-    # Tuned to fire on desk-scale fixtures without promoting ID-like columns.
-    enum_min_rows: int = 20
-    enum_max_values: int = 10
-    enum_fraction: float = 0.1
-    generated_at: str | None = None
+# Enum promotion: at least ENUM_MIN_ROWS rows and at most
+# min(ENUM_MAX_VALUES, ceil(ENUM_FRACTION * rows)) distinct values.
+# Tuned to fire on desk-scale fixtures without promoting ID-like columns.
+ENUM_MIN_ROWS = 20
+ENUM_MAX_VALUES = 10
+ENUM_FRACTION = 0.1
 
 
 def _observed_classes(column: ColumnProfile) -> list[str]:
@@ -58,24 +54,21 @@ def _numeric_bounds(column: ColumnProfile, logical_type: str) -> Constraints | N
     return Constraints(min_value=lo, max_value=hi)
 
 
-def _enum_eligible(column: ColumnProfile, options: InferenceOptions) -> bool:
-    if column.total_count < options.enum_min_rows or column.distinct_count == 0:
+def _enum_eligible(column: ColumnProfile) -> bool:
+    if column.total_count < ENUM_MIN_ROWS or column.distinct_count == 0:
         return False
-    cap = min(options.enum_max_values,
-              math.ceil(round(column.total_count * options.enum_fraction, 9)))
+    cap = min(ENUM_MAX_VALUES, math.ceil(round(column.total_count * ENUM_FRACTION, 9)))
     if column.distinct_count > cap:
         return False
     # Promote only when the sample provably holds every distinct value.
     return len(set(column.sample_values)) == column.distinct_count
 
 
-def infer_field(column: ColumnProfile,
-                options: InferenceOptions | None = None) -> FieldSpec:
-    options = options or InferenceOptions()
+def infer_field(column: ColumnProfile) -> FieldSpec:
     logical_type = infer_column_type(column)
     nullable = column.null_count > 0
     constraints = None
-    if logical_type == lexical.STRING and _enum_eligible(column, options):
+    if logical_type == lexical.STRING and _enum_eligible(column):
         logical_type = "enum_string"
         constraints = Constraints(allowed_values=sorted(set(column.sample_values)))
     elif logical_type in (lexical.INTEGER, lexical.NUMBER):
@@ -84,21 +77,18 @@ def infer_field(column: ColumnProfile,
                      nullable=nullable, constraints=constraints)
 
 
-def infer_contract(profile: DataProfile,
-                   options: InferenceOptions | None = None) -> Contract:
+def infer_contract(profile: DataProfile) -> Contract:
     """Deterministic stand-in for the generation step: one field per profile
     column, types from the lexical lattice, enum promotion for small stable
     value domains, observed min/max on numeric columns (no padding)."""
-    options = options or InferenceOptions()
     if not profile.columns:
         raise ContractForgeError("empty profile")
     contract = Contract(
         name=profile.dataset_name,
-        fields=[infer_field(c, options) for c in profile.columns],
+        fields=[infer_field(c) for c in profile.columns],
         version=1,
         status="draft",
-        provenance=Provenance(backend_id=ORACLE_BACKEND_ID, generator_mode="oracle",
-                              generated_at=options.generated_at),
+        provenance=Provenance(backend_id=ORACLE_BACKEND_ID, generator_mode="oracle"),
     )
     contract.validate()
     return contract

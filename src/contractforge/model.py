@@ -6,15 +6,17 @@ house.  ``to_json_schema`` is the export path for consumers that want a
 standard validator document.
 
 Parsing is strict: unknown keys are rejected rather than silently accepted,
-since most contract text arrives from a text-generation backend.
+since most contract text arrives from a text-generation backend.  Field
+names and rule columns are trimmed by construction (``Contract.validate``
+rejects leading or trailing whitespace), so every other module compares
+names exactly as written.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from .errors import ContractSyntaxError, InvariantViolation, parse_json
+from .errors import ContractSyntaxError, InvariantViolation, dump_json, parse_json
 
 LOGICAL_TYPES = ("boolean", "integer", "number", "string", "date", "timestamp", "enum_string")
 NUMERIC_TYPES = ("integer", "number")
@@ -166,7 +168,10 @@ class Contract:
         raise KeyError(name)
 
     def validate(self) -> None:
-        names = [f.name.strip() for f in self.fields]
+        names = [f.name for f in self.fields]
+        padded = [n for n in names + [r.column for r in self.rules] if n != n.strip()]
+        if padded:
+            raise InvariantViolation("names trimmed", ", ".join(repr(n) for n in padded))
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise InvariantViolation("field names unique", ", ".join(repr(d) for d in dupes))
@@ -312,7 +317,7 @@ def parse_contract(text: str) -> Contract:
 def canonicalize(contract: Contract) -> str:
     """Deterministic textual form: object keys sorted, field order preserved,
     2-space indent, newline-terminated.  The storage and diff base."""
-    return json.dumps(contract.to_doc(), indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+    return dump_json(contract.to_doc())
 
 
 _JSON_SCHEMA_TYPES = {
@@ -359,4 +364,4 @@ def to_json_schema(contract: Contract) -> str:
     }
     if required:
         schema["required"] = required
-    return json.dumps(schema, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+    return dump_json(schema)

@@ -4,6 +4,8 @@ A :class:`DataProfile` is the single input to every generation path: column
 names, per-column sampled values and counts, and a handful of sample rows.
 Two source formats are supported, delimited text (header row required) and
 ndjson (one JSON object per line, nested keys flattened to dot-joined paths).
+Column names are trimmed: the readers trim them, and ``load_profile``
+rejects a profile whose column name is not trimmed.
 
 Null conventions: in delimited input the empty cell is null (the literals
 ``"null"``/``"NA"`` are data unless listed in ``IngestOptions.null_tokens``);
@@ -30,7 +32,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .errors import IngestError, parse_json
+from .errors import IngestError, dump_json, parse_json
 from .lexical import EMPTY, classify_lexeme
 
 DELIMITED = "delimited"
@@ -103,8 +105,12 @@ class ColumnProfile:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ColumnProfile":
+        name = _checked(doc, "name", str)
+        if name != name.strip():
+            raise IngestError(
+                f"profile column name {name!r:.40} has leading or trailing whitespace")
         return cls(
-            name=_checked(doc, "name", str),
+            name=name,
             total_count=_checked(doc, "total_count", int),
             null_count=_checked(doc, "null_count", int),
             distinct_count=_checked(doc, "distinct_count", int),
@@ -156,7 +162,7 @@ class DataProfile:
 def dump_profile(profile: DataProfile) -> str:
     """Serialize to the profile file format: sorted keys, 2-space indent,
     newline-terminated.  Deterministic, so profiles round-trip byte-exactly."""
-    return json.dumps(profile.to_doc(), indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+    return dump_json(profile.to_doc())
 
 
 def load_profile(text: str) -> DataProfile:

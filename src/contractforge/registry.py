@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import fcntl
-import json
 import os
 import re
 from contextlib import contextmanager
@@ -32,7 +31,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .compatibility import COMPATIBILITY_MODES, CompatibilityVerdict, check_compatibility
-from .errors import NotFoundError, RegistryError, RegistryRejection, parse_json
+from .errors import NotFoundError, RegistryError, RegistryRejection, dump_json, parse_json
 from .model import Contract, canonicalize, parse_contract
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*\Z")
@@ -128,8 +127,7 @@ class _State:
     def write_meta(self) -> None:
         doc = {"compatibility_mode": self.mode,
                "versions": [self.versions[v].to_doc() for v in sorted(self.versions)]}
-        _atomic_write(self.path / "meta.json",
-                      json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True) + "\n")
+        _atomic_write(self.path / "meta.json", dump_json(doc))
         os.fsync(self.fd)  # make the renames durable too
 
 

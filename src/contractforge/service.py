@@ -20,14 +20,14 @@ closed without a reply.
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .compatibility import CompatibilityVerdict
 from .errors import (ContractForgeError, NotFoundError, RegistryError,
-                     RegistryRejection, RegistryTransportError, parse_json)
+                     RegistryRejection, RegistryTransportError, dump_json,
+                     parse_json)
 from .model import Contract, contract_from_doc
 from .registry import RegistryStore
 from .transport import send
@@ -103,8 +103,7 @@ def _make_handler(store: RegistryStore):
                 pass
 
         def _reply(self, status: int, doc: dict | None) -> None:
-            body = b"" if doc is None else (
-                json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+            body = b"" if doc is None else dump_json(doc).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))

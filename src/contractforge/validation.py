@@ -261,20 +261,21 @@ def detect_drift(contract: Contract, profile: DataProfile) -> DriftReport:
 
     Extra columns are additive (non-breaking); removed columns and columns
     whose observed type no longer conforms to the declared type are breaking.
+    Field and column names match exactly as written, since both are trimmed
+    by construction.
     """
-    contract_names = [f.name.strip() for f in contract.fields]
-    profile_names = [c.name.strip() for c in profile.columns]
-    contract_set, profile_set = set(contract_names), set(profile_names)
-    added = [n for n in profile_names if n not in contract_set]
-    removed = [n for n in contract_names if n not in profile_set]
+    declared = {f.name for f in contract.fields}
+    # A loaded profile may repeat a column name; the first column wins.
+    columns = {c.name: c for c in reversed(profile.columns)}
+    added = [c.name for c in profile.columns if c.name not in declared]
+    removed = [f.name for f in contract.fields if f.name not in columns]
     retyped: list[Retyped] = []
     for spec in contract.fields:
-        name = spec.name.strip()
-        if name not in profile_set:
+        column = columns.get(spec.name)
+        if column is None:
             continue
-        column = next(c for c in profile.columns if c.name.strip() == name)
         observed = infer_column_type(column)
         if not lexical.is_subclass(observed, lattice_type(spec.logical_type)):
-            retyped.append(Retyped(name=name, old_type=spec.logical_type,
+            retyped.append(Retyped(name=spec.name, old_type=spec.logical_type,
                                    observed_type=observed))
     return DriftReport(added_columns=added, removed_columns=removed, retyped=retyped)

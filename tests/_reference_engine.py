@@ -4,9 +4,11 @@ Independent of ``validation``, ``expectations``, ``profiling`` and
 ``lexical`` internals: row validation runs ``_check_field`` per cell, rule
 evaluation runs ``_value_passes`` per value, ``classify_lexeme`` is the
 regex ladder, and ``profile_column`` classifies every cell, exactly as
-before.  The readers build rows cell by cell as before.  Used only by the
-differential tests, which require the live engine to produce the same
-reports, profiles and rows.  Numbers are read with plain ``int``/``float``,
+before.  The readers build rows cell by cell as before, and the repair
+chain's ``_balanced_span`` and ``remove_trailing_commas`` each scan string
+literals with their own loop.  Used only by the differential tests, which
+require the live engine to produce the same reports, profiles, rows and
+repaired text.  Numbers are read with plain ``int``/``float``,
 so inputs must stay within the int-string digit limit.
 """
 
@@ -296,3 +298,68 @@ def ingest(source, source_format: str, options: IngestOptions | None = None,
         source_format=source_format,
         sample_rows=[dict(r) for r in rows[: options.row_cap]],
     )
+
+
+# The repair chain's two string-literal scanners, each with its own loop.
+
+
+def _balanced_span(text: str, open_char: str, close_char: str) -> str | None:
+    """First balanced span between the delimiters, string-literal aware.
+
+    Single pass: the span of the earliest opener that gets matched, so
+    openers that never close are skipped and nesting picks the outermost.
+    """
+    stack: list[int] = []
+    best: tuple[int, int] | None = None
+    in_string = False
+    escaped = False
+    for pos, ch in enumerate(text):
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+            continue
+        if ch == '"':
+            in_string = True
+        elif ch == open_char:
+            stack.append(pos)
+        elif ch == close_char and stack:
+            start = stack.pop()
+            if best is None or start < best[0]:
+                best = (start, pos)
+    if best is None:
+        return None
+    return text[best[0]:best[1] + 1]
+
+
+def remove_trailing_commas(text: str) -> str:
+    """Drop commas that directly precede a closer, outside string literals."""
+    out: list[str] = []
+    in_string = False
+    escaped = False
+    for ch in text:
+        if in_string:
+            out.append(ch)
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+            continue
+        if ch == '"':
+            in_string = True
+            out.append(ch)
+            continue
+        if ch in "}]":
+            # walk back over whitespace to find a trailing comma
+            idx = len(out) - 1
+            while idx >= 0 and out[idx] in " \t\r\n":
+                idx -= 1
+            if idx >= 0 and out[idx] == ",":
+                del out[idx]
+        out.append(ch)
+    return "".join(out)

@@ -418,6 +418,8 @@ class TestUnreadableInputs:
          ["generate", "FILE"],
          "profile: integer literal too long"),
         (b"{}", ["generate", "FILE"], "profile lacks key 'dataset_name'"),
+        (lambda profile: profile.replace(b'"name": "id"', b'"name": " id"'), ["generate", "FILE"],
+         "column name ' id' has leading or trailing whitespace"),
         (b"[1]", ["generate", "PROFILE", "--policy", "FILE"],
          "policy file must be a JSON object"),
         (b'{"ingest": 5}', ["--config", "FILE", "profile", "CSV"],
@@ -443,6 +445,7 @@ class TestUnreadableInputs:
          "'flatten_depth' must be >= 0, not -1"),
     ], ids=["contract-too-deep", "script-too-deep", "profile-too-deep", "policy-too-deep",
             "config-too-deep", "ndjson-too-deep", "profile-long-integer", "profile-empty",
+            "profile-column-name-padded",
             "policy-array", "config-ingest-int", "config-candidates-text",
             "policy-threshold-bool", "contract-not-utf8", "config-script-int",
             "config-url-int", "config-auth-env-list", "config-null-token-list",

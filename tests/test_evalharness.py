@@ -3,7 +3,7 @@
 import pytest
 
 from contractforge.backends import OracleBackend, ScriptedBackend
-from contractforge.errors import ContractForgeError
+from contractforge.errors import ContractForgeError, InvariantViolation
 from contractforge.evalharness import (format_metrics_table, run_eval,
                                        structural_accuracy)
 from contractforge.inference import infer_contract
@@ -61,10 +61,11 @@ class TestStructuralAccuracy:
         generated = contract_of({"a": "string"})
         assert structural_accuracy(generated, truth) == 0.0
 
-    def test_names_trimmed_before_matching(self):
-        truth = contract_of({"a": "integer"})
-        generated = Contract("t", [FieldSpec(" a ", "integer", True)])
-        assert structural_accuracy(generated, truth) == 1.0
+    def test_padded_names_never_reach_matching(self):
+        # Names match as written because a contract with a padded name
+        # does not validate, so no generated or truth contract has one.
+        with pytest.raises(InvariantViolation, match="names trimmed"):
+            contract_of({" a ": "integer"})
 
 
 def write_corpus(root, tables):

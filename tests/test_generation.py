@@ -1,23 +1,28 @@
 """Extraction/repair chain, candidate scoring, and the generation flow."""
 
 import json
+import random
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+import _reference_engine as reference
 from contractforge import backends
 from contractforge.backends import (GenerationRequest, HttpBackend,
                                     OracleBackend, ScriptedBackend)
 from contractforge.errors import (BackendTransportError, ContractForgeError,
                                   ExtractionFailure)
-from contractforge.generation import (GenerationPolicy, TWO_PASS,
+from contractforge.generation import (GenerationPolicy, TWO_PASS, _balanced_span,
                                       extract_contract, generate_contract,
                                       remove_trailing_commas, score_candidate,
                                       strip_fences, trim_to_braces)
 from contractforge.inference import infer_contract
 from contractforge.model import canonicalize, parse_contract
+from contractforge.profiling import ingest, read_table
+from contractforge.validation import validate_rows
+from conftest import csv_bytes
 
 
 @pytest.fixture
@@ -49,6 +54,17 @@ class TestRepairSteps:
     def test_comma_removal_respects_strings(self):
         text = '{"a": ",}", "b": 1,}'
         assert remove_trailing_commas(text) == '{"a": ",}", "b": 1}'
+
+    def test_scanners_match_their_reference_copies(self):
+        # Short strings over the characters the scanners act on: quotes,
+        # escapes, delimiters, commas and whitespace.
+        rng = random.Random(0)
+        alphabet = '{}[]",\\ \t\nab1:'
+        for _ in range(30_000):
+            text = "".join(rng.choices(alphabet, k=rng.randrange(20)))
+            assert remove_trailing_commas(text) == reference.remove_trailing_commas(text), text
+            for pair in ("{}", "[]"):
+                assert _balanced_span(text, *pair) == reference._balanced_span(text, *pair), text
 
 
 class TestExtract:
@@ -195,6 +211,20 @@ class TestGenerate:
         assert report.candidates[0].parsed is None
         assert report.candidates[2].score == pytest.approx(0.5 + 0.3 + 0.2 * (2 / 3))
         assert contract.field_names() == ["id", "price"]
+
+    def test_padded_field_name_falls_back(self):
+        # Matched on trimmed names, this candidate would score 0.7 and be
+        # chosen, then reject every row of its own source.
+        data = csv_bytes(["id", "price"], [["1", "2.5"], ["2", "3"], ["3", ""]])
+        profile = ingest(data, "delimited")
+        padded = json.dumps({"name": "t", "fields": [
+            {"name": " id", "logical_type": "integer", "nullable": False},
+            {"name": "price", "logical_type": "number", "nullable": True}]})
+        contract, report = generate_contract(
+            profile, ScriptedBackend.from_completions([[padded]]))
+        assert report.fallback is True
+        assert "names trimmed" in report.candidates[0].error
+        assert validate_rows(contract, read_table(data, "delimited")[1]).all_passed
 
     def test_tie_breaks_to_lowest_index(self, toy_profile, oracle_text):
         backend = ScriptedBackend.from_completions([[oracle_text, oracle_text]])

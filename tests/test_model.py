@@ -60,6 +60,15 @@ class TestParse:
         with pytest.raises(InvariantViolation, match="field names unique"):
             contract_from_doc(doc)
 
+    @pytest.mark.parametrize("doc", [
+        {"name": "x", "fields": [{"name": " a", "logical_type": "string", "nullable": True}]},
+        {"name": "x", "fields": [{"name": "a", "logical_type": "string", "nullable": True}],
+         "rules": [{"kind": "not_null", "column": "a\t"}]},
+    ], ids=["field", "rule-column"])
+    def test_padded_names_violate_invariant(self, doc):
+        with pytest.raises(InvariantViolation, match="names trimmed"):
+            parse_contract(json.dumps(doc))
+
     def test_unknown_top_level_keys_listed(self):
         doc = json.loads(MINIMAL)
         doc["extra"] = 1

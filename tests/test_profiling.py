@@ -179,8 +179,10 @@ class TestProfileInvariants:
             {**doc["columns"][0], "lexical_histogram": {"integer": "x"}}]}),
          "'lexical_histogram' must be dict of int"),
         (lambda doc: json.dumps({**doc, "sample_rows": [{"id": 1}]}), "strings and nulls"),
+        (lambda doc: json.dumps({**doc, "columns": [{**doc["columns"][0], "name": "id "}]}),
+         "column name 'id ' has leading or trailing whitespace"),
     ], ids=["too-deep", "long-integer", "array", "empty", "row-count-text",
-            "columns-int", "histogram-text", "sample-row-int"])
+            "columns-int", "histogram-text", "sample-row-int", "column-name-padded"])
     def test_unreadable_profile_is_an_ingest_error(self, status_profile, edit, message):
         with pytest.raises(IngestError, match=message):
             load_profile(edit(status_profile.to_doc()))
