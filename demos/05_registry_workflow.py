@@ -29,7 +29,9 @@ order_id,total,status
 
 contract = infer_contract(ingest(CSV, "delimited", dataset_name="orders"))
 
-root = tempfile.mkdtemp(prefix="registry-demo-")
+# The registry directory is removed at the end, or at exit if the demo fails.
+workdir = tempfile.TemporaryDirectory(prefix="registry-demo-")
+root = workdir.name
 server = RegistryServer(RegistryStore(root)).start()
 client = RegistryClient(server.address)
 print("registry serving", root, "at", server.address)
@@ -69,3 +71,4 @@ for record in trail["versions"]:
           f"{len(record['feedback'])} feedback note(s)")
 
 server.stop()
+workdir.cleanup()

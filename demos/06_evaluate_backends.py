@@ -26,7 +26,9 @@ TABLES = {
     "flags": b"key,enabled\nbeta,true\ndark_mode,false\n",
 }
 
-corpus = Path(tempfile.mkdtemp(prefix="eval-corpus-"))
+# The corpus directory is removed at the end, or at exit if the demo fails.
+workdir = tempfile.TemporaryDirectory(prefix="eval-corpus-")
+corpus = Path(workdir.name)
 for name, raw in TABLES.items():
     profile = ingest(raw, "delimited", dataset_name=name)
     (corpus / f"{name}.profile.json").write_text(dump_profile(profile))
@@ -45,3 +47,5 @@ print()
 print("fallback contracts type everything as string, so they only score on")
 print("truths whose fields really are strings -- the distinction the")
 print("separate fallback rate keeps visible.")
+
+workdir.cleanup()

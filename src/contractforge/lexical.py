@@ -14,14 +14,21 @@ Any two distinct non-empty classes without an order between them join to
 ``string``; in particular ``join(date, timestamp) == string`` because a bare
 date is not a valid timestamp lexeme.
 
-There is no memo: a table holds too many distinct lexemes for any cache to
-pay.  Callers tally a column first and classify each distinct lexeme once.
+``classify_lexeme`` defines the classes one lexeme at a time.  Callers
+classify a whole column with ``class_runs``: they tally the column first, and
+regex scans over its distinct lexemes, joined a line each, find the runs of
+consecutive lexemes of one class.  A strict pattern per class matches only
+lines that are certainly of that class; only the lines none of them matches
+(February 29, hour 24, ``12abc`` and the like) are classified one at a time.
+There is no memo: a table holds too many distinct lexemes for any cache to pay.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import re
+from collections.abc import Sequence
+from itertools import repeat
 
 EMPTY = "empty"
 BOOLEAN = "boolean"
@@ -34,17 +41,51 @@ STRING = "string"
 #: All lexical classes, bottom first, top last.
 CLASSES = (EMPTY, BOOLEAN, INTEGER, NUMBER, DATE, TIMESTAMP, STRING)
 
+#: Pieces of the lexeme grammar, each written once and shared by
+#: ``_LEXEME_RE`` and the strict line patterns of ``_RUN_RE``.  An optional
+#: piece is written ``(?:X|)``, which ``re`` matches faster than ``(?:X)?``.
+_INTEGER = r"[+-]?[0-9]+"
+_DOTTED = r"(?:[0-9]+\.[0-9]*|\.[0-9]+)"
+_EXPONENT = r"[eE][+-]?[0-9]+"
+_FRACTION = r"(?:\.[0-9]+|)"
+_ZONE = r"(?:[Zz]|[+-][0-9]{2}:?[0-9]{2}|)"
+
 #: One alternation whose ``lastgroup`` names the class; the alternatives are
 #: tried in class order, and each must reach the end of the lexeme.
 _LEXEME_RE = re.compile(
-    r"(?P<integer>[+-]?[0-9]+\Z)"
-    r"|(?P<number>[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?\Z)"
+    rf"(?P<integer>{_INTEGER}\Z)"
+    rf"|(?P<number>[+-]?(?:{_DOTTED}|[0-9]+)(?:{_EXPONENT}|)\Z)"
     r"|(?P<date>[0-9]{4}-[0-9]{2}-[0-9]{2}\Z)"
     r"|(?P<timestamp>(?P<day>[0-9]{4}-[0-9]{2}-[0-9]{2})"   # date part
     r"T(?P<hour>[0-9]{2}):(?P<minute>[0-9]{2})"              # hours:minutes
-    r"(?::(?P<second>[0-9]{2})(?:\.[0-9]+)?)?"               # optional seconds + fraction
-    r"(?:[Zz]|[+-][0-9]{2}:?[0-9]{2})?\Z)"                   # optional zone
+    rf"(?::(?P<second>[0-9]{{2}}){_FRACTION}|)"              # optional seconds + fraction
+    rf"{_ZONE}\Z)"                                            # optional zone
 )
+
+#: A boolean line.  Not ``(?i)``: that also matches ``falſe``, which is a string.
+_BOOLEAN = r"(?:[tT][rR][uU][eE]|[fF][aA][lL][sS][eE])\n"
+#: A date that exists in every year: no year 0000 and no February 29.
+_STRICT_DAY = (r"(?!0000)[0-9]{4}-(?:(?:0[1-9]|1[0-2])-(?:0[1-9]|1[0-9]|2[0-8])"
+               r"|(?:0[13-9]|1[0-2])-(?:29|30)|(?:0[13578]|1[02])-31)")
+#: Runs of lines of one class.  Each strict line pattern matches only lexemes
+#: of its class, and no two match the same line, so a match is a run; a line
+#: that no strict pattern matches is ``other``, one line per match.
+_RUN_RE = re.compile(
+    r"(?P<empty>\n+)"
+    rf"|(?P<boolean>(?:{_BOOLEAN})+)"
+    rf"|(?P<integer>(?:{_INTEGER}\n)+)"
+    rf"|(?P<number>(?:[+-]?(?:{_DOTTED}(?:{_EXPONENT}|)|[0-9]+{_EXPONENT})\n)+)"
+    rf"|(?P<date>(?:{_STRICT_DAY}\n)+)"
+    rf"|(?P<timestamp>(?:{_STRICT_DAY}T(?:[01][0-9]|2[0-3]):[0-5][0-9]"
+    rf"(?::[0-5][0-9]{_FRACTION}|){_ZONE}\n)+)"
+    rf"|(?P<string>(?:(?!{_BOOLEAN})[^\n+\-.0-9][^\n]*\n)+)"
+    r"|(?P<other>[^\n]*\n)"
+)
+#: Lexemes joined into one text for a scan.  It bounds the text, and the
+#: frame ``re`` keeps for each repetition of a group until its match ends
+#: (about 330 bytes a line), whatever the size of the column.
+_CHUNK = 256
+
 #: First characters of every integer, number, date and timestamp lexeme.
 _NUMERIC_START = "+-.0123456789"
 
@@ -83,6 +124,46 @@ def classify_lexeme(lexeme: str) -> str:
             return TIMESTAMP
         return STRING
     return cls
+
+
+def class_runs(lexemes: Sequence[str]) -> list[tuple[str, int]]:
+    """The classes of ``lexemes`` as runs: ``(cls, k)`` for each longest
+    stretch of ``k`` consecutive lexemes that ``classify_lexeme`` assigns
+    ``cls``, in order.
+
+    The lexemes are scanned ``_CHUNK`` at a time, and the runs of one chunk
+    are joined to those of the last where they meet.
+    """
+    classes: list[str] = []
+    counts: list[int] = []
+    for start in range(0, len(lexemes), _CHUNK):
+        for cls, k in _chunk_runs(lexemes[start:start + _CHUNK]):
+            if classes and classes[-1] == cls:
+                counts[-1] += k
+            else:
+                classes.append(cls)
+                counts.append(k)
+    return list(zip(classes, counts))
+
+
+def _chunk_runs(lexemes: Sequence[str]):
+    """Runs of one class over ``lexemes``, not always the longest ones: one
+    ``_RUN_RE`` scan over the lexemes joined a line each, which classifies
+    only its ``other`` lines one at a time.  Lexemes that hold a newline
+    cannot be lines, so those chunks are classified per lexeme."""
+    text = "\n".join(lexemes) + "\n"
+    if text.count("\n") != len(lexemes):  # a lexeme holds a newline
+        yield from zip(map(classify_lexeme, lexemes), repeat(1))
+        return
+    line = 0  # index of the first lexeme of the match
+    for match in _RUN_RE.finditer(text):
+        cls = match.lastgroup
+        if cls == "other":
+            cls, k = classify_lexeme(lexemes[line]), 1
+        else:
+            k = text.count("\n", match.start(), match.end())
+        yield cls, k
+        line += k
 
 
 def number_of(lexeme: str) -> int | float | None:

@@ -18,8 +18,11 @@ is asked for and kept, so row validation and rule evaluation on one table
 share one scan per column, after the shared per-column metrics of Deequ
 (Schelter et al., VLDB 2018).  ``ingest`` profiles its own table a column
 at a time with ``profile_column``, which computes the same two parts and
-keeps neither.  Read as a sequence, a table gives the row dicts of the
-public API, built on demand.
+keeps neither.  Both classify a column's distinct lexemes in one regex scan
+with ``lexical.class_runs``, which gives runs of consecutive lexemes of one
+class; ``profile_column`` adds a run's tally counts to the histogram at
+once.  Read as a sequence, a table gives the row dicts of the public API,
+built on demand.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ import json
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice, repeat, starmap
 
 from .errors import IngestError, dump_json, parse_json
-from .lexical import EMPTY, classify_lexeme
+from .lexical import class_runs
 
 DELIMITED = "delimited"
 NDJSON = "ndjson"
@@ -156,6 +159,10 @@ class DataProfile:
         )
         if not all(v is None or isinstance(v, str) for r in profile.sample_rows for v in r.values()):
             raise IngestError("profile key 'sample_rows' must hold rows of strings and nulls")
+        names = profile.column_names()
+        if len(set(names)) != len(names):
+            repeated = next(name for name in names if names.count(name) > 1)
+            raise IngestError(f"profile repeats column name {repeated!r:.40}")
         return profile
 
 
@@ -203,9 +210,16 @@ class _Absent:
 ABSENT = _Absent()
 
 
+#: Cell types a column keeps as they are: text, null and :data:`ABSENT`.
+_LEXEME_TYPES = {str, type(None), _Absent}
+
+
 def _lexemes(cells: list) -> tuple:
-    """A column's cells read with ``lexeme_of``, because ``True``, ``1`` and
+    """A column's cells as lexemes.  A column of text and nulls is kept as it
+    is; any other is read with ``lexeme_of``, because ``True``, ``1`` and
     ``1.0`` are one dict key and lists are none; ``ABSENT`` stays."""
+    if set(map(type, cells)) <= _LEXEME_TYPES:
+        return tuple(cells)
     return tuple([cell if cell is ABSENT else lexeme_of(cell) for cell in cells])
 
 
@@ -213,7 +227,7 @@ def _classes(tally: Counter) -> dict[str, str]:
     """The lexical class of each distinct lexeme of a column's tally, in its
     first-seen order; ``None`` and ``ABSENT`` have none."""
     lexemes = [cell for cell in tally if isinstance(cell, str)]
-    return dict(zip(lexemes, map(classify_lexeme, lexemes)))
+    return dict(zip(lexemes, chain.from_iterable(starmap(repeat, class_runs(lexemes)))))
 
 
 class Table(Sequence):
@@ -316,23 +330,25 @@ def profile_column(values: Sequence, name: str = "",
 
     Counts are exact over the full list; ``sample_values`` keeps the first
     ``value_cap`` *distinct* non-null lexemes in first-seen order, so small
-    value domains are retained completely.  The column is tallied first, so
-    each distinct lexeme is classified once; the tally keeps first-seen
-    order, and so does the histogram.
+    value domains are retained completely.  The column is tallied first, and
+    its distinct lexemes are classified as class runs; the tally keeps
+    first-seen order, so each run's counts are the next ones in the tally,
+    and the histogram keeps first-seen order too.
     """
     _check_count("value_cap", value_cap)
     tally = Counter(values)
-    classes = _classes(tally)
+    # A null is the empty lexeme, so it counts as empty where first seen.
+    lexemes = [cell if isinstance(cell, str) else "" for cell in tally]
+    counts = iter(tally.values())
     histogram: dict[str, int] = {}
-    for cell, count in tally.items():
-        cls = classes.get(cell, EMPTY)
-        histogram[cls] = histogram.get(cls, 0) + count
+    for cls, k in class_runs(lexemes):
+        histogram[cls] = histogram.get(cls, 0) + sum(islice(counts, k))
     return ColumnProfile(
         name=name,
         total_count=len(values),
         null_count=tally[None] + tally[""] + tally[ABSENT],
-        distinct_count=len(classes) - ("" in classes),
-        sample_values=list(islice(filter(None, classes), value_cap)),
+        distinct_count=len(lexemes) - lexemes.count(""),
+        sample_values=list(islice(filter(None, lexemes), value_cap)),
         lexical_histogram=histogram,
     )
 

@@ -265,8 +265,7 @@ def detect_drift(contract: Contract, profile: DataProfile) -> DriftReport:
     by construction.
     """
     declared = {f.name for f in contract.fields}
-    # A loaded profile may repeat a column name; the first column wins.
-    columns = {c.name: c for c in reversed(profile.columns)}
+    columns = {c.name: c for c in profile.columns}
     added = [c.name for c in profile.columns if c.name not in declared]
     removed = [f.name for f in contract.fields if f.name not in columns]
     retyped: list[Retyped] = []

@@ -462,6 +462,22 @@ class TestUnreadableInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, err
 
+    def test_profile_repeating_a_column_exits_2(self, tmp_path, toy_profile_file, capsys):
+        # Were it read, a backend answering junk would make a fallback
+        # contract with the field twice, which no reader accepts.
+        doc = json.loads(toy_profile_file.read_text())
+        doc["columns"].append(doc["columns"][0])
+        profile = tmp_path / "repeated.profile.json"
+        profile.write_text(json.dumps(doc))
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"0": ["junk"]}))
+        out = tmp_path / "c.json"
+        capsys.readouterr()
+        assert main(["generate", str(profile), "--backend", "script", "--script", str(script),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: profile repeats column name 'id'\n"
+        assert not out.exists()
+
     def test_too_deep_completion_falls_back(self, tmp_path, toy_profile_file):
         script = tmp_path / "script.json"
         script.write_text(json.dumps({"0": ["[" * 100_000]}))

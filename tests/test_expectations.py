@@ -97,8 +97,8 @@ class TestEvaluate:
     def test_values_in_set(self, monkeypatch):
         rows = [{"s": "a"}, {"s": "b"}, {"s": "c"}, {"s": None}]
         rule = QualityRule("values_in_set", "s", {"values": ["a", "b"]}, "error")
-        # Set membership reads no lexical class, so nothing is classified.
-        monkeypatch.setattr("contractforge.profiling.classify_lexeme", None)
+        # Set membership reads no lexical class, so no column is classified.
+        monkeypatch.setattr("contractforge.profiling.class_runs", None)
         results = evaluate_rules([rule], rows)
         assert results[0].rows_failed == 1  # only "c"; null skipped
 

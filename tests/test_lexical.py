@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
-from contractforge.lexical import (CLASSES, classify_lexeme, is_subclass, join, join_all,
-                                   number_of)
+from contractforge.lexical import (CLASSES, class_runs, classify_lexeme, is_subclass, join,
+                                   join_all, number_of)
 
 
 @pytest.mark.parametrize("lexeme,expected", [
@@ -125,3 +126,17 @@ def test_number_of_reads_integers_as_int_and_numbers_as_float():
     assert type(number_of("7")) is int
     assert type(number_of("7.0")) is float
     assert type(number_of("9" * 5000)) is float
+
+
+def test_class_runs_take_memory_for_one_chunk_only():
+    """A run over many chunks is still one run, and memory does not grow with
+    the column: one scan over all of it kept 16 MB of frames here."""
+    lexemes = [str(i) for i in range(50_000)]
+    tracemalloc.start()
+    try:
+        runs = class_runs(lexemes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert runs == [("integer", 50_000)]
+    assert peak < 250_000  # the column joined once is 0.3 MB

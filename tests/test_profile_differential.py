@@ -1,12 +1,14 @@
 """The column-at-a-time classifier, readers and profiler against the reference
 copies of the per-cell ones they replaced (``_reference_engine``).
 
-The classifier must give the same class for every lexeme; the readers the
-same rows; and ingest the same profile, byte for byte, including sample
-and histogram order.
+The classifier must give the same class for every lexeme, and the column
+classifier (``class_runs``) the class ``classify_lexeme`` gives each lexeme
+of a column; the readers the same rows; and ingest the same profile, byte
+for byte, including sample and histogram order.
 """
 
 import csv
+import datetime as dt
 import io
 import json
 from pathlib import Path
@@ -19,9 +21,10 @@ from hypothesis import strategies as st
 import _reference_engine as reference
 from contractforge.errors import IngestError
 from contractforge.expectations import evaluate_rules
-from contractforge.lexical import classify_lexeme
+from contractforge.lexical import CLASSES, class_runs, classify_lexeme
 from contractforge.model import Constraints, Contract, FieldSpec, QualityRule
-from contractforge.profiling import IngestOptions, dump_profile, ingest, read_table
+from contractforge.profiling import (IngestOptions, dump_profile, ingest, profile_column,
+                                     read_table)
 from contractforge.validation import validate_rows
 
 HAND_LABELED = Path(__file__).parent / "data" / "hand_labeled"
@@ -85,6 +88,117 @@ def test_dates_and_timestamps_match_reference():
 
     check()
     assert classes == {"empty", "integer", "date", "timestamp", "string"}
+
+
+# -- column classifier ----------------------------------------------------------
+
+#: Lexemes at the edges of the grammar, and lexemes holding a newline.
+EDGE_LEXEMES = ["", "+", "-", ".", "1.", ".5", "1e", "1e5", "-.5E-3", "tRuE", "FALSE", "falſe",
+                "x", "12abc", " 1", "1 ", "007", "a\nb", "1\n", "\n", "true\n"]
+
+
+@st.composite
+def calendar_edges(draw):
+    """Dates on the edges of the calendar and timestamps on the edges of the
+    clock: February 29 in leap and other years, year 0000, day 31 in
+    30-day months, hour 24, minute and second 60, fractions and zones."""
+    year = draw(st.sampled_from([0, 1, 1900, 2000, 2023, 2024, 9999]))
+    month = draw(st.integers(1, 12))
+    day = draw(st.sampled_from([1, 28, 29, 30, 31]))
+    text = f"{year:04d}-{month:02d}-{day:02d}"
+    if draw(st.booleans()):
+        text += f"T{draw(st.sampled_from([0, 9, 23, 24])):02d}"
+        text += f":{draw(st.sampled_from([0, 59, 60])):02d}"
+        if draw(st.booleans()):
+            text += f":{draw(st.sampled_from([0, 59, 60])):02d}"
+            text += draw(st.sampled_from(["", ".5", ".123456"]))
+        text += draw(st.sampled_from(["", "Z", "z", "+05:30", "-0800", "+0530"]))
+    return text
+
+
+LEXEMES = st.one_of(
+    st.sampled_from(EDGE_LEXEMES), calendar_edges(), temporal(),
+    st.integers(-10**20, 10**20).map(str), st.floats(allow_nan=False).map(repr),
+    st.text(alphabet="0123456789+-.eETZz:tTrRuUfFaAlLsS x\n", max_size=12), st.text(max_size=4),
+)
+
+
+def _homogeneous(kind: str, start: int, length: int) -> list[str]:
+    """``length`` distinct lexemes of one class, counting from ``start``."""
+    start_at = dt.datetime(2000, 1, 1)
+    make = {
+        "integer": str,
+        "number": lambda i: f"{i}.{i % 7}",
+        "date": lambda i: f"{start_at + dt.timedelta(days=i):%Y-%m-%d}",
+        "timestamp": lambda i: f"{start_at + dt.timedelta(minutes=97 * i):%Y-%m-%dT%H:%M}Z",
+        "boolean": lambda i: ("true", "False", "TRUE", "false")[i % 4],
+        "string": lambda i: f"w{i}",
+    }[kind]
+    return [make(start + i) for i in range(length)]
+
+
+@st.composite
+def columns(draw) -> list[str]:
+    """Stretches of mixed lexemes and long runs of one class, each run now
+    and then broken by a single anomaly."""
+    column: list[str] = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            column += draw(st.lists(LEXEMES, max_size=8))
+            continue
+        kind = draw(st.sampled_from(["integer", "number", "date", "timestamp", "boolean",
+                                     "string"]))
+        run = _homogeneous(kind, draw(st.integers(0, 3000)), draw(st.integers(1, 600)))
+        if draw(st.booleans()):
+            run.insert(draw(st.integers(0, len(run))), draw(LEXEMES))
+        column += run
+    return column
+
+
+def test_class_runs_match_the_lexeme_classifier():
+    seen = {"classes": set(), "newline": 0, "long runs": 0}
+
+    @derandomized(400)
+    @given(columns())
+    def check(column):
+        runs = class_runs(column)
+        assert [cls for cls, k in runs for _ in range(k)] == list(map(classify_lexeme, column))
+        # Each run is a longest one: none is empty and no two neighbours share a class.
+        assert all(k > 0 for _, k in runs)
+        assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
+        seen["classes"] |= {cls for cls, _ in runs}
+        seen["newline"] += any("\n" in lexeme for lexeme in column)
+        seen["long runs"] += any(k > 256 for _, k in runs)  # longer than one chunk
+
+    check()
+    assert seen["classes"] == set(CLASSES) and seen["newline"] >= 20 \
+        and seen["long runs"] >= 20, seen
+
+
+def test_calendar_and_clock_edges_match_reference():
+    """Every calendar and clock edge, in one column and each on its own."""
+    dates = [f"{y:04d}-{m:02d}-{d:02d}" for y in (0, 1900, 2000, 2023, 2024)
+             for m in range(1, 13) for d in (28, 29, 30, 31)]
+    times = [f"{day}T{h:02d}:{mi:02d}{rest}" for day in ("2023-02-28", "2024-02-29", "2023-04-31")
+             for h in (0, 23, 24) for mi in (0, 59, 60)
+             for rest in ("", ":60", ":59.5Z", ":00+05:30", "-0800")]
+    column = dates + times
+    assert [cls for cls, k in class_runs(column) for _ in range(k)] \
+        == list(map(reference.classify_lexeme, column))
+    for lexeme in column:
+        assert class_runs([lexeme]) == [(reference.classify_lexeme(lexeme), 1)]
+
+
+@pytest.mark.parametrize("index, position", [(0, 0), (25, 1), (102, 3)],
+                         ids=["first", "middle", "last"])
+def test_profile_column_keeps_the_histogram_order_of_reference(index, position):
+    """Nulls count as empty where first seen, also inside a run of one class."""
+    cells = [str(i) for i in range(50)] + ["x", "y"] + [f"{i}.5" for i in range(50)]
+    for nulls in ([None], [""], [None, ""], ["", None, None]):
+        column = cells[:index] + nulls + cells[index:] + nulls
+        live, ref = profile_column(column, "c", 5), reference.profile_column(column, "c", 5)
+        assert json.dumps(live.to_doc()) == json.dumps(ref.to_doc())
+        assert list(live.lexical_histogram)[position] == "empty"
 
 
 # -- readers and profiles -------------------------------------------------------

@@ -181,8 +181,11 @@ class TestProfileInvariants:
         (lambda doc: json.dumps({**doc, "sample_rows": [{"id": 1}]}), "strings and nulls"),
         (lambda doc: json.dumps({**doc, "columns": [{**doc["columns"][0], "name": "id "}]}),
          "column name 'id ' has leading or trailing whitespace"),
+        (lambda doc: json.dumps({**doc, "columns": [*doc["columns"], doc["columns"][0]]}),
+         "profile repeats column name 'id'"),
     ], ids=["too-deep", "long-integer", "array", "empty", "row-count-text",
-            "columns-int", "histogram-text", "sample-row-int", "column-name-padded"])
+            "columns-int", "histogram-text", "sample-row-int", "column-name-padded",
+            "column-name-repeated"])
     def test_unreadable_profile_is_an_ingest_error(self, status_profile, edit, message):
         with pytest.raises(IngestError, match=message):
             load_profile(edit(status_profile.to_doc()))
