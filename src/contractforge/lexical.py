@@ -19,8 +19,9 @@ classify a whole column with ``class_runs``: they tally the column first, and
 regex scans over its distinct lexemes, joined a line each, find the runs of
 consecutive lexemes of one class.  A strict pattern per class matches only
 lines that are certainly of that class; only the lines none of them matches
-(February 29, hour 24, ``12abc`` and the like) are classified one at a time.
-There is no memo: a table holds too many distinct lexemes for any cache to pay.
+(February 29, hour 24, ``1234-5678`` and the like) are classified one at a time,
+and so are stretches whose class changes at nearly every lexeme.  There is no
+memo: a table holds too many distinct lexemes for any cache to pay.
 """
 
 from __future__ import annotations
@@ -64,6 +65,16 @@ _LEXEME_RE = re.compile(
 
 #: A boolean line.  Not ``(?i)``: that also matches ``falſe``, which is a string.
 _BOOLEAN = r"(?:[tT][rR][uU][eE]|[fF][aA][lL][sS][eE])\n"
+#: Every character that an integer, number, date or timestamp lexeme holds.
+_NUMERIC_CHARS = r"0-9+\-.eETZz:"
+#: A string line that starts with a character no numeric lexeme starts with.
+_WORD = rf"(?!{_BOOLEAN})[^\n+\-.0-9][^\n]*\n"
+#: A string line that starts like a numeric lexeme but holds a character
+#: none holds, a second dot (each holds at most one), a colon before any
+#: ``T`` (only a timestamp's time holds one), or a digit followed by ``-``
+#: while it does not start like a date (only dates and timestamps hold one).
+_NUMERAL_STRING = (rf"(?=[+\-.0-9])(?:[{_NUMERIC_CHARS}]*[^\n{_NUMERIC_CHARS}]"
+                   r"|[^\n.]*\.[^\n.]*\.|[^\nT:]*:|(?![0-9]{4}-)[^\n]*[0-9]-)[^\n]*\n")
 #: A date that exists in every year: no year 0000 and no February 29.
 _STRICT_DAY = (r"(?!0000)[0-9]{4}-(?:(?:0[1-9]|1[0-2])-(?:0[1-9]|1[0-9]|2[0-8])"
                r"|(?:0[13-9]|1[0-2])-(?:29|30)|(?:0[13578]|1[02])-31)")
@@ -78,13 +89,15 @@ _RUN_RE = re.compile(
     rf"|(?P<date>(?:{_STRICT_DAY}\n)+)"
     rf"|(?P<timestamp>(?:{_STRICT_DAY}T(?:[01][0-9]|2[0-3]):[0-5][0-9]"
     rf"(?::[0-5][0-9]{_FRACTION}|){_ZONE}\n)+)"
-    rf"|(?P<string>(?:(?!{_BOOLEAN})[^\n+\-.0-9][^\n]*\n)+)"
+    rf"|(?P<string>(?:{_WORD})+|(?:{_WORD}|{_NUMERAL_STRING})+)"
     r"|(?P<other>[^\n]*\n)"
 )
 #: Lexemes joined into one text for a scan.  It bounds the text, and the
 #: frame ``re`` keeps for each repetition of a group until its match ends
 #: (about 330 bytes a line), whatever the size of the column.
 _CHUNK = 256
+#: The mean run length below which a chunk is cheaper to classify per lexeme.
+_SHORT_RUN = 2
 
 #: First characters of every integer, number, date and timestamp lexeme.
 _NUMERIC_START = "+-.0123456789"
@@ -132,29 +145,36 @@ def class_runs(lexemes: Sequence[str]) -> list[tuple[str, int]]:
     ``cls``, in order.
 
     The lexemes are scanned ``_CHUNK`` at a time, and the runs of one chunk
-    are joined to those of the last where they meet.
+    are joined to those of the last where they meet.  A chunk is classified
+    per lexeme instead when a lexeme holds a newline, and so cannot be a
+    line, or when the runs of the chunk before were shorter than
+    ``_SHORT_RUN`` lexemes on average, because a scan pays only over runs.
     """
     classes: list[str] = []
     counts: list[int] = []
+    scan = True
     for start in range(0, len(lexemes), _CHUNK):
-        for cls, k in _chunk_runs(lexemes[start:start + _CHUNK]):
+        chunk = lexemes[start:start + _CHUNK]
+        text = "\n".join(chunk) + "\n"
+        if scan and text.count("\n") == len(chunk):
+            runs = _scan_runs(chunk, text)
+        else:
+            runs = zip(map(classify_lexeme, chunk), repeat(1))
+        first = len(classes)
+        for cls, k in runs:
             if classes and classes[-1] == cls:
                 counts[-1] += k
             else:
                 classes.append(cls)
                 counts.append(k)
+        scan = (len(classes) - first) * _SHORT_RUN <= len(chunk)
     return list(zip(classes, counts))
 
 
-def _chunk_runs(lexemes: Sequence[str]):
+def _scan_runs(lexemes: Sequence[str], text: str):
     """Runs of one class over ``lexemes``, not always the longest ones: one
-    ``_RUN_RE`` scan over the lexemes joined a line each, which classifies
-    only its ``other`` lines one at a time.  Lexemes that hold a newline
-    cannot be lines, so those chunks are classified per lexeme."""
-    text = "\n".join(lexemes) + "\n"
-    if text.count("\n") != len(lexemes):  # a lexeme holds a newline
-        yield from zip(map(classify_lexeme, lexemes), repeat(1))
-        return
+    ``_RUN_RE`` scan over ``text``, the lexemes joined a line each, which
+    classifies only its ``other`` lines one at a time."""
     line = 0  # index of the first lexeme of the match
     for match in _RUN_RE.finditer(text):
         cls = match.lastgroup

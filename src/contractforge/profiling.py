@@ -214,12 +214,12 @@ ABSENT = _Absent()
 _LEXEME_TYPES = {str, type(None), _Absent}
 
 
-def _lexemes(cells: list) -> tuple:
-    """A column's cells as lexemes.  A column of text and nulls is kept as it
-    is; any other is read with ``lexeme_of``, because ``True``, ``1`` and
-    ``1.0`` are one dict key and lists are none; ``ABSENT`` stays."""
+def _lexemes(cells: tuple) -> tuple:
+    """A column's cells as lexemes.  A column of text and nulls is returned
+    as it is; any other is read with ``lexeme_of``, because ``True``, ``1``
+    and ``1.0`` are one dict key and lists are none; ``ABSENT`` stays."""
     if set(map(type, cells)) <= _LEXEME_TYPES:
-        return tuple(cells)
+        return cells
     return tuple([cell if cell is ABSENT else lexeme_of(cell) for cell in cells])
 
 
@@ -267,7 +267,7 @@ class Table(Sequence):
                 unordered[keys] = keys
         key_orders = {index: shared for index, keys in enumerate(map(tuple, rows))
                       if (shared := unordered.get(keys))} if unordered else {}
-        cells = [_lexemes([row.get(name, ABSENT) for row in rows]) for name in positions]
+        cells = [_lexemes(tuple(row.get(name, ABSENT) for row in rows)) for name in positions]
         return cls(positions, cells, len(rows), key_orders)
 
     def column(self, name: str) -> tuple:

@@ -265,7 +265,9 @@ def detect_drift(contract: Contract, profile: DataProfile) -> DriftReport:
     by construction.
     """
     declared = {f.name for f in contract.fields}
-    columns = {c.name: c for c in profile.columns}
+    # Only a profile built in code can repeat a column name; as in
+    # ``DataProfile.column``, the first column of that name is the one read.
+    columns = {c.name: c for c in reversed(profile.columns)}
     added = [c.name for c in profile.columns if c.name not in declared]
     removed = [f.name for f in contract.fields if f.name not in columns]
     retyped: list[Retyped] = []

@@ -94,7 +94,11 @@ def test_dates_and_timestamps_match_reference():
 
 #: Lexemes at the edges of the grammar, and lexemes holding a newline.
 EDGE_LEXEMES = ["", "+", "-", ".", "1.", ".5", "1e", "1e5", "-.5E-3", "tRuE", "FALSE", "falſe",
-                "x", "12abc", " 1", "1 ", "007", "a\nb", "1\n", "\n", "true\n"]
+                "x", "12abc", " 1", "1 ", "007", "a\nb", "1\n", "\n", "true\n",
+                # strings that start like a number
+                "10.0.0.1", "1.2.3", "1..2", "+1 555 0100", "555-0100", "+1-555-0100",
+                "1234-5678", "-1-2", "12 Main St", "3fa85f64", "10:30", "1:2.5", "2024-01-01-",
+                "1e-5:", "2024-02-29T10:30", "T10:30", "e5", "Z"]
 
 
 @st.composite
@@ -133,30 +137,38 @@ def _homogeneous(kind: str, start: int, length: int) -> list[str]:
         "timestamp": lambda i: f"{start_at + dt.timedelta(minutes=97 * i):%Y-%m-%dT%H:%M}Z",
         "boolean": lambda i: ("true", "False", "TRUE", "false")[i % 4],
         "string": lambda i: f"w{i}",
+        "address": lambda i: f"{i} Main St",
+        "ip": lambda i: f"10.0.{i // 256 % 256}.{i % 256}",
+        "phone": lambda i: f"555-{i:04d}",
     }[kind]
     return [make(start + i) for i in range(length)]
 
 
+KINDS = ["integer", "number", "date", "timestamp", "boolean", "string", "address", "ip", "phone"]
+
+
 @st.composite
 def columns(draw) -> list[str]:
-    """Stretches of mixed lexemes and long runs of one class, each run now
-    and then broken by a single anomaly."""
+    """Stretches of mixed lexemes, long runs of one class, and long stretches
+    whose class changes at every lexeme; the last two now and then broken by
+    a single anomaly."""
     column: list[str] = []
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.booleans()):
             column += draw(st.lists(LEXEMES, max_size=8))
             continue
-        kind = draw(st.sampled_from(["integer", "number", "date", "timestamp", "boolean",
-                                     "string"]))
-        run = _homogeneous(kind, draw(st.integers(0, 3000)), draw(st.integers(1, 600)))
+        kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=3, unique=True))
+        start, length = draw(st.integers(0, 3000)), draw(st.integers(1, 600))
+        runs = [_homogeneous(kind, start, length) for kind in kinds]
+        stretch = [lexeme for lexemes in zip(*runs) for lexeme in lexemes]
         if draw(st.booleans()):
-            run.insert(draw(st.integers(0, len(run))), draw(LEXEMES))
-        column += run
+            stretch.insert(draw(st.integers(0, len(stretch))), draw(LEXEMES))
+        column += stretch
     return column
 
 
 def test_class_runs_match_the_lexeme_classifier():
-    seen = {"classes": set(), "newline": 0, "long runs": 0}
+    seen = {"classes": set(), "newline": 0, "long runs": 0, "short runs": 0}
 
     @derandomized(400)
     @given(columns())
@@ -169,10 +181,23 @@ def test_class_runs_match_the_lexeme_classifier():
         seen["classes"] |= {cls for cls, _ in runs}
         seen["newline"] += any("\n" in lexeme for lexeme in column)
         seen["long runs"] += any(k > 256 for _, k in runs)  # longer than one chunk
+        seen["short runs"] += sum(k < 2 for _, k in runs) > 512  # chunks per lexeme
 
     check()
     assert seen["classes"] == set(CLASSES) and seen["newline"] >= 20 \
-        and seen["long runs"] >= 20, seen
+        and seen["long runs"] >= 20 and seen["short runs"] >= 20, seen
+
+
+def test_class_runs_across_chunks_of_short_runs():
+    """Chunks of one-lexeme runs are classified per lexeme, and scanning
+    starts again after a chunk of long runs; the runs are the same."""
+    kinds = ["integer", "string", "number", "date", "phone", "boolean", "timestamp"]
+    alternating = [_homogeneous(kinds[i % 7], i, 1)[0] for i in range(700)]
+    column = alternating + _homogeneous("date", 0, 900) + alternating[::-1] + ["x"] \
+        + _homogeneous("ip", 0, 600)
+    runs = class_runs(column)
+    assert [cls for cls, k in runs for _ in range(k)] == list(map(classify_lexeme, column))
+    assert ("date", 900) in runs and runs[-1] == ("string", 601)
 
 
 def test_calendar_and_clock_edges_match_reference():

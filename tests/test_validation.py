@@ -2,6 +2,7 @@
 agreement property (dual validation against the jsonschema package)."""
 
 import json
+from dataclasses import replace
 
 import jsonschema
 
@@ -247,6 +248,15 @@ class TestDrift:
         assert report.retyped[0].old_type == "integer"
         assert report.retyped[0].observed_type == "string"
         assert report.breaking is True
+
+    def test_repeated_column_name_reads_the_first_column(self, toy_profile):
+        """A profile built in code may repeat a name; drift reads the column
+        that ``DataProfile.column`` gives."""
+        contract = infer_contract(toy_profile)
+        text_id = profile_of(["id"], [["abc"]]).columns[0]
+        repeated = replace(toy_profile, columns=[*toy_profile.columns, text_id])
+        assert repeated.column("id") is toy_profile.columns[0]
+        assert detect_drift(contract, repeated).retyped == []
 
     def test_widening_is_not_retype_under_conformance(self):
         # contract says number; data shows integers: conformant, no drift
