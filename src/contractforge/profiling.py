@@ -18,10 +18,10 @@ is asked for and kept, so row validation and rule evaluation on one table
 share one scan per column, after the shared per-column metrics of Deequ
 (Schelter et al., VLDB 2018).  ``ingest`` profiles its own table a column
 at a time with ``profile_column``, which computes the same two parts and
-keeps neither.  Both classify a column's distinct lexemes in one regex scan
-with ``lexical.class_runs``, which gives runs of consecutive lexemes of one
-class; ``profile_column`` adds a run's tally counts to the histogram at
-once.  Read as a sequence, a table gives the row dicts of the public API,
+keeps neither.  Both classify a column's distinct lexemes with
+``lexical.class_runs``, whose regex scans give runs of consecutive lexemes
+of one class; ``profile_column`` adds a run's tally counts to the histogram
+at once.  Read as a sequence, a table gives the row dicts of the public API,
 built on demand.
 """
 
