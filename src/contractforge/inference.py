@@ -100,7 +100,7 @@ def safe_generic_contract(profile: DataProfile,
     constraints, no rules.  Accepts anything the source data contained."""
     if not profile.columns:
         raise ContractForgeError("empty profile")
-    return Contract(
+    contract = Contract(
         name=profile.dataset_name,
         fields=[FieldSpec(name=c.name, logical_type="string", nullable=True)
                 for c in profile.columns],
@@ -109,3 +109,5 @@ def safe_generic_contract(profile: DataProfile,
         provenance=Provenance(backend_id="fallback", generator_mode="fallback",
                               generated_at=generated_at),
     )
+    contract.validate()
+    return contract

@@ -14,19 +14,17 @@ Any two distinct non-empty classes without an order between them join to
 ``string``; in particular ``join(date, timestamp) == string`` because a bare
 date is not a valid timestamp lexeme.
 
-``classify_lexeme`` defines the classes one lexeme at a time.  Callers
-classify a whole column with ``class_runs``: they tally the column first, and
-regex scans over its distinct lexemes, joined a line each, find the runs of
-consecutive lexemes of one class.  A strict pattern per class matches only
-lines that are certainly of that class; only the lines none of them matches
-(February 29, hour 24, ``1234-5678`` and the like) are classified one at a time,
-and so are stretches whose class changes at nearly every lexeme.  There is no
-memo: a table holds too many distinct lexemes for any cache to pay.
+One grammar, ``_RUN_RE``, defines the classes: it reads lexemes as lines, and
+a line pattern per class matches exactly the lines of that class, with every
+line that no other pattern matches a ``string``.  ``classify_lexeme`` matches
+one lexeme as a line.  Callers classify a whole column with ``class_runs``:
+they tally the column first, and regex scans over its distinct lexemes,
+joined a line each, find the runs of consecutive lexemes of one class.  There
+is no memo: a table holds too many distinct lexemes for any cache to pay.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
 import re
 from collections.abc import Sequence
 from itertools import repeat
@@ -42,26 +40,13 @@ STRING = "string"
 #: All lexical classes, bottom first, top last.
 CLASSES = (EMPTY, BOOLEAN, INTEGER, NUMBER, DATE, TIMESTAMP, STRING)
 
-#: Pieces of the lexeme grammar, each written once and shared by
-#: ``_LEXEME_RE`` and the strict line patterns of ``_RUN_RE``.  An optional
-#: piece is written ``(?:X|)``, which ``re`` matches faster than ``(?:X)?``.
+#: Pieces of the line patterns of ``_RUN_RE``.  An optional piece is written
+#: ``(?:X|)``, which ``re`` matches faster than ``(?:X)?``.
 _INTEGER = r"[+-]?[0-9]+"
 _DOTTED = r"(?:[0-9]+\.[0-9]*|\.[0-9]+)"
 _EXPONENT = r"[eE][+-]?[0-9]+"
 _FRACTION = r"(?:\.[0-9]+|)"
 _ZONE = r"(?:[Zz]|[+-][0-9]{2}:?[0-9]{2}|)"
-
-#: One alternation whose ``lastgroup`` names the class; the alternatives are
-#: tried in class order, and each must reach the end of the lexeme.
-_LEXEME_RE = re.compile(
-    rf"(?P<integer>{_INTEGER}\Z)"
-    rf"|(?P<number>[+-]?(?:{_DOTTED}|[0-9]+)(?:{_EXPONENT}|)\Z)"
-    r"|(?P<date>[0-9]{4}-[0-9]{2}-[0-9]{2}\Z)"
-    r"|(?P<timestamp>(?P<day>[0-9]{4}-[0-9]{2}-[0-9]{2})"   # date part
-    r"T(?P<hour>[0-9]{2}):(?P<minute>[0-9]{2})"              # hours:minutes
-    rf"(?::(?P<second>[0-9]{{2}}){_FRACTION}|)"              # optional seconds + fraction
-    rf"{_ZONE}\Z)"                                            # optional zone
-)
 
 #: A boolean line.  Not ``(?i)``: that also matches ``falſe``, which is a string.
 _BOOLEAN = r"(?:[tT][rR][uU][eE]|[fF][aA][lL][sS][eE])\n"
@@ -75,68 +60,45 @@ _WORD = rf"(?!{_BOOLEAN})[^\n+\-.0-9][^\n]*\n"
 #: while it does not start like a date (only dates and timestamps hold one).
 _NUMERAL_STRING = (rf"(?=[+\-.0-9])(?:[{_NUMERIC_CHARS}]*[^\n{_NUMERIC_CHARS}]"
                    r"|[^\n.]*\.[^\n.]*\.|[^\nT:]*:|(?![0-9]{4}-)[^\n]*[0-9]-)[^\n]*\n")
-#: A date that exists in every year: no year 0000 and no February 29.
-_STRICT_DAY = (r"(?!0000)[0-9]{4}-(?:(?:0[1-9]|1[0-2])-(?:0[1-9]|1[0-9]|2[0-8])"
-               r"|(?:0[13-9]|1[0-2])-(?:29|30)|(?:0[13578]|1[02])-31)")
-#: Runs of lines of one class.  Each strict line pattern matches only lexemes
-#: of its class, and no two match the same line, so a match is a run; a line
-#: that no strict pattern matches is ``other``, one line per match.
+#: A year of the Gregorian calendar that has a February 29: one divisible by
+#: 4, and by 400 when divisible by 100.
+_LEAP_YEAR = r"(?:[0-9]{2}(?:0[48]|[2468][048]|[13579][26])|(?:[02468][048]|[13579][26])00)"
+#: A date of the Gregorian calendar from year 0001, as ``datetime.date``
+#: reads it.  February 29 comes last, so other dates never try the leap year.
+_DAY = (r"(?!0000)[0-9]{4}-(?:(?:0[1-9]|1[0-2])-(?:0[1-9]|1[0-9]|2[0-8])"
+        rf"|(?:0[13-9]|1[0-2])-(?:29|30)|(?:0[13578]|1[02])-31|(?<={_LEAP_YEAR}-)02-29)")
+#: Runs of lines of one class, one alternative per class, tried in class
+#: order.  The line pattern of each class matches exactly the lines of that
+#: class, and no two match the same line; the last alternative of ``string``
+#: matches any line, so only lines of no other class reach it.  A match is
+#: therefore a run.
 _RUN_RE = re.compile(
     r"(?P<empty>\n+)"
     rf"|(?P<boolean>(?:{_BOOLEAN})+)"
     rf"|(?P<integer>(?:{_INTEGER}\n)+)"
     rf"|(?P<number>(?:[+-]?(?:{_DOTTED}(?:{_EXPONENT}|)|[0-9]+{_EXPONENT})\n)+)"
-    rf"|(?P<date>(?:{_STRICT_DAY}\n)+)"
-    rf"|(?P<timestamp>(?:{_STRICT_DAY}T(?:[01][0-9]|2[0-3]):[0-5][0-9]"
+    rf"|(?P<date>(?:{_DAY}\n)+)"
+    rf"|(?P<timestamp>(?:{_DAY}T(?:[01][0-9]|2[0-3]):[0-5][0-9]"
     rf"(?::[0-5][0-9]{_FRACTION}|){_ZONE}\n)+)"
-    rf"|(?P<string>(?:{_WORD})+|(?:{_WORD}|{_NUMERAL_STRING})+)"
-    r"|(?P<other>[^\n]*\n)"
+    rf"|(?P<string>(?:{_WORD})+|(?:{_WORD}|{_NUMERAL_STRING})+|[^\n]*\n)"
 )
 #: Lexemes joined into one text for a scan.  It bounds the text, and the
 #: frame ``re`` keeps for each repetition of a group until its match ends
 #: (about 330 bytes a line), whatever the size of the column.
 _CHUNK = 256
-#: The mean run length below which a chunk is cheaper to classify per lexeme.
-_SHORT_RUN = 2
-
-#: First characters of every integer, number, date and timestamp lexeme.
-_NUMERIC_START = "+-.0123456789"
-
-
-def _valid_date(text: str) -> bool:
-    try:
-        _dt.date.fromisoformat(text)
-    except ValueError:
-        return False
-    return True
 
 
 def classify_lexeme(lexeme: str) -> str:
     """Assign one lexical class to a raw text value.
 
     The classifier is a total function: anything that matches no stricter
-    grammar is ``string``.  Numeric classification is purely grammatical
-    (any-length digit strings are ``integer`` even beyond 64-bit range).
+    grammar is ``string``, a lexeme that holds a newline included.  Numeric
+    classification is purely grammatical (any-length digit strings are
+    ``integer`` even beyond 64-bit range).
     """
-    if lexeme == "":
-        return EMPTY
-    if lexeme[0] not in _NUMERIC_START:
-        return BOOLEAN if lexeme.lower() in ("true", "false") else STRING
-    m = _LEXEME_RE.match(lexeme)
-    if m is None:
+    if "\n" in lexeme:
         return STRING
-    cls = m.lastgroup
-    if cls == DATE:
-        return DATE if _valid_date(lexeme) else STRING
-    if cls == TIMESTAMP:
-        day, hour, minute, second = m.group("day", "hour", "minute", "second")
-        if not _valid_date(day):
-            return STRING
-        # Two ASCII digits each, so text order is number order.
-        if hour < "24" and minute < "60" and (second or "00") < "60":
-            return TIMESTAMP
-        return STRING
-    return cls
+    return _RUN_RE.match(lexeme + "\n").lastgroup
 
 
 def class_runs(lexemes: Sequence[str]) -> list[tuple[str, int]]:
@@ -144,46 +106,29 @@ def class_runs(lexemes: Sequence[str]) -> list[tuple[str, int]]:
     stretch of ``k`` consecutive lexemes that ``classify_lexeme`` assigns
     ``cls``, in order.
 
-    The lexemes are scanned ``_CHUNK`` at a time, and the runs of one chunk
-    are joined to those of the last where they meet.  A chunk is classified
-    per lexeme instead when a lexeme holds a newline, and so cannot be a
-    line, or when the runs of the chunk before were shorter than
-    ``_SHORT_RUN`` lexemes on average, because a scan pays only over runs.
+    The lexemes are joined ``_CHUNK`` at a time, a line each, and each chunk
+    is scanned once with ``_RUN_RE``, whose matches are runs of one class,
+    not always the longest ones; runs that meet, also across chunks, are
+    joined.  A chunk in which a lexeme holds a newline, and so is no line,
+    is classified a lexeme at a time.
     """
     classes: list[str] = []
     counts: list[int] = []
-    scan = True
     for start in range(0, len(lexemes), _CHUNK):
         chunk = lexemes[start:start + _CHUNK]
         text = "\n".join(chunk) + "\n"
-        if scan and text.count("\n") == len(chunk):
-            runs = _scan_runs(chunk, text)
+        if text.count("\n") == len(chunk):
+            runs = ((match.lastgroup, text.count("\n", *match.span()))
+                    for match in _RUN_RE.finditer(text))
         else:
             runs = zip(map(classify_lexeme, chunk), repeat(1))
-        first = len(classes)
         for cls, k in runs:
             if classes and classes[-1] == cls:
                 counts[-1] += k
             else:
                 classes.append(cls)
                 counts.append(k)
-        scan = (len(classes) - first) * _SHORT_RUN <= len(chunk)
     return list(zip(classes, counts))
-
-
-def _scan_runs(lexemes: Sequence[str], text: str):
-    """Runs of one class over ``lexemes``, not always the longest ones: one
-    ``_RUN_RE`` scan over ``text``, the lexemes joined a line each, which
-    classifies only its ``other`` lines one at a time."""
-    line = 0  # index of the first lexeme of the match
-    for match in _RUN_RE.finditer(text):
-        cls = match.lastgroup
-        if cls == "other":
-            cls, k = classify_lexeme(lexemes[line]), 1
-        else:
-            k = text.count("\n", match.start(), match.end())
-        yield cls, k
-        line += k
 
 
 def number_of(lexeme: str) -> int | float | None:

@@ -17,12 +17,13 @@ lexical class of each distinct lexeme, is computed the first time each part
 is asked for and kept, so row validation and rule evaluation on one table
 share one scan per column, after the shared per-column metrics of Deequ
 (Schelter et al., VLDB 2018).  ``ingest`` profiles its own table a column
-at a time with ``profile_column``, which computes the same two parts and
-keeps neither.  Both classify a column's distinct lexemes with
-``lexical.class_runs``, whose regex scans give runs of consecutive lexemes
-of one class; ``profile_column`` adds a run's tally counts to the histogram
-at once.  Read as a sequence, a table gives the row dicts of the public API,
-built on demand.
+at a time, as ``profile_column`` profiles one column: each computes the same
+two parts and keeps neither.  Both classify a column's distinct lexemes with
+``lexical.class_runs``, which scans them, joined a line each, with the one
+lexeme grammar and gives runs of consecutive lexemes of one class;
+``profile_column`` adds a run's tally counts to the histogram at once.
+Read as a sequence, a table gives the row dicts of the public API, built on
+demand.
 """
 
 from __future__ import annotations
@@ -326,17 +327,23 @@ class Table(Sequence):
 def profile_column(values: Sequence, name: str = "",
                    value_cap: int = DEFAULT_VALUE_CAP) -> ColumnProfile:
     """Profile one column given its raw lexemes (``None``, ``""`` and
-    ``ABSENT`` = null).
+    ``ABSENT`` = null); any other non-text cell is read with ``lexeme_of``.
 
     Counts are exact over the full list; ``sample_values`` keeps the first
     ``value_cap`` *distinct* non-null lexemes in first-seen order, so small
-    value domains are retained completely.  The column is tallied first, and
-    its distinct lexemes are classified as class runs; the tally keeps
-    first-seen order, so each run's counts are the next ones in the tally,
-    and the histogram keeps first-seen order too.
+    value domains are retained completely.
     """
     _check_count("value_cap", value_cap)
-    tally = Counter(values)
+    return _profile_lexemes(_lexemes(tuple(values)), name, value_cap)
+
+
+def _profile_lexemes(cells: tuple, name: str, value_cap: int) -> ColumnProfile:
+    """``profile_column`` for a column of text, nulls and ``ABSENT``, such as
+    a :class:`Table` column.  The column is tallied first, and its distinct
+    lexemes are classified as class runs; the tally keeps first-seen order,
+    so each run's counts are the next ones in the tally, and the histogram
+    keeps first-seen order too."""
+    tally = Counter(cells)
     # A null is the empty lexeme, so it counts as empty where first seen.
     lexemes = [cell if isinstance(cell, str) else "" for cell in tally]
     counts = iter(tally.values())
@@ -345,7 +352,7 @@ def profile_column(values: Sequence, name: str = "",
         histogram[cls] = histogram.get(cls, 0) + sum(islice(counts, k))
     return ColumnProfile(
         name=name,
-        total_count=len(values),
+        total_count=len(cells),
         null_count=tally[None] + tally[""] + tally[ABSENT],
         distinct_count=len(lexemes) - lexemes.count(""),
         sample_values=list(islice(filter(None, lexemes), value_cap)),
@@ -469,7 +476,7 @@ def ingest(source, source_format: str, options: IngestOptions | None = None,
         row_count=len(table),
         # Nothing else reads this table, so no column's summary is kept: one
         # column's tally and classes are alive at a time.
-        columns=[profile_column(table.column(name), name, options.value_cap)
+        columns=[_profile_lexemes(table.column(name), name, options.value_cap)
                  for name in columns],
         source_format=source_format,
         sample_rows=table[: options.row_cap],

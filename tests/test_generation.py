@@ -13,7 +13,7 @@ from contractforge import backends
 from contractforge.backends import (GenerationRequest, HttpBackend,
                                     OracleBackend, ScriptedBackend)
 from contractforge.errors import (BackendTransportError, ContractForgeError,
-                                  ExtractionFailure)
+                                  ExtractionFailure, InvariantViolation)
 from contractforge.generation import (GenerationPolicy, TWO_PASS, _balanced_span,
                                       extract_contract, generate_contract,
                                       remove_trailing_commas, score_candidate,
@@ -225,6 +225,13 @@ class TestGenerate:
         assert report.fallback is True
         assert "names trimmed" in report.candidates[0].error
         assert validate_rows(contract, read_table(data, "delimited")[1]).all_passed
+
+    def test_fallback_for_a_profile_repeating_a_column_is_rejected(self):
+        # Such a profile can be built in code; ``load_profile`` rejects it.
+        profile = ingest(csv_bytes(["id", "price"], [["1", "2.5"]]), "delimited")
+        profile.columns.append(profile.columns[0])
+        with pytest.raises(InvariantViolation, match="field names unique"):
+            generate_contract(profile, ScriptedBackend({}))
 
     def test_tie_breaks_to_lowest_index(self, toy_profile, oracle_text):
         backend = ScriptedBackend.from_completions([[oracle_text, oracle_text]])

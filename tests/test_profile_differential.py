@@ -1,15 +1,17 @@
 """The column-at-a-time classifier, readers and profiler against the reference
 copies of the per-cell ones they replaced (``_reference_engine``).
 
-The classifier must give the same class for every lexeme, and the column
-classifier (``class_runs``) the class ``classify_lexeme`` gives each lexeme
-of a column; the readers the same rows; and ingest the same profile, byte
-for byte, including sample and histogram order.
+The classifier must give the same class for every lexeme, and so must the
+column classifier (``class_runs``) for each lexeme of a column; both read
+one grammar, so only the reference can catch a fault in it.  The readers
+must give the same rows, and ingest the same profile, byte for byte,
+including sample and histogram order.
 """
 
 import csv
 import datetime as dt
 import io
+import itertools
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -46,6 +48,21 @@ def test_fixed_lexemes_match_reference(lexeme):
 @given(st.text(alphabet="0123456789+-.eETZz:tTrRuUfFaAlLsS -x", max_size=24))
 def test_lexemes_over_the_grammar_alphabet_match_reference(lexeme):
     assert classify_lexeme(lexeme) == reference.classify_lexeme(lexeme)
+
+
+def test_every_short_lexeme_and_calendar_edge_matches_reference():
+    """Every short string over the grammar's characters, and each year's
+    February 28, 29 and 30, April 31 and December 31 as a date and as
+    timestamps at the last second of the day and at hour 24."""
+    lexemes = ["".join(chars) for alphabet, longest in
+               (("09+-.eETZz:a", 4), ("0+-.eT:Z", 6), ("01-", 9))
+               for size in range(longest + 1) for chars in itertools.product(alphabet, repeat=size)]
+    lexemes += [f"{year:04d}-{day}{time}" for year in range(10_000)
+                for day in ("02-28", "02-29", "02-30", "04-31", "12-31")
+                for time in ("", "T23:59:59Z", "T24:00")]
+    expected = list(map(reference.classify_lexeme, lexemes))
+    assert list(map(classify_lexeme, lexemes)) == expected
+    assert [cls for cls, k in class_runs(lexemes) for _ in range(k)] == expected
 
 
 def edge_or(edges: list[int], top: int):
@@ -175,13 +192,15 @@ def test_class_runs_match_the_lexeme_classifier():
     def check(column):
         runs = class_runs(column)
         assert [cls for cls, k in runs for _ in range(k)] == list(map(classify_lexeme, column))
+        assert [cls for cls, k in runs for _ in range(k)] \
+            == list(map(reference.classify_lexeme, column))
         # Each run is a longest one: none is empty and no two neighbours share a class.
         assert all(k > 0 for _, k in runs)
         assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
         seen["classes"] |= {cls for cls, _ in runs}
         seen["newline"] += any("\n" in lexeme for lexeme in column)
         seen["long runs"] += any(k > 256 for _, k in runs)  # longer than one chunk
-        seen["short runs"] += sum(k < 2 for _, k in runs) > 512  # chunks per lexeme
+        seen["short runs"] += sum(k < 2 for _, k in runs) > 512  # a match per lexeme
 
     check()
     assert seen["classes"] == set(CLASSES) and seen["newline"] >= 20 \
@@ -189,8 +208,8 @@ def test_class_runs_match_the_lexeme_classifier():
 
 
 def test_class_runs_across_chunks_of_short_runs():
-    """Chunks of one-lexeme runs are classified per lexeme, and scanning
-    starts again after a chunk of long runs; the runs are the same."""
+    """Chunks of one-lexeme runs, where each scan match is one lexeme, then
+    a chunk of long runs and more one-lexeme runs: the runs are the same."""
     kinds = ["integer", "string", "number", "date", "phone", "boolean", "timestamp"]
     alternating = [_homogeneous(kinds[i % 7], i, 1)[0] for i in range(700)]
     column = alternating + _homogeneous("date", 0, 900) + alternating[::-1] + ["x"] \

@@ -137,6 +137,11 @@ class TestProfileColumn:
     def test_mixed_classes(self):
         column = profile_column(["1", "x"])
         assert column.lexical_histogram == {"integer": 1, "string": 1}
+        # Non-text cells are read as lexemes, as ``Table.from_rows`` reads them.
+        column = profile_column([1, 2, 2.5, True, 1.0, None, [1]])
+        assert column == profile_column(["1", "2", "2.5", "true", "1.0", None, "[1]"])
+        assert column.lexical_histogram == {"integer": 2, "number": 2, "boolean": 1,
+                                            "empty": 1, "string": 1}
 
     def test_histogram_sums_to_total(self):
         column = profile_column(["1", None, "x", "", "2.5"])
