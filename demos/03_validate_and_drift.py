@@ -14,7 +14,7 @@ questions get two different tools:
 
 import json
 
-from contractforge import (detect_drift, infer_contract, ingest,
+from contractforge import (detect_drift, infer_contract, ingest, profile_table,
                            read_table, to_json_schema, validate_rows)
 
 GOOD = b"""\
@@ -25,11 +25,12 @@ order_id,total,status
 4,9.50,inactive
 """
 
-profile = ingest(GOOD, "delimited", dataset_name="orders")
-contract = infer_contract(profile)
+# One read: the table is profiled and then validated, and both read the
+# column summaries it keeps.
+_, table = read_table(GOOD, "delimited")
+contract = infer_contract(profile_table(table, "delimited", dataset_name="orders"))
 
-_, rows = read_table(GOOD, "delimited")
-report = validate_rows(contract, rows)
+report = validate_rows(contract, table)
 print(f"conforming file: {report.rows_passed}/{report.rows_checked} rows pass")
 
 # Now some rows that break it in every way at once: a null in a required

@@ -9,7 +9,7 @@ evaluated against data.  Observed ranges over-fit the sample by nature, so
 range rules are warnings; set and null rules are errors.
 """
 
-from contractforge import (evaluate_rules, infer_contract, ingest,
+from contractforge import (evaluate_rules, infer_contract, profile_table,
                            read_table, synthesize_rules)
 
 CSV = b"order_id,total,status,placed\n" + b"".join(
@@ -17,16 +17,17 @@ CSV = b"order_id,total,status,placed\n" + b"".join(
     f"{'active' if i % 2 else 'inactive'},2026-02-{(i % 28) + 1:02d}\n"
     .encode() for i in range(1, 21))
 
-profile = ingest(CSV, "delimited", dataset_name="orders")
+_, table = read_table(CSV, "delimited")
+profile = profile_table(table, "delimited", dataset_name="orders")
 contract = infer_contract(profile)
 
 rules = synthesize_rules(profile, contract.fields)
 for rule in rules:
     print(f"  [{rule.severity:7s}] {rule.kind} on {rule.column!r} {rule.params}")
 
-# The source data passes its own rules by construction.
-_, rows = read_table(CSV, "delimited")
-results = evaluate_rules(rules, rows)
+# The source data passes its own rules by construction; the rules read the
+# column summaries the profiled table already keeps.
+results = evaluate_rules(rules, table)
 print("all pass on source data:", all(r.passed for r in results))
 
 # Feed in data that breaks several of them.

@@ -5,13 +5,13 @@ drift detection.
 
 The usual flow:
 
-    profile = ingest(open("orders.csv", "rb"), "delimited")
+    columns, table = read_table(open("orders.csv", "rb"), "delimited")
+    profile = profile_table(table, "delimited", dataset_name="orders")
     contract, report = generate_contract(profile, OracleBackend(profile))
+    validate_rows(contract, table)
     store = RegistryStore("registry")
     version = store.publish("orders", contract)
     store.approve("orders", version, reviewer="alice")
-    columns, table = read_table(open("batch.csv", "rb"), "delimited")
-    validate_rows(contract, table)
 """
 
 from .backends import (CompletionBackend, GenerationRequest, HttpBackend,
@@ -33,7 +33,7 @@ from .model import (Constraints, Contract, FieldSpec, Provenance, QualityRule,
                     to_json_schema)
 from .profiling import (ColumnProfile, DataProfile, IngestOptions, Table,
                         dump_profile, ingest, load_profile, profile_column,
-                        read_table)
+                        profile_table, read_table)
 from .prompts import SINGLE_PASS, TWO_PASS_STAGE1, TWO_PASS_STAGE2, build_prompt
 from .registry import RegistryStore, VersionRecord
 from .service import RegistryClient, RegistryServer

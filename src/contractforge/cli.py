@@ -57,8 +57,8 @@ def _merge(base: dict, override, defaults: dict, where: str) -> dict:
     """``base`` with ``override`` merged in, recursively.  Each override must
     have the type of the ``defaults`` value it replaces: an int may stand for
     a float, a null default takes a string or null, a list default takes a
-    list of strings, and an int is never negative.  An unknown key takes
-    anything."""
+    list of strings, a number is never negative, and a mode is a ``--mode``
+    choice or ``two_pass``.  An unknown key takes anything."""
     if not isinstance(override, dict):
         raise ContractForgeError(f"{where} must be a JSON object")
     merged = dict(base)
@@ -77,8 +77,11 @@ def _merge(base: dict, override, defaults: dict, where: str) -> dict:
         if not ok:
             raise ContractForgeError(f"{where} key {key!r} must be {expected}, "
                                      f"not {type(value).__name__}")
-        if type(default) is int and value < 0:
+        if type(default) in (int, float) and not value >= 0:
             raise ContractForgeError(f"{where} key {key!r} must be >= 0, not {value}")
+        if key == "mode" and key in defaults and value not in ("single", "two-pass", "two_pass"):
+            raise ContractForgeError(f"{where} key 'mode' must be single or two-pass, "
+                                     f"not {value!r:.40}")
         if type(default) is list and not all(isinstance(item, str) for item in value):
             raise ContractForgeError(f"{where} key {key!r} must hold only strings")
         merged[key] = value

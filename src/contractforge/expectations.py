@@ -9,14 +9,15 @@ errors.
 Value rules compile to ``validation.value_test``, the engine fields use.
 Unlike a field's range, ``between`` fails a non-numeric lexeme; nulls (and
 absent keys) are skipped by every kind except ``not_null``, and empty
-lexemes by every kind.  Rules read the kept column tallies and classes of
-a :class:`~.profiling.Table`, so a table that was just validated is not
-tallied or classified again; ``values_in_set`` reads only the tally.
+lexemes by every kind.  Rules read the kept column tallies and class runs of
+a :class:`~.profiling.Table`, so a table that was just validated or profiled
+is not tallied or classified again; ``values_in_set`` reads only the tally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat, starmap
 
 from .errors import ContractForgeError
 from .inference import ENUM_MIN_ROWS, _numeric_bounds
@@ -101,9 +102,9 @@ def evaluate_rules(rules: list[QualityRule], rows) -> list[RuleResult]:
         else:
             test = value_test(rule.kind, rule.params)
             # Set membership reads no class, so it classifies nothing.
-            classes = ({cell: None for cell in tally if isinstance(cell, str)}
-                       if rule.kind == "values_in_set" else table.classes(rule.column))
-            failed = sum(tally[lexeme] for lexeme, cls in classes.items()
-                         if lexeme and not test(lexeme, cls))
+            classes = (repeat(None) if rule.kind == "values_in_set"
+                       else chain.from_iterable(starmap(repeat, table.runs(rule.column))))
+            failed = sum(n for (cell, n), cls in zip(tally.items(), classes)
+                         if cell and cell is not ABSENT and not test(cell, cls))
         results.append(RuleResult(rule=rule, rows_failed=failed))
     return results

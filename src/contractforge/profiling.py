@@ -12,18 +12,14 @@ Null conventions: in delimited input the empty cell is null (the literals
 in ndjson both explicit ``null`` and an absent key count as null.
 
 ``read_table`` reads a source into a :class:`Table`, which holds one tuple
-of lexemes per column.  A column's summary, the tally of its cells and the
-lexical class of each distinct lexeme, is computed the first time each part
-is asked for and kept, so row validation and rule evaluation on one table
-share one scan per column, after the shared per-column metrics of Deequ
-(Schelter et al., VLDB 2018).  ``ingest`` profiles its own table a column
-at a time, as ``profile_column`` profiles one column: each computes the same
-two parts and keeps neither.  Both classify a column's distinct lexemes with
-``lexical.class_runs``, which scans them, joined a line each, with the one
-lexeme grammar and gives runs of consecutive lexemes of one class;
-``profile_column`` adds a run's tally counts to the histogram at once.
-Read as a sequence, a table gives the row dicts of the public API, built on
-demand.
+of lexemes per column and keeps one summary per column: the tally of its
+cells and the ``lexical.class_runs`` of its distinct cells, each computed on
+first use.  ``profile_table``, row validation and rule evaluation all read
+that summary, so a table is tallied and classified once per column, after
+the shared per-column metrics of Deequ (Schelter et al., VLDB 2018).
+``ingest`` is ``read_table`` followed by ``profile_table``, and
+``profile_column`` profiles a one-column table.  Read as a sequence, a table
+gives the row dicts of the public API, built on demand.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ import json
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat, starmap
+from itertools import islice
 
 from .errors import IngestError, dump_json, parse_json
 from .lexical import class_runs
@@ -58,14 +54,11 @@ class IngestOptions:
     null_tokens: list[str] = field(default_factory=list)
 
 
-def _check_count(name: str, value) -> None:
-    if type(value) is not int or value < 0:
-        raise IngestError(f"{name} must be a non-negative integer, got {value!r:.40}")
-
-
 def _check_options(options: IngestOptions) -> None:
     for name in ("value_cap", "row_cap", "flatten_depth"):
-        _check_count(name, getattr(options, name))
+        value = getattr(options, name)
+        if type(value) is not int or value < 0:
+            raise IngestError(f"{name} must be a non-negative integer, got {value!r:.40}")
     tokens = options.null_tokens
     if not isinstance(tokens, (list, tuple)) or not all(isinstance(t, str) for t in tokens):
         raise IngestError(f"null_tokens must be a list of strings, got {tokens!r:.40}")
@@ -224,13 +217,6 @@ def _lexemes(cells: tuple) -> tuple:
     return tuple([cell if cell is ABSENT else lexeme_of(cell) for cell in cells])
 
 
-def _classes(tally: Counter) -> dict[str, str]:
-    """The lexical class of each distinct lexeme of a column's tally, in its
-    first-seen order; ``None`` and ``ABSENT`` have none."""
-    lexemes = [cell for cell in tally if isinstance(cell, str)]
-    return dict(zip(lexemes, chain.from_iterable(starmap(repeat, class_runs(lexemes)))))
-
-
 class Table(Sequence):
     """Every row of a source, held a column at a time.
 
@@ -238,8 +224,8 @@ class Table(Sequence):
     tuple of lexemes: ``None`` for null and :data:`ABSENT` where a row lacks
     the key.  As a sequence a table gives row dicts, built on demand, each
     with the keys present on its row in that row's own order; it equals a
-    list of the same dicts.  A table is immutable, so ``tally`` and
-    ``classes`` compute a column's summary once and keep it.
+    list of the same dicts.  A table is immutable, so ``tally`` and ``runs``
+    compute a column's summary once and keep it.
     """
 
     def __init__(self, columns, cells, length: int, key_orders: dict | None = None):
@@ -249,7 +235,7 @@ class Table(Sequence):
         # Row index -> that row's keys, for rows whose keys are not in column order.
         self._key_orders = key_orders or {}
         self._tallies: dict[str, Counter] = {}
-        self._classes: dict[str, dict[str, str]] = {}
+        self._runs: dict[str, list[tuple[str, int]]] = {}
 
     @classmethod
     def from_rows(cls, rows) -> "Table":
@@ -285,14 +271,15 @@ class Table(Sequence):
             tally = self._tallies[name] = Counter(self.column(name))
         return tally
 
-    def classes(self, name: str) -> dict[str, str]:
-        """The lexical class of each distinct lexeme of column ``name``, in
-        first-seen order; computed on first use and kept, so callers must
-        not change it."""
-        classes = self._classes.get(name)
-        if classes is None:
-            classes = self._classes[name] = _classes(self.tally(name))
-        return classes
+    def runs(self, name: str) -> list[tuple[str, int]]:
+        """The ``class_runs`` of column ``name``'s distinct cells in tally
+        order, a null or ``ABSENT`` read as the empty lexeme; computed on
+        first use and kept, so callers must not change it."""
+        runs = self._runs.get(name)
+        if runs is None:
+            lexemes = [cell if isinstance(cell, str) else "" for cell in self.tally(name)]
+            runs = self._runs[name] = class_runs(lexemes)
+        return runs
 
     def _row(self, index: int) -> dict:
         cells = self._cells
@@ -333,31 +320,9 @@ def profile_column(values: Sequence, name: str = "",
     ``value_cap`` *distinct* non-null lexemes in first-seen order, so small
     value domains are retained completely.
     """
-    _check_count("value_cap", value_cap)
-    return _profile_lexemes(_lexemes(tuple(values)), name, value_cap)
-
-
-def _profile_lexemes(cells: tuple, name: str, value_cap: int) -> ColumnProfile:
-    """``profile_column`` for a column of text, nulls and ``ABSENT``, such as
-    a :class:`Table` column.  The column is tallied first, and its distinct
-    lexemes are classified as class runs; the tally keeps first-seen order,
-    so each run's counts are the next ones in the tally, and the histogram
-    keeps first-seen order too."""
-    tally = Counter(cells)
-    # A null is the empty lexeme, so it counts as empty where first seen.
-    lexemes = [cell if isinstance(cell, str) else "" for cell in tally]
-    counts = iter(tally.values())
-    histogram: dict[str, int] = {}
-    for cls, k in class_runs(lexemes):
-        histogram[cls] = histogram.get(cls, 0) + sum(islice(counts, k))
-    return ColumnProfile(
-        name=name,
-        total_count=len(cells),
-        null_count=tally[None] + tally[""] + tally[ABSENT],
-        distinct_count=len(lexemes) - lexemes.count(""),
-        sample_values=list(islice(filter(None, lexemes), value_cap)),
-        lexical_histogram=histogram,
-    )
+    cells = _lexemes(tuple(values))
+    table = Table([name], [cells], len(cells))
+    return profile_table(table, DELIMITED, IngestOptions(value_cap=value_cap)).columns[0]
 
 
 def _decode(source) -> str:
@@ -378,27 +343,31 @@ def _decode(source) -> str:
 def _read_delimited(text: str, options: IngestOptions) -> Table:
     if len(options.delimiter) != 1:
         raise IngestError(f"delimiter must be one character, got {options.delimiter!r}")
-    reader = csv.reader(io.StringIO(text), delimiter=options.delimiter)
+    # ``newline=""`` leaves line ends to the reader, so a bare CR ends a
+    # line as CRLF and LF do, and a quoted one stays in its cell.
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=options.delimiter)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestError("no data") from None
-    columns = [name.strip() for name in header]
-    seen: set[str] = set()
-    for name in columns:
-        if name in seen:
-            raise IngestError(f"duplicate column name {name!r} after normalization")
-        seen.add(name)
-    records: list[list[str]] = []
-    for index, record in enumerate(reader):
-        if not record:  # blank line, not a record
-            continue
-        if len(record) != len(columns):
-            raise IngestError(
-                f"ragged row {index + 1} (line {reader.line_num}): "
-                f"expected {len(columns)} cells, got {len(record)}"
-            )
-        records.append(record)
+        header = next(reader, None)
+        if header is None:
+            raise IngestError("no data")
+        columns = [name.strip() for name in header]
+        seen: set[str] = set()
+        for name in columns:
+            if name in seen:
+                raise IngestError(f"duplicate column name {name!r} after normalization")
+            seen.add(name)
+        records: list[list[str]] = []
+        for index, record in enumerate(reader):
+            if not record:  # blank line, not a record
+                continue
+            if len(record) != len(columns):
+                raise IngestError(
+                    f"ragged row {index + 1} (line {reader.line_num}): "
+                    f"expected {len(columns)} cells, got {len(record)}"
+                )
+            records.append(record)
+    except csv.Error as exc:
+        raise IngestError(f"malformed delimited line {reader.line_num}: {exc}") from None
     nulls = dict.fromkeys(["", *options.null_tokens])
     cells = [tuple(map(nulls.get, column, column)) for column in zip(*records)]
     return Table(columns, cells or [()] * len(columns), len(records))
@@ -423,7 +392,10 @@ def _flatten(obj: dict, depth: int, line_no: int) -> dict:
 
 def _read_ndjson(text: str, options: IngestOptions) -> Table:
     rows: list[dict] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # Lines end at LF alone: JSON strings may hold U+2028, U+2029 and U+0085
+    # raw, at which ``str.splitlines`` would also break.
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line[:-1] if line.endswith("\r") else line
         if not line.strip():
             continue
         obj = parse_json(line, IngestError, f"ndjson line {line_no}")
@@ -462,22 +434,43 @@ def read_table(source, source_format: str,
     return list(table.columns), table
 
 
-def ingest(source, source_format: str, options: IngestOptions | None = None,
-           dataset_name: str = "dataset") -> DataProfile:
-    """Profile a finite byte stream into a :class:`DataProfile`.
-
-    Deterministic: the same bytes and options always produce an identical
-    profile.  Columns appear in first-seen order.
-    """
+def profile_table(table: Table, source_format: str, options: IngestOptions | None = None,
+                  dataset_name: str = "dataset") -> DataProfile:
+    """Profile a table read from a ``source_format`` source from the column
+    summaries it keeps, so a table already validated is not tallied or
+    classified again.  Columns appear in the table's first-seen order."""
     options = options or IngestOptions()
-    columns, table = read_table(source, source_format, options)
+    _check_options(options)
+    columns = []
+    for name in table.columns:
+        tally = table.tally(name)
+        # The runs follow the tally's first-seen order, so each run's counts
+        # are the next ones in the tally, and the histogram keeps that order.
+        counts = iter(tally.values())
+        histogram: dict[str, int] = {}
+        for cls, k in table.runs(name):
+            histogram[cls] = histogram.get(cls, 0) + sum(islice(counts, k))
+        columns.append(ColumnProfile(
+            name=name,
+            total_count=len(table),
+            null_count=tally[None] + tally[""] + tally[ABSENT],
+            distinct_count=len(tally) - sum(map(tally.__contains__, (None, "", ABSENT))),
+            sample_values=list(islice((cell for cell in tally if cell and cell is not ABSENT),
+                                      options.value_cap)),
+            lexical_histogram=histogram,
+        ))
     return DataProfile(
         dataset_name=dataset_name,
         row_count=len(table),
-        # Nothing else reads this table, so no column's summary is kept: one
-        # column's tally and classes are alive at a time.
-        columns=[_profile_lexemes(table.column(name), name, options.value_cap)
-                 for name in columns],
+        columns=columns,
         source_format=source_format,
         sample_rows=table[: options.row_cap],
     )
+
+
+def ingest(source, source_format: str, options: IngestOptions | None = None,
+           dataset_name: str = "dataset") -> DataProfile:
+    """Profile a finite byte stream into a :class:`DataProfile`: the
+    ``profile_table`` of its ``read_table``."""
+    _, table = read_table(source, source_format, options)
+    return profile_table(table, source_format, options, dataset_name)

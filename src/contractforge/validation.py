@@ -10,11 +10,11 @@ the empty lexeme and take only ``None``, never ``""``, as null; unlike
 ``between``, a field's range reads only numeric lexemes, and only when the
 field has a bound.  Unknown row keys are violations unless ``allow_unknown``.
 
-Validation reads the kept column tallies and classes of a
+Validation reads the kept column tallies and class runs of a
 :class:`~.profiling.Table` (a list of row dicts becomes one through
-``Table.from_rows``): each distinct lexeme of a field's column gets one
-verdict, and only a column holding a failing lexeme or a missing key is
-walked again, to flag the rows that hold one.  ``validate_rows`` turns
+``Table.from_rows``), the summary profiling reads too: each distinct lexeme
+of a field's column gets one verdict, and only a column holding a failing
+lexeme or a missing key is walked again, to flag the rows that hold one.  ``validate_rows`` turns
 those rows into violations; ``failing_rows`` only collects their indices,
 unknown keys always included.
 """
@@ -22,7 +22,7 @@ unknown keys always included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat, starmap
 from operator import attrgetter, is_not
 from typing import Callable
 
@@ -157,14 +157,14 @@ def _failing_columns(contract: Contract, table: Table):
     key: its name, its cells, and ``{cell: (violation kind, observed)}``."""
     for spec in contract.fields:
         name, check = spec.name, field_check(spec)
-        tally = table.tally(name)
         # Every class sits below string, so a text field's check reads none.
         textual = lattice_type(spec.logical_type) == lexical.STRING
-        classes = {} if textual else table.classes(name)
+        classes = (repeat(None) if textual
+                   else chain.from_iterable(starmap(repeat, table.runs(name))))
         missing = None if spec.nullable else MISSING_FIELD
         failing = {}
-        for cell in tally:
-            kind = missing if cell is ABSENT else check(cell, classes.get(cell))
+        for cell, cls in zip(table.tally(name), classes):
+            kind = missing if cell is ABSENT else check(cell, cls)
             if kind is not None:
                 failing[cell] = kind, ("" if cell is ABSENT else "null" if cell is None else cell)
         if failing:

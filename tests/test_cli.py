@@ -443,6 +443,19 @@ class TestUnreadableInputs:
          "'row_cap' must be >= 0, not -1"),
         (b'{"ingest": {"flatten_depth": -1}}', ["--config", "FILE", "profile", "CSV"],
          "'flatten_depth' must be >= 0, not -1"),
+        (b'{"backend": {"backoff": -1}}', ["--config", "FILE", "generate", "PROFILE"],
+         "'backoff' must be >= 0, not -1"),
+        (b'{"backend": {"timeout": -1}}', ["--config", "FILE", "generate", "PROFILE"],
+         "'timeout' must be >= 0, not -1"),
+        (b'{"backend": {"timeout": NaN}}', ["--config", "FILE", "generate", "PROFILE"],
+         "'timeout' must be >= 0, not nan"),
+        (b'{"generation": {"mode": "two-pas"}}', ["--config", "FILE", "generate", "PROFILE"],
+         "'mode' must be single or two-pass, not 'two-pas'"),
+        (b'{"mode": "two-pas"}', ["generate", "PROFILE", "--policy", "FILE"],
+         "policy file key 'mode' must be single or two-pass"),
+        (b"a,b\n1\r2,3\n", ["profile", "FILE"], "ragged row 1"),
+        (b"a\n" + b"x" * 200_000 + b"\n", ["validate", "CONTRACT", "FILE"],
+         "malformed delimited line 2: field larger than field limit"),
     ], ids=["contract-too-deep", "script-too-deep", "profile-too-deep", "policy-too-deep",
             "config-too-deep", "ndjson-too-deep", "profile-long-integer", "profile-empty",
             "profile-column-name-padded",
@@ -450,7 +463,9 @@ class TestUnreadableInputs:
             "policy-threshold-bool", "contract-not-utf8", "config-script-int",
             "config-url-int", "config-auth-env-list", "config-null-token-list",
             "config-value-cap-negative", "config-row-cap-negative",
-            "config-flatten-depth-negative"])
+            "config-flatten-depth-negative", "config-backoff-negative",
+            "config-timeout-negative", "config-timeout-nan", "config-mode-typo",
+            "policy-mode-typo", "csv-bare-cr", "csv-field-too-large"])
     def test_exits_2_with_an_error_line(self, tmp_path, toy_csv, toy_profile_file,
                                         toy_contract_file, capsys, text, argv, message):
         bad = tmp_path / "bad.json"
@@ -488,7 +503,8 @@ class TestUnreadableInputs:
     def test_ints_stand_for_floats_and_null_defaults_take_anything(self, tmp_path,
                                                                    toy_profile_file):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"generation": {"temperature": 0, "threshold": 0},
+        config.write_text(json.dumps({"generation": {"temperature": 0, "threshold": 0,
+                                                     "mode": "two_pass"},
                                       "backend": {"auth_env": "FORGE_TOKEN"},
                                       "unknown": [1]}))
         policy = tmp_path / "policy.json"

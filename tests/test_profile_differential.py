@@ -25,8 +25,8 @@ from contractforge.errors import IngestError
 from contractforge.expectations import evaluate_rules
 from contractforge.lexical import CLASSES, class_runs, classify_lexeme
 from contractforge.model import Constraints, Contract, FieldSpec, QualityRule
-from contractforge.profiling import (IngestOptions, dump_profile, ingest, profile_column,
-                                     read_table)
+from contractforge.profiling import (IngestOptions, Table, dump_profile, ingest, profile_column,
+                                     profile_table, read_table)
 from contractforge.validation import validate_rows
 
 HAND_LABELED = Path(__file__).parent / "data" / "hand_labeled"
@@ -460,9 +460,8 @@ FIELD_KINDS = st.sampled_from([
 
 
 @st.composite
-def ndjson_contracts(draw) -> Contract:
-    names = draw(st.lists(st.sampled_from(["id", "v", "w", "n", "v.a", "w.b", "v.a.b"]),
-                          min_size=1, max_size=4, unique=True))
+def ndjson_contracts(draw, names=("id", "v", "w", "n", "v.a", "w.b", "v.a.b")) -> Contract:
+    names = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
     kinds = [draw(FIELD_KINDS) for _ in names]
     return _contract(*((name, kind, draw(st.booleans()), constraints)
                        for name, (kind, constraints) in zip(names, kinds)))
@@ -498,3 +497,69 @@ def test_random_ndjson_enforcement_matches_reference():
 
     check()
     assert all(count >= 20 for count in seen.values()), seen
+
+
+# -- one table: profiled, validated and checked by rules -----------------------------
+
+def _documents(contract: Contract, rows) -> tuple:
+    rules = [QualityRule(kind, spec.name, params, "warning")
+             for spec in contract.fields for kind, params in RULE_KINDS]
+    return ([validate_rows(contract, rows, allow).to_doc() for allow in (False, True)],
+            [result.to_doc() for result in evaluate_rules(rules, rows)])
+
+
+def test_a_table_profiles_as_its_source_ingests():
+    """``profile_table`` reads the column summaries a table keeps: whether
+    validation and rules read the table before it, after it or not at all,
+    its profile is the ``ingest`` of the table's source, and their documents
+    are those of the table's rows."""
+    seen = {"before": 0, "after": 0, "never": 0, "error": 0}
+
+    @derandomized(150)
+    @given(source=st.one_of(delimited_tables().map(lambda d: (d, "delimited")),
+                            (ndjson_tables() | reordered_ndjson_tables())
+                            .map(lambda d: (d, "ndjson"))),
+           options=OPTIONS, contract=ndjson_contracts(("id", "v", "w", "n", "c0", "c1", "c2")),
+           order=st.sampled_from(["before", "after", "never"]))
+    def check(source, options, contract, order):
+        data, source_format = source
+        try:
+            expected = dump_profile(ingest(data, source_format, options, dataset_name="t"))
+        except IngestError:
+            seen["error"] += 1
+            return
+        _, table = read_table(data, source_format, options)
+        documents = _documents(contract, list(table))
+        if order == "before":
+            assert _documents(contract, table) == documents
+        assert dump_profile(profile_table(table, source_format, options, "t")) == expected
+        if order == "after":
+            assert _documents(contract, table) == documents
+        seen[order] += 1
+
+    check()
+    assert all(count >= 15 for count in seen.values()), seen
+
+
+FLAT_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(st.sampled_from(["a", " ", "{", '"', "\r", "\n", "\x1c", "\x85", "\u2028", "\u2029"])
+            | st.characters(), max_size=4),
+)
+
+
+def test_flat_ndjson_reads_as_the_table_of_its_rows():
+    """Any flat rows written one per line with raw non-ASCII, line and
+    paragraph separators included, read as ``Table.from_rows`` of the rows."""
+    keys = st.text(max_size=3).filter(lambda key: key == key.strip())
+
+    @derandomized(200)
+    @given(rows=st.lists(st.dictionaries(keys, FLAT_VALUES, max_size=4), min_size=1, max_size=8))
+    def check(rows):
+        data = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+        columns, table = read_table(data.encode("utf-8"), "ndjson")
+        expected = Table.from_rows(rows)
+        assert columns == list(expected.columns)
+        assert [list(row.items()) for row in table] == [list(row.items()) for row in expected]
+
+    check()

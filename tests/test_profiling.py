@@ -6,9 +6,14 @@ from collections.abc import Sequence
 
 import pytest
 
+from contractforge import profiling
 from contractforge.errors import IngestError
+from contractforge.expectations import evaluate_rules
+from contractforge.lexical import class_runs
+from contractforge.model import Contract, FieldSpec, QualityRule
 from contractforge.profiling import (ABSENT, IngestOptions, Table, dump_profile, ingest,
-                                     load_profile, profile_column, read_table)
+                                     load_profile, profile_column, profile_table, read_table)
+from contractforge.validation import validate_rows
 from conftest import csv_bytes, profile_of
 
 
@@ -60,6 +65,18 @@ class TestDelimited:
         custom = ingest(data, "delimited", IngestOptions(null_tokens=["NA"]))
         assert custom.column("v").null_count == 2
 
+    def test_line_ends(self):
+        rows = [{"a": "1", "b": "x\ry"}, {"a": "2", "b": "p\r\nq"}]
+        for data in (b'a,b\r\n1,"x\ry"\r\n2,"p\r\nq"\r\n', b'a,b\r1,"x\ry"\r2,"p\r\nq"\r',
+                     b'a,b\n1,"x\ry"\n2,"p\r\nq"'):
+            assert read_table(data, "delimited") == (["a", "b"], rows)
+        with pytest.raises(IngestError, match=r"ragged row 1 \(line 2\)"):
+            read_table(b"a,b\n1\r2,3\n", "delimited")
+
+    def test_a_field_past_the_csv_limit_is_an_ingest_error(self):
+        with pytest.raises(IngestError, match="line 3: field larger than field limit"):
+            read_table(b"a\n1\n" + b"x" * 200_000 + b"\n", "delimited")
+
     def test_quoted_cells_can_hold_delimiters(self):
         profile = ingest(b'a,b\n"1,5",x\n', "delimited")
         assert profile.column("a").sample_values == ["1,5"]
@@ -88,6 +105,14 @@ class TestNdjson:
     def test_malformed_line_names_line_number(self):
         with pytest.raises(IngestError, match="line 2"):
             ingest(b'{"a":1}\nnot json\n', "ndjson")
+        with pytest.raises(IngestError, match=r"line 3: Expecting value: line 1 column 6 \(char 5\)"):
+            ingest(b'{"a":1}\r\n\r\n{"a":\r\n', "ndjson")
+
+    def test_lines_end_only_at_line_feeds(self):
+        text = '{"id": 1, "note": "a\u2028b\u2029c\x85d"}\r\n{"id": 2}\n'
+        profile = ingest(text.encode("utf-8"), "ndjson")
+        assert profile.row_count == 2
+        assert profile.column("note").sample_values == ["a\u2028b\u2029c\x85d"]
 
     def test_integer_past_the_digit_limit_is_an_ingest_error(self):
         with pytest.raises(IngestError, match="line 2: integer literal too long"):
@@ -291,7 +316,24 @@ class TestTable:
     def test_a_column_summary_is_computed_once(self):
         _, table = read_table(b"a\n1\nx\n1\n\"\"\n", "delimited")
         assert list(table.tally("a").items()) == [("1", 2), ("x", 1), (None, 1)]
-        assert list(table.classes("a").items()) == [("1", "integer"), ("x", "string")]
+        assert table.runs("a") == [("integer", 1), ("string", 1), ("empty", 1)]
         assert table.tally("a") is table.tally("a")
-        assert table.classes("a") is table.classes("a")
-        assert table.tally("nope") == {ABSENT: 4} and table.classes("nope") == {}
+        assert table.runs("a") is table.runs("a")
+        assert table.tally("nope") == {ABSENT: 4} and table.runs("nope") == [("empty", 1)]
+
+    def test_profiling_validation_and_rules_share_the_summary(self, monkeypatch):
+        scanned = []
+
+        def spy(lexemes):
+            scanned.append(list(lexemes))
+            return class_runs(lexemes)
+        monkeypatch.setattr(profiling, "class_runs", spy)
+        data = b"a,b\n1,x\n2,\n"
+        _, table = read_table(data, "delimited")
+        contract = Contract("t", [FieldSpec("a", "integer", False), FieldSpec("b", "string", True)])
+        validate_rows(contract, table)
+        evaluate_rules([QualityRule("between", "a", {"min": 0, "max": 1})], table)
+        assert scanned == [["1", "2"]]
+        profile = profile_table(table, "delimited")
+        assert scanned == [["1", "2"], ["x", ""]]
+        assert dump_profile(profile) == dump_profile(ingest(data, "delimited"))
