@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import copy
 import sys
+import threading
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -57,8 +58,10 @@ def _merge(base: dict, override, defaults: dict, where: str) -> dict:
     """``base`` with ``override`` merged in, recursively.  Each override must
     have the type of the ``defaults`` value it replaces: an int may stand for
     a float, a null default takes a string or null, a list default takes a
-    list of strings, a number is never negative, and a mode is a ``--mode``
-    choice or ``two_pass``.  An unknown key takes anything."""
+    list of strings, a number is never negative, a float is finite (a
+    ``timeout`` or ``backoff`` at most ``threading.TIMEOUT_MAX``), an int is
+    at most ``sys.maxsize``, and a mode is a ``--mode`` choice or
+    ``two_pass``.  An unknown key takes anything."""
     if not isinstance(override, dict):
         raise ContractForgeError(f"{where} must be a JSON object")
     merged = dict(base)
@@ -79,6 +82,10 @@ def _merge(base: dict, override, defaults: dict, where: str) -> dict:
                                      f"not {type(value).__name__}")
         if type(default) in (int, float) and not value >= 0:
             raise ContractForgeError(f"{where} key {key!r} must be >= 0, not {value}")
+        limit = (threading.TIMEOUT_MAX if key in ("timeout", "backoff")
+                 else sys.float_info.max if type(default) is float else sys.maxsize)
+        if type(default) in (int, float) and not value <= limit:
+            raise ContractForgeError(f"{where} key {key!r} must be at most {limit:g}, not {value}")
         if key == "mode" and key in defaults and value not in ("single", "two-pass", "two_pass"):
             raise ContractForgeError(f"{where} key 'mode' must be single or two-pass, "
                                      f"not {value!r:.40}")
@@ -128,23 +135,20 @@ def _ingest_options(config: dict, args) -> IngestOptions:
 
 
 def _build_policy(config: dict, args) -> GenerationPolicy:
-    section = dict(config["generation"])
+    section = config["generation"]
     policy_path = getattr(args, "policy", None)
     if policy_path:
         section = _merge(section, _read_json(policy_path, "policy file"),
                          DEFAULT_CONFIG["generation"], "policy file")
-    mode_name = getattr(args, "mode", None) or section["mode"]
-    mode = TWO_PASS if mode_name in ("two-pass", "two_pass") else SINGLE_PASS
-
-    def pick(flag, key):
-        value = getattr(args, flag, None)
-        return value if value is not None else section[key]
-
+    flags = {key: getattr(args, key, None)
+             for key in ("mode", "candidates", "temperature", "threshold")}
+    section = _merge(section, {k: v for k, v in flags.items() if v is not None},
+                     DEFAULT_CONFIG["generation"], "command line")
     return GenerationPolicy(
-        mode=mode,
-        candidate_count=pick("candidates", "candidates"),
-        temperature=pick("temperature", "temperature"),
-        threshold=pick("threshold", "threshold"),
+        mode=TWO_PASS if section["mode"] in ("two-pass", "two_pass") else SINGLE_PASS,
+        candidate_count=section["candidates"],
+        temperature=section["temperature"],
+        threshold=section["threshold"],
         max_output_chars=section["max_output_chars"],
         generated_at=_now(),
     )

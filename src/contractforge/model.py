@@ -6,14 +6,17 @@ house.  ``to_json_schema`` is the export path for consumers that want a
 standard validator document.
 
 Parsing is strict: unknown keys are rejected rather than silently accepted,
-since most contract text arrives from a text-generation backend.  Field
-names and rule columns are trimmed by construction (``Contract.validate``
-rejects leading or trailing whitespace), so every other module compares
-names exactly as written.
+since most contract text arrives from a text-generation backend.
+``Contract.validate`` is the one check of a contract: every value's type,
+finite ``min``/``max`` bounds, string ``values_in_set`` values, and every
+invariant.  A contract built in code passes it exactly when its document
+parses, so the registry refuses one it could not read back.  Names are
+trimmed by construction, so every module compares them exactly as written.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ContractSyntaxError, InvariantViolation, dump_json, parse_json
@@ -26,6 +29,28 @@ GENERATOR_MODES = ("oracle", "backend", "fallback")
 
 RULE_KINDS = ("values_in_set", "not_null", "between", "matches_format", "unique")
 SEVERITIES = ("error", "warning")
+_TEXT_OR_NONE = (str, type(None))
+
+
+def _expect(condition: bool, message: str) -> None:
+    if not condition:
+        raise InvariantViolation("malformed document", message)
+
+
+def _validate_part(part, cls: type, where: str) -> None:
+    """``part.validate()`` for a ``cls``, naming a malformed piece by its path."""
+    if not isinstance(part, cls):
+        raise InvariantViolation("malformed document", f"{where} must be an object")
+    try:
+        part.validate()
+    except InvariantViolation as exc:
+        if exc.invariant != "malformed document":
+            raise
+        raise InvariantViolation(exc.invariant, f"{where}.{exc.detail}") from None
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -38,6 +63,17 @@ class Constraints:
     max_value: float | int | None = None
     format_hint: str | None = None
 
+    def validate(self) -> None:
+        allowed = self.allowed_values
+        _expect(allowed is None or isinstance(allowed, list)
+                and all(isinstance(v, str) for v in allowed),
+                "allowed_values must be a list of strings")
+        for key, bound in (("min", self.min_value), ("max", self.max_value)):
+            if bound is not None and not (_is_number(bound) and -math.inf < bound < math.inf):
+                kind = "finite" if _is_number(bound) else "numeric"
+                raise InvariantViolation("malformed document", f"{key} must be {kind}")
+        _expect(isinstance(self.format_hint, _TEXT_OR_NONE), "format_hint must be text")
+
     def is_empty(self) -> bool:
         return (self.allowed_values is None and self.min_value is None
                 and self.max_value is None and self.format_hint is None)
@@ -45,7 +81,7 @@ class Constraints:
     def to_doc(self) -> dict:
         doc: dict = {}
         if self.allowed_values is not None:
-            doc["allowed_values"] = list(self.allowed_values)
+            doc["allowed_values"] = self.allowed_values
         if self.min_value is not None:
             doc["min"] = self.min_value
         if self.max_value is not None:
@@ -64,10 +100,17 @@ class FieldSpec:
     description: str | None = None
 
     def validate(self) -> None:
+        _expect(isinstance(self.name, str), "name must be text")
+        _expect(isinstance(self.logical_type, str), "logical_type must be text")
+        _expect(isinstance(self.nullable, bool), "nullable must be a boolean")
+        c = self.constraints
+        if c is not None:
+            _validate_part(c, Constraints, "constraints")
+        if self.description is not None:
+            _expect(isinstance(self.description, str), "description must be text")
         if self.logical_type not in LOGICAL_TYPES:
             raise InvariantViolation("unknown logical_type",
                                      f"field {self.name!r}: {self.logical_type!r}")
-        c = self.constraints
         if self.logical_type == "enum_string":
             if c is None or c.allowed_values is None:
                 raise InvariantViolation("allowed_values present iff enum_string",
@@ -111,21 +154,25 @@ class QualityRule:
     severity: str = "error"
 
     def validate(self) -> None:
+        _expect(isinstance(self.kind, str), "kind must be text")
+        _expect(isinstance(self.column, str), "column must be text")
+        _expect(isinstance(self.params, dict), "params must be an object")
+        _expect(isinstance(self.severity, str), "severity must be text")
         if self.kind not in RULE_KINDS:
             raise InvariantViolation("unknown rule kind", repr(self.kind))
         if self.severity not in SEVERITIES:
             raise InvariantViolation("unknown rule severity", repr(self.severity))
         if self.kind == "values_in_set":
             values = self.params.get("values")
-            if not isinstance(values, list) or not values:
+            if not isinstance(values, list) or not values \
+                    or not all(isinstance(v, str) for v in values):
                 raise InvariantViolation("rule params match kind",
-                                         f"values_in_set on {self.column!r} needs a non-empty value list")
+                                         f"values_in_set on {self.column!r} needs a non-empty list of strings")
         elif self.kind == "between":
             lo, hi = self.params.get("min"), self.params.get("max")
-            if not isinstance(lo, (int, float)) or not isinstance(hi, (int, float)) \
-                    or isinstance(lo, bool) or isinstance(hi, bool) or lo > hi:
+            if not (_is_number(lo) and _is_number(hi) and -math.inf < lo <= hi < math.inf):
                 raise InvariantViolation("rule params match kind",
-                                         f"between on {self.column!r} needs min <= max")
+                                         f"between on {self.column!r} needs finite min <= max")
         elif self.kind == "matches_format":
             if self.params.get("format") not in ("date", "timestamp"):
                 raise InvariantViolation("rule params match kind",
@@ -133,7 +180,7 @@ class QualityRule:
 
     def to_doc(self) -> dict:
         return {"kind": self.kind, "column": self.column,
-                "params": dict(self.params), "severity": self.severity}
+                "params": self.params, "severity": self.severity}
 
 
 @dataclass
@@ -141,6 +188,13 @@ class Provenance:
     backend_id: str
     generator_mode: str
     generated_at: str | None = None
+
+    def validate(self) -> None:
+        _expect(isinstance(self.backend_id, str), "backend_id must be text")
+        _expect(isinstance(self.generator_mode, str), "generator_mode must be text")
+        _expect(isinstance(self.generated_at, _TEXT_OR_NONE), "generated_at must be text")
+        if self.generator_mode not in GENERATOR_MODES:
+            raise InvariantViolation("unknown generator_mode", repr(self.generator_mode))
 
     def to_doc(self) -> dict:
         doc: dict = {"backend_id": self.backend_id, "generator_mode": self.generator_mode}
@@ -168,6 +222,20 @@ class Contract:
         raise KeyError(name)
 
     def validate(self) -> None:
+        """The one check of a contract: no invariant reads a value before its type is checked."""
+        _expect(isinstance(self.name, str), "name must be text")
+        _expect(isinstance(self.fields, list), "fields must be an array")
+        _expect(isinstance(self.rules, list), "rules must be an array")
+        if not isinstance(self.version, int) or isinstance(self.version, bool) or self.version < 1:
+            raise InvariantViolation("version >= 1", repr(self.version))
+        if self.status not in STATUSES:
+            raise InvariantViolation("unknown status", repr(self.status))
+        if self.provenance is not None:
+            _validate_part(self.provenance, Provenance, "provenance")
+        for i, f in enumerate(self.fields):
+            _validate_part(f, FieldSpec, f"fields[{i}]")
+        for i, r in enumerate(self.rules):
+            _validate_part(r, QualityRule, f"rules[{i}]")
         names = [f.name for f in self.fields]
         padded = [n for n in names + [r.column for r in self.rules] if n != n.strip()]
         if padded:
@@ -175,26 +243,15 @@ class Contract:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise InvariantViolation("field names unique", ", ".join(repr(d) for d in dupes))
-        if not isinstance(self.version, int) or isinstance(self.version, bool) or self.version < 1:
-            raise InvariantViolation("version >= 1", repr(self.version))
-        if self.status not in STATUSES:
-            raise InvariantViolation("unknown status", repr(self.status))
-        if self.provenance is not None \
-                and self.provenance.generator_mode not in GENERATOR_MODES:
-            raise InvariantViolation("unknown generator_mode",
-                                     repr(self.provenance.generator_mode))
-        for f in self.fields:
-            f.validate()
-        for r in self.rules:
-            r.validate()
 
     def to_doc(self) -> dict:
+        """The document, holding any ill-typed value as it is for the parser to refuse."""
         doc: dict = {
             "name": self.name,
             "version": self.version,
             "status": self.status,
-            "fields": [f.to_doc() for f in self.fields],
-            "rules": [r.to_doc() for r in self.rules],
+            "fields": [f.to_doc() for f in self.fields] if isinstance(self.fields, list) else self.fields,
+            "rules": [r.to_doc() for r in self.rules] if isinstance(self.rules, list) else self.rules,
         }
         if self.provenance is not None:
             doc["provenance"] = self.provenance.to_doc()
@@ -208,102 +265,44 @@ _RULE_KEYS = {"kind", "column", "params", "severity"}
 _PROVENANCE_KEYS = {"backend_id", "generated_at", "generator_mode"}
 
 
-def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
+def _object(doc, allowed: set[str], where: str) -> dict:
+    """``doc``, which must be an object holding no key outside ``allowed``."""
+    _expect(isinstance(doc, dict), f"{where} must be an object")
     unknown = sorted(set(doc) - allowed)
     if unknown:
         raise InvariantViolation("unknown keys",
                                  f"{where}: {', '.join(repr(k) for k in unknown)}")
-
-
-def _expect(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvariantViolation("malformed document", message)
-
-
-def _constraints_from_doc(doc: dict, where: str) -> Constraints:
-    _expect(isinstance(doc, dict), f"{where}.constraints must be an object")
-    _reject_unknown(doc, _CONSTRAINT_KEYS, f"{where}.constraints")
-    allowed = doc.get("allowed_values")
-    if allowed is not None:
-        _expect(isinstance(allowed, list) and all(isinstance(v, str) for v in allowed),
-                f"{where}.constraints.allowed_values must be a list of strings")
-    for bound in ("min", "max"):
-        value = doc.get(bound)
-        if value is not None:
-            _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-                    f"{where}.constraints.{bound} must be numeric")
-    hint = doc.get("format_hint")
-    if hint is not None:
-        _expect(isinstance(hint, str), f"{where}.constraints.format_hint must be text")
-    return Constraints(allowed_values=list(allowed) if allowed is not None else None,
-                       min_value=doc.get("min"), max_value=doc.get("max"),
-                       format_hint=hint)
-
-
-def _field_from_doc(doc: dict, index: int) -> FieldSpec:
-    where = f"fields[{index}]"
-    _expect(isinstance(doc, dict), f"{where} must be an object")
-    _reject_unknown(doc, _FIELD_KEYS, where)
-    _expect(isinstance(doc.get("name"), str), f"{where}.name must be text")
-    _expect(isinstance(doc.get("logical_type"), str), f"{where}.logical_type must be text")
-    _expect(isinstance(doc.get("nullable"), bool), f"{where}.nullable must be a boolean")
-    constraints = None
-    if "constraints" in doc:
-        constraints = _constraints_from_doc(doc["constraints"], where)
-    description = doc.get("description")
-    if description is not None:
-        _expect(isinstance(description, str), f"{where}.description must be text")
-    return FieldSpec(name=doc["name"], logical_type=doc["logical_type"],
-                     nullable=doc["nullable"], constraints=constraints,
-                     description=description)
-
-
-def _rule_from_doc(doc: dict, index: int) -> QualityRule:
-    where = f"rules[{index}]"
-    _expect(isinstance(doc, dict), f"{where} must be an object")
-    _reject_unknown(doc, _RULE_KEYS, where)
-    _expect(isinstance(doc.get("kind"), str), f"{where}.kind must be text")
-    _expect(isinstance(doc.get("column"), str), f"{where}.column must be text")
-    params = doc.get("params", {})
-    _expect(isinstance(params, dict), f"{where}.params must be an object")
-    severity = doc.get("severity", "error")
-    _expect(isinstance(severity, str), f"{where}.severity must be text")
-    return QualityRule(kind=doc["kind"], column=doc["column"],
-                       params=dict(params), severity=severity)
+    return doc
 
 
 def contract_from_doc(doc: dict) -> Contract:
-    """Build and validate a Contract from a decoded JSON document (strict)."""
+    """Build a Contract from a decoded JSON document, each level an object of
+    known keys, and ``validate`` it.  The contract shares the document's
+    lists and objects."""
     _expect(isinstance(doc, dict), "contract document must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "top-level")
-    _expect(isinstance(doc.get("name"), str), "name must be text")
-    _expect(isinstance(doc.get("fields"), list), "fields must be an array")
-    version = doc.get("version", 1)
-    status = doc.get("status", "draft")
-    provenance = None
+    _object(doc, _TOP_KEYS, "top-level")
+    fields, rules, provenance = doc.get("fields"), doc.get("rules", []), doc.get("provenance")
+    if isinstance(fields, list):
+        built = []
+        for i, f in enumerate(fields):
+            f = _object(f, _FIELD_KEYS, f"fields[{i}]")
+            c = f.get("constraints")
+            if "constraints" in f:
+                c = _object(c, _CONSTRAINT_KEYS, f"fields[{i}].constraints")
+                c = Constraints(c.get("allowed_values"), c.get("min"), c.get("max"),
+                                c.get("format_hint"))
+            built.append(FieldSpec(f.get("name"), f.get("logical_type"), f.get("nullable"),
+                                   c, f.get("description")))
+        fields = built
+    if isinstance(rules, list):
+        rules = [QualityRule(r.get("kind"), r.get("column"), r.get("params", {}),
+                             r.get("severity", "error"))
+                 for r in (_object(r, _RULE_KEYS, f"rules[{i}]") for i, r in enumerate(rules))]
     if "provenance" in doc:
-        pdoc = doc["provenance"]
-        _expect(isinstance(pdoc, dict), "provenance must be an object")
-        _reject_unknown(pdoc, _PROVENANCE_KEYS, "provenance")
-        _expect(isinstance(pdoc.get("backend_id"), str), "provenance.backend_id must be text")
-        _expect(isinstance(pdoc.get("generator_mode"), str),
-                "provenance.generator_mode must be text")
-        generated_at = pdoc.get("generated_at")
-        if generated_at is not None:
-            _expect(isinstance(generated_at, str), "provenance.generated_at must be text")
-        provenance = Provenance(backend_id=pdoc["backend_id"],
-                                generator_mode=pdoc["generator_mode"],
-                                generated_at=generated_at)
-    rules_doc = doc.get("rules", [])
-    _expect(isinstance(rules_doc, list), "rules must be an array")
-    contract = Contract(
-        name=doc["name"],
-        fields=[_field_from_doc(f, i) for i, f in enumerate(doc["fields"])],
-        rules=[_rule_from_doc(r, i) for i, r in enumerate(rules_doc)],
-        version=version,
-        status=status,
-        provenance=provenance,
-    )
+        p = _object(provenance, _PROVENANCE_KEYS, "provenance")
+        provenance = Provenance(p.get("backend_id"), p.get("generator_mode"), p.get("generated_at"))
+    contract = Contract(doc.get("name"), fields, rules, doc.get("version", 1),
+                        doc.get("status", "draft"), provenance)
     contract.validate()
     return contract
 

@@ -203,8 +203,10 @@ class RegistryStore:
 
     def publish(self, name: str, contract: Contract) -> int:
         """Store a new draft version, enforcing the entry's compatibility
-        mode against the latest approved version.  The write is atomic and
-        durable before the assigned version number is returned."""
+        mode against the latest approved version.  A contract that fails
+        ``validate``, which no reader could parse back, is refused before
+        anything is written.  The write is atomic and durable before the
+        assigned version number is returned."""
         contract.validate()
         with self._locked(name, create=True) as state:
             verdict = state.verdict(contract)
@@ -213,7 +215,6 @@ class RegistryStore:
             version = max(state.versions, default=0) + 1
             stored = dataclasses.replace(contract, name=name, version=version,
                                          status="draft")
-            stored.validate()
             _atomic_write(state.path / f"v{version}.json", canonicalize(stored))
             state.versions[version] = VersionRecord(version=version, status="draft",
                                                     published_at=_utc())

@@ -449,6 +449,20 @@ class TestUnreadableInputs:
          "'timeout' must be >= 0, not -1"),
         (b'{"backend": {"timeout": NaN}}', ["--config", "FILE", "generate", "PROFILE"],
          "'timeout' must be >= 0, not nan"),
+        (b'{"backend": {"timeout": Infinity}}', ["--config", "FILE", "generate", "PROFILE"],
+         "'timeout' must be at most 9.22337e+09, not inf"),
+        (b'{"backend": {"backoff": 1e300}}', ["--config", "FILE", "generate", "PROFILE"],
+         "'backoff' must be at most 9.22337e+09, not 1e+300"),
+        (b'{"threshold": Infinity}', ["generate", "PROFILE", "--policy", "FILE"],
+         "policy file key 'threshold' must be at most 1.79769e+308, not inf"),
+        (b'{"generation": {"temperature": Infinity}}', ["--config", "FILE", "generate", "PROFILE"],
+         "'temperature' must be at most 1.79769e+308, not inf"),
+        (b'{"ingest": {"value_cap": 1' + b"0" * 40 + b'}}', ["--config", "FILE", "profile", "CSV"],
+         "'value_cap' must be at most 9.22337e+18, not 1" + "0" * 40),
+        (b"", ["generate", "PROFILE", "--threshold", "nan"],
+         "command line key 'threshold' must be >= 0, not nan"),
+        (b"", ["generate", "PROFILE", "--temperature", "inf"],
+         "command line key 'temperature' must be at most 1.79769e+308, not inf"),
         (b'{"generation": {"mode": "two-pas"}}', ["--config", "FILE", "generate", "PROFILE"],
          "'mode' must be single or two-pass, not 'two-pas'"),
         (b'{"mode": "two-pas"}', ["generate", "PROFILE", "--policy", "FILE"],
@@ -464,7 +478,9 @@ class TestUnreadableInputs:
             "config-url-int", "config-auth-env-list", "config-null-token-list",
             "config-value-cap-negative", "config-row-cap-negative",
             "config-flatten-depth-negative", "config-backoff-negative",
-            "config-timeout-negative", "config-timeout-nan", "config-mode-typo",
+            "config-timeout-negative", "config-timeout-nan", "config-timeout-infinite",
+            "config-backoff-huge", "policy-threshold-infinite", "config-temperature-infinite",
+            "config-value-cap-huge", "flag-threshold-nan", "flag-temperature-infinite", "config-mode-typo",
             "policy-mode-typo", "csv-bare-cr", "csv-field-too-large"])
     def test_exits_2_with_an_error_line(self, tmp_path, toy_csv, toy_profile_file,
                                         toy_contract_file, capsys, text, argv, message):

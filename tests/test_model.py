@@ -1,11 +1,17 @@
 """Contract parsing, canonical form, and the JSON Schema export."""
 
+import copy
+import dataclasses
 import json
+import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contractforge.errors import ContractSyntaxError, InvariantViolation
+from contractforge.errors import ContractForgeError, ContractSyntaxError, InvariantViolation
 from contractforge.model import (Constraints, Contract, FieldSpec, Provenance,
                                  QualityRule, canonicalize, contract_from_doc,
                                  parse_contract, to_json_schema)
@@ -144,6 +150,53 @@ class TestParse:
             contract_from_doc(doc)
 
 
+    @pytest.mark.parametrize("constraints, message", [
+        ('{"min": NaN}', "fields[0].constraints.min must be finite"),
+        ('{"max": Infinity}', "fields[0].constraints.max must be finite"),
+        ('{"min": -Infinity, "max": 1}', "fields[0].constraints.min must be finite"),
+    ], ids=["min-nan", "max-infinity", "min-minus-infinity"])
+    def test_bounds_must_be_finite(self, constraints, message):
+        text = ('{"name": "x", "fields": [{"name": "a", "logical_type": "number",'
+                ' "nullable": true, "constraints": ' + constraints + '}]}')
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            parse_contract(text)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("between", '{"min": NaN, "max": 1}'),
+        ("between", '{"min": 0, "max": Infinity}'),
+        ("between", '{"min": -Infinity, "max": 0}'),
+        ("values_in_set", '{"values": [1, 2]}'),
+        ("values_in_set", '{"values": ["a", null]}'),
+    ], ids=["between-nan", "between-infinity", "between-minus-infinity",
+            "set-of-numbers", "set-with-null"])
+    def test_rule_params_are_finite_bounds_or_strings(self, kind, params):
+        text = ('{"name": "x", "fields": [{"name": "a", "logical_type": "number",'
+                ' "nullable": true}], "rules": [{"kind": "' + kind + '", "column": "a",'
+                ' "params": ' + params + '}]}')
+        with pytest.raises(InvariantViolation, match="rule params match kind"):
+            parse_contract(text)
+
+    @pytest.mark.parametrize("contract, message", [
+        (Contract(None, []), "name must be text"),
+        (Contract("x", ()), "fields must be an array"),
+        (Contract("x", [FieldSpec("a", "string", "yes")]), "fields[0].nullable must be a boolean"),
+        (Contract("x", [FieldSpec(1, "string", False)]), "fields[0].name must be text"),
+        (Contract("x", [FieldSpec("a", "enum_string", False, Constraints(allowed_values=[1]))]),
+         "fields[0].constraints.allowed_values must be a list of strings"),
+        (Contract("x", [FieldSpec("a", "number", False, Constraints(min_value="0"))]),
+         "fields[0].constraints.min must be numeric"),
+        (Contract("x", [FieldSpec("a", "string", False)], [QualityRule("not_null", None)]),
+         "rules[0].column must be text"),
+        (Contract("x", [], provenance=Provenance("b", None)),
+         "provenance.generator_mode must be text"),
+    ], ids=["name", "fields-tuple", "nullable", "field-name", "allowed-values", "min", "rule-column",
+            "generator-mode"])
+    def test_a_contract_built_in_code_is_checked_like_its_document(self, contract, message):
+        for check in (contract.validate, lambda: contract_from_doc(contract.to_doc())):
+            with pytest.raises(InvariantViolation, match=re.escape(message)):
+                check()
+
+
 class TestCanonical:
     def test_round_trip_equality(self):
         contract = sample_contract()
@@ -223,3 +276,136 @@ class TestJsonSchemaExport:
         for _ in range(20):
             schema = json.loads(to_json_schema(random_contract(rng)))
             assert schema["type"] == "object"
+
+
+# -- one definition of a valid contract --------------------------------------------
+
+def rich_contract() -> Contract:
+    """``sample_contract`` with a rule of every kind."""
+    contract = sample_contract()
+    contract.rules += [
+        QualityRule("values_in_set", "status", {"values": ["active"]}, "warning"),
+        QualityRule("between", "id", {"min": 1, "max": 10**20}, "warning"),
+        QualityRule("matches_format", "placed", {"format": "timestamp"}),
+        QualityRule("unique", "id")]
+    contract.validate()
+    return contract
+
+
+HOSTILE = [None, True, 1.5, math.nan, math.inf, 10**40, "x", [], {}]
+
+
+def _children(node) -> list:
+    if isinstance(node, dict):
+        return list(node)
+    if isinstance(node, list):
+        return list(range(len(node)))
+    if dataclasses.is_dataclass(node):
+        return [f.name for f in dataclasses.fields(node)]
+    return []
+
+
+def _child(node, key):
+    return getattr(node, key) if dataclasses.is_dataclass(node) else node[key]
+
+
+def _paths(node, path=()):
+    yield path
+    for key in _children(node):
+        yield from _paths(_child(node, key), path + (key,))
+
+
+def _child_at(root, path):
+    for key in path:
+        root = _child(root, key)
+    return root
+
+
+def _mutated(root, mutations):
+    """A copy of ``root`` (a contract or its document) with each mutation
+    applied: ``"drop"`` deletes a key or list item, or resets an attribute
+    to its default (``None`` when it has none); ``"dup"`` repeats the first
+    item of a list; any other move is a value swapped in."""
+    root = copy.deepcopy(root)
+    for move, pick in mutations:
+        nodes = [(path, _child_at(root, path)) for path in _paths(root)]
+        if move == "dup":
+            paths = [path for path, node in nodes if isinstance(node, list) and node]
+        else:
+            paths = [path for path, _ in nodes if path]
+        if not paths:
+            continue
+        *head, key = paths[pick % len(paths)]
+        parent = _child_at(root, head)
+        if move == "dup":
+            parent = _child(parent, key)
+            parent.append(copy.deepcopy(parent[0]))
+        elif move == "drop" and dataclasses.is_dataclass(parent):
+            spec = next(f for f in dataclasses.fields(parent) if f.name == key)
+            default = spec.default_factory() if spec.default_factory is not dataclasses.MISSING \
+                else None if spec.default is dataclasses.MISSING else spec.default
+            setattr(parent, key, default)
+        elif move == "drop":
+            del parent[key]
+        elif dataclasses.is_dataclass(parent):
+            setattr(parent, key, copy.deepcopy(move))
+        else:
+            parent[key] = copy.deepcopy(move)
+    return root
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise AssertionError(f"canonical text holds {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+MUTATIONS = st.lists(st.tuples(st.sampled_from(["drop", "dup"] + HOSTILE),
+                               st.integers(0, 10**6)), min_size=1, max_size=2)
+BASES = st.one_of(st.just(None), st.integers(0, 2**32))
+
+
+def _base(seed) -> Contract:
+    return rich_contract() if seed is None else random_contract(random.Random(seed))
+
+
+class TestOneDefinition:
+    """``Contract.validate`` is the one definition of a valid contract: the
+    parser refuses exactly what it refuses, and nothing else escapes."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(BASES, MUTATIONS)
+    def test_mutated_documents_parse_or_fail_cleanly(self, seed, mutations):
+        text = json.dumps(_mutated(_base(seed).to_doc(), mutations))
+        try:
+            contract = parse_contract(text)
+        except ContractForgeError:
+            return
+        canonical = canonicalize(contract)
+        _strict_json(canonical)
+        assert canonicalize(parse_contract(canonical)) == canonical
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(BASES, MUTATIONS)
+    def test_validate_passes_exactly_when_the_document_parses(self, seed, mutations):
+        contract = _mutated(_base(seed), mutations)
+        try:
+            contract.validate()
+            refusal = None
+        except InvariantViolation as exc:
+            refusal = str(exc)
+        try:
+            doc = contract.to_doc()
+        except (AttributeError, TypeError):  # an ill-typed part has no document
+            assert refusal is not None
+            return
+        try:
+            contract_from_doc(doc)
+            reparsed = None
+        except InvariantViolation as exc:
+            reparsed = str(exc)
+        assert reparsed == refusal
+        if refusal is None:
+            canonical = canonicalize(contract)
+            _strict_json(canonical)
+            assert canonicalize(parse_contract(canonical)) == canonical

@@ -6,10 +6,10 @@ import threading
 
 import pytest
 
-from contractforge.errors import (NotFoundError, RegistryError,
+from contractforge.errors import (InvariantViolation, NotFoundError, RegistryError,
                                   RegistryRejection)
 from contractforge.inference import infer_contract
-from contractforge.model import Contract, FieldSpec, canonicalize
+from contractforge.model import Constraints, Contract, FieldSpec, canonicalize
 from contractforge.registry import RegistryStore
 
 
@@ -80,6 +80,20 @@ class TestPublish:
         # under old) but backward-incompatible
         shrunk = contract_of(FieldSpec("id", "integer", False))
         assert store.publish("orders", shrunk) == 2
+
+    @pytest.mark.parametrize("spec", [
+        FieldSpec("a", "string", nullable="yes"),
+        FieldSpec("a", "number", False, Constraints(min_value=float("nan"))),
+    ], ids=["nullable-text", "min-nan"])
+    def test_contract_it_could_not_read_back_is_refused(self, store, tmp_path, orders_v1,
+                                                        spec):
+        with pytest.raises(InvariantViolation, match="malformed document"):
+            store.publish("orders", Contract("orders", [spec]))
+        assert not list((tmp_path / "registry").glob("*/v*.json"))
+        assert store.publish("orders", orders_v1) == 1
+        store.approve("orders", 1, reviewer="alice")
+        assert store.latest_approved("orders")[1].field_names() == ["id", "note"]
+        assert store.publish("orders", orders_v1) == 2
 
     def test_invalid_name_rejected(self, store, orders_v1):
         for bad in ("../escape", "", "a/b", ".hidden"):

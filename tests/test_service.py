@@ -142,6 +142,9 @@ class TestErrors:
         _, _, address = service
         assert _status(address, "PUT", "/contracts/orders", {"name": "orders"}) == 400
         assert _status(address, "PUT", "/contracts/orders", data=b"not json") == 400
+        nan_min = orders.to_doc()
+        nan_min["fields"][0]["constraints"] = {"min": float("nan")}
+        assert _status(address, "PUT", "/contracts/orders", nan_min) == 400
 
     def test_approve_conflicts_are_409(self, service, orders):
         client, _, address = service
