@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import lexical
 from .errors import ContractForgeError
 from .model import Contract, FieldSpec
 from .validation import value_conforms
@@ -47,7 +48,7 @@ def _value_set_reasons(name: str, narrow: FieldSpec, wide: FieldSpec) -> list[st
         return []
     if tb == "enum_string":
         return [f"field {name!r}: type {ta} narrowed to a fixed value set"]
-    if ta != tb and not (ta == "integer" and tb == "number"):
+    if not lexical.is_subclass(ta, tb):
         return [f"field {name!r}: values of type {ta} are not all accepted as {tb}"]
     lo_a, hi_a = _bounds(narrow)
     lo_b, hi_b = _bounds(wide)

@@ -6,24 +6,25 @@ compatibility with any external tool.  Observed numeric ranges over-fit the
 sample, so range rules carry warning severity; set and null rules are
 errors.
 
-Value rules compile to ``validation.value_test``, the engine fields use.
-Unlike a field's range, ``between`` fails a non-numeric lexeme; nulls (and
-absent keys) are skipped by every kind except ``not_null``, and empty
-lexemes by every kind.  Rules read the kept column tallies and class runs of
-a :class:`~.profiling.Table`, so a table that was just validated or profiled
-is not tallied or classified again; ``values_in_set`` reads only the tally.
+Value rules run on the engine fields use: ``values_in_set``, ``between``
+and ``matches_format`` are ``validation.value_test`` kinds, and
+``validation.failing_cells`` finds the distinct lexemes of a column that
+fail one, on the kept tally and class runs of a :class:`~.profiling.Table`,
+so a table that was just validated or profiled is not tallied or
+classified again.  Nulls and absent keys fail only ``not_null``, the empty
+lexeme fails no rule, and ``unique`` counts the repeats of the other
+lexemes.  ``evaluate_rules`` checks each rule before it runs any.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap
 
 from .errors import ContractForgeError
 from .inference import ENUM_MIN_ROWS, _numeric_bounds
 from .model import FieldSpec, QualityRule
 from .profiling import ABSENT, DataProfile, Table
-from .validation import value_test
+from .validation import failing_cells
 
 #: Column must be unique over at least this many rows before a uniqueness
 #: rule is worth asserting; reuses the enum-promotion row floor.
@@ -89,6 +90,8 @@ def evaluate_rules(rules: list[QualityRule], rows) -> list[RuleResult]:
     """Count failing rows per rule over rows (a :class:`Table` or a list of
     row dicts); a rule passes iff no row fails it.  Each test runs once per
     distinct lexeme of the column."""
+    for rule in rules:
+        rule.validate()
     table = Table.from_rows(rows)
     results: list[RuleResult] = []
     for rule in rules:
@@ -100,11 +103,7 @@ def evaluate_rules(rules: list[QualityRule], rows) -> list[RuleResult]:
             blanks = [cell for cell in (None, ABSENT, "") if cell in tally]
             failed = len(table) - sum(tally[cell] for cell in blanks) - (len(tally) - len(blanks))
         else:
-            test = value_test(rule.kind, rule.params)
-            # Set membership reads no class, so it classifies nothing.
-            classes = (repeat(None) if rule.kind == "values_in_set"
-                       else chain.from_iterable(starmap(repeat, table.runs(rule.column))))
-            failed = sum(n for (cell, n), cls in zip(tally.items(), classes)
-                         if cell and cell is not ABSENT and not test(cell, cls))
+            failed = sum(map(tally.__getitem__,
+                             failing_cells(table, rule.column, [(rule.kind, rule.params)])))
         results.append(RuleResult(rule=rule, rows_failed=failed))
     return results

@@ -1,36 +1,37 @@
 """Check contract syntax, validate rows against a contract, detect drift.
 
-Fields and quality rules share one engine: ``field_check`` and ``value_test``
-compile a field or a value rule kind to a check of one ``(lexeme, class)``
-pair that runs once per distinct lexeme, on the class the table already
-holds.  An enum is the ``values_in_set`` test and a range the
-``between`` test; nullability and the lattice type test (a lexeme conforms
-when its class sits at or below the field type) are field-only.  Both pass
-the empty lexeme and take only ``None``, never ``""``, as null; unlike
-``between``, a field's range reads only numeric lexemes, and only when the
-field has a bound.  Unknown row keys are violations unless ``allow_unknown``.
+One engine enforces fields and quality rules, and ``value_test`` is its only
+test of a lexeme: set membership (``values_in_set``), a class at or below a
+format (``matches_format``), or a number within bounds (``between``, a
+``None`` bound open).  A field is the value tests its spec implies, run in
+order: its lattice type (none for text, which every class sits below), its
+enum, then its range; a lexeme reports the violation of the first it fails.
+Nulls and missing keys are field-only and read from the column tally.  The
+empty lexeme passes every test, and only ``None`` is null.  Unknown row keys
+are violations unless ``allow_unknown``.
 
-Validation reads the kept column tallies and class runs of a
-:class:`~.profiling.Table` (a list of row dicts becomes one through
-``Table.from_rows``), the summary profiling reads too: each distinct lexeme
-of a field's column gets one verdict, and only a column holding a failing
-lexeme or a missing key is walked again, to flag the rows that hold one.  ``validate_rows`` turns
-those rows into violations; ``failing_rows`` only collects their indices,
-unknown keys always included.
+``failing_cells`` is the one column walk.  It runs the tests, a test at a
+time, over the distinct cells of a :class:`~.profiling.Table` column with
+the classes of the table's kept class runs, the summary profiling reads too
+(a list of row dicts becomes a table through ``Table.from_rows``).  Only a
+column holding a failing cell is walked again, to flag the rows holding
+one: ``validate_rows`` turns those rows into violations, and
+``failing_rows`` only collects their indices, unknown keys always included.
+Both check the contract first, as ``evaluate_rules`` checks its rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat, starmap
-from operator import attrgetter, is_not
+from operator import attrgetter, is_not, not_
 from typing import Callable
 
 from . import lexical
 from .errors import ContractForgeError
 from .inference import infer_column_type
 from .model import Contract, FieldSpec, parse_contract
-from .profiling import ABSENT, DataProfile, Table, lexeme_of
+from .profiling import ABSENT, DataProfile, Table
 
 TYPE_MISMATCH = "type_mismatch"
 NULL_VIOLATION = "null_violation"
@@ -40,6 +41,14 @@ UNKNOWN_FIELD = "unknown_field"
 MISSING_FIELD = "missing_field"
 
 _ROW_INDEX = attrgetter("row_index")
+#: The violation a field reports for a lexeme failing each value test.
+_VIOLATION_OF = {"matches_format": TYPE_MISMATCH, "values_in_set": ENUM_VIOLATION,
+                 "between": RANGE_VIOLATION}
+#: The classes at or below each class of the lattice.
+_AT_OR_BELOW = {fmt: frozenset(cls for cls in lexical.CLASSES if lexical.is_subclass(cls, fmt))
+                for fmt in lexical.CLASSES}
+#: The violation and observed text of a null and of a missing key.
+_NO_VALUE = ((None, (NULL_VIOLATION, "null")), (ABSENT, (MISSING_FIELD, "")))
 
 
 @dataclass
@@ -84,96 +93,78 @@ def lattice_type(logical_type: str) -> str:
 
 
 def value_test(kind: str, params: dict) -> Callable[[str, str], bool]:
-    """Compile a value rule kind to its test of one non-empty lexeme and its
-    class; a field range shares the bounds test of ``between``, with either
-    bound ``None``."""
+    """Compile a value rule kind to its test of one lexeme and its class:
+    set membership, a class at or below the format, or a number within the
+    bounds, a ``None`` bound open.  ``failing_cells`` reads no verdict on a
+    blank cell."""
     if kind == "values_in_set":
         values = params["values"]
         return lambda lexeme, cls: lexeme in values
     if kind == "matches_format":
-        fmt = params["format"]
-        return lambda lexeme, cls: cls == fmt
+        conforming = _AT_OR_BELOW[params["format"]]
+        return lambda lexeme, cls: cls in conforming
     if kind != "between":
         raise ContractForgeError(f"unknown rule kind {kind!r}")
-    within = _within(params["min"], params["max"])
+    lo, hi = params["min"], params["max"]
 
     def between(lexeme: str, cls: str) -> bool:
         number = lexical.number_in_class(lexeme, cls)
-        return number is not None and within(number)
+        return number is not None and (lo is None or lo <= number) and (hi is None or number <= hi)
     return between
 
 
-def _within(lo, hi) -> Callable[[int | float], bool]:
-    """The bounds test of ``between`` on a number; a ``None`` bound is open."""
-    return lambda number: (lo is None or lo <= number) and (hi is None or number <= hi)
+def failing_cells(table: Table, name: str, tests: list[tuple[str, dict]]) -> dict:
+    """``{cell: kind}`` for the distinct cells of column ``name`` that fail
+    one of ``tests``, value rules ``(kind, params)``, each cell taking the
+    kind of the first it fails.  Each test runs once over the whole column;
+    blank cells are never reported, since the empty lexeme passes every test
+    and nulls and absent keys are field-only.  Set membership reads no
+    class, so a column tested only for it is not classified."""
+    tally = table.tally(name)
+    classes = (repeat(None) if all(kind == "values_in_set" for kind, _ in tests)
+               else list(chain.from_iterable(starmap(repeat, table.runs(name)))))
+    failing: dict = {}
+    # In reverse, so that the kind of the first failed test is the one kept.
+    for kind, params in reversed(tests):
+        passed = map(value_test(kind, params), tally, classes)
+        failing.update(dict.fromkeys(compress(tally, map(not_, passed)), kind))
+    for blank in (None, ABSENT, ""):
+        failing.pop(blank, None)
+    return failing
 
 
-def field_check(spec: FieldSpec) -> Callable[[str | None, str | None], str | None]:
-    """Compile a field to ``(lexeme, class) -> violation kind | None``, where
-    the class is ``None`` for a null: nullability, the lattice type, then the
-    enum test through ``value_test`` or the range test on the number."""
-    expected, c = lattice_type(spec.logical_type), spec.constraints
-    conforming = {cls for cls in lexical.CLASSES if lexical.is_subclass(cls, expected)}
-    null_kind = None if spec.nullable else NULL_VIOLATION
-    enum = spec.logical_type == "enum_string" and c is not None and c.allowed_values is not None
-    if not enum and c is not None and (c.min_value is not None or c.max_value is not None):
-        within = _within(c.min_value, c.max_value)
-
-        def check_range(lexeme: str | None, cls: str | None) -> str | None:
-            if lexeme is None:
-                return null_kind
-            if cls not in conforming:
-                return TYPE_MISMATCH
-            number = lexical.number_in_class(lexeme, cls)
-            return RANGE_VIOLATION if number is not None and not within(number) else None
-        return check_range
-    if expected == lexical.STRING:
-        # Every class sits below string: only nulls and an enum miss fail.
-        allowed = value_test("values_in_set", {"values": c.allowed_values}) if enum else None
-
-        def check_text(lexeme: str | None, cls: str | None) -> str | None:
-            if lexeme is None:
-                return null_kind
-            failed = allowed is not None and lexeme != "" and not allowed(lexeme, cls)
-            return ENUM_VIOLATION if failed else None
-        return check_text
-
-    def check_type(lexeme: str | None, cls: str | None) -> str | None:
-        if lexeme is None:
-            return null_kind
-        return None if cls in conforming else TYPE_MISMATCH
-    return check_type
+def _field_tests(spec: FieldSpec) -> list[tuple[str, dict]]:
+    """The value rules a field's spec implies, in the order a lexeme meets
+    them: its lattice type (none for text, which every class sits below),
+    its enum and its range."""
+    c, expected = spec.constraints, lattice_type(spec.logical_type)
+    tests = [] if expected == lexical.STRING else [("matches_format", {"format": expected})]
+    if c is not None and c.allowed_values is not None:
+        tests.append(("values_in_set", {"values": c.allowed_values}))
+    if c is not None and (c.min_value is not None or c.max_value is not None):
+        tests.append(("between", {"min": c.min_value, "max": c.max_value}))
+    return tests
 
 
-def value_conforms(spec, value) -> bool:
+def _field_failures(spec: FieldSpec, table: Table) -> dict:
+    """``{cell: (violation kind, observed)}`` for the cells of the field's
+    column that fail it: nulls and absent keys, read from the tally, and the
+    lexemes ``failing_cells`` finds."""
+    tally = table.tally(spec.name)
+    failing = {} if spec.nullable else {cell: v for cell, v in _NO_VALUE if cell in tally}
+    for cell, kind in failing_cells(table, spec.name, _field_tests(spec)).items():
+        failing[cell] = _VIOLATION_OF[kind], cell
+    return failing
+
+
+def value_conforms(spec: FieldSpec, value) -> bool:
     """Would this single value pass row validation for the given field?"""
-    lexeme = lexeme_of(value)
-    cls = None if lexeme is None else lexical.classify_lexeme(lexeme)
-    return field_check(spec)(lexeme, cls) is None
-
-
-def _failing_columns(contract: Contract, table: Table):
-    """Per field whose column holds a failing lexeme or lacks a required
-    key: its name, its cells, and ``{cell: (violation kind, observed)}``."""
-    for spec in contract.fields:
-        name, check = spec.name, field_check(spec)
-        # Every class sits below string, so a text field's check reads none.
-        textual = lattice_type(spec.logical_type) == lexical.STRING
-        classes = (repeat(None) if textual
-                   else chain.from_iterable(starmap(repeat, table.runs(name))))
-        missing = None if spec.nullable else MISSING_FIELD
-        failing = {}
-        for cell, cls in zip(table.tally(name), classes):
-            kind = missing if cell is ABSENT else check(cell, cls)
-            if kind is not None:
-                failing[cell] = kind, ("" if cell is ABSENT else "null" if cell is None else cell)
-        if failing:
-            yield name, table.column(name), failing
+    return not _field_failures(spec, Table.from_rows([{spec.name: value}]))
 
 
 def _rows_holding(column: tuple, cells: dict):
     """The indices of the cells of ``column`` that are keys of ``cells``."""
-    return compress(count(), map(cells.__contains__, column))
+    return compress(count(), map(cells.__contains__, column)) if cells else ()
 
 
 def _unknown_rows(contract: Contract, table: Table) -> set[int]:
@@ -194,10 +185,12 @@ def validate_rows(contract: Contract, rows,
     Deterministic output: violations are ordered by row index, then contract
     field order, then row key order for unknown fields.
     """
+    contract.validate()
     table = Table.from_rows(rows)
     violations: list[Violation] = []
-    for name, column, failing in _failing_columns(contract, table):
-        violations += [Violation(index, name, *failing[column[index]])
+    for spec in contract.fields:
+        column, failing = table.column(spec.name), _field_failures(spec, table)
+        violations += [Violation(index, spec.name, *failing[column[index]])
                        for index in _rows_holding(column, failing)]
     if not allow_unknown:
         known = {f.name for f in contract.fields}
@@ -217,10 +210,11 @@ def failing_rows(contract: Contract, rows) -> set[int]:
     """The indices of the rows ``validate_rows`` would fail (unknown keys
     included), found the same way but without building a :class:`Violation`
     per failure."""
+    contract.validate()
     table = Table.from_rows(rows)
     failed = _unknown_rows(contract, table)
-    for _, column, failing in _failing_columns(contract, table):
-        failed.update(_rows_holding(column, failing))
+    for spec in contract.fields:
+        failed.update(_rows_holding(table.column(spec.name), _field_failures(spec, table)))
     return failed
 
 

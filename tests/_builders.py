@@ -4,11 +4,19 @@ Everything here is driven by an explicit ``random.Random`` so failures are
 reproducible.  Enum pools deliberately avoid lexemes that classify as
 boolean, numeric or temporal, and avoid the probe words used by the
 compatibility oracle, so set membership never aliases a type-level check.
+``mutated`` and ``MUTATIONS`` damage a contract or any JSON document (drop a
+key, duplicate a list item, swap in an ill-typed value) for the properties
+that whatever is refused is refused cleanly.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import math
 import random
+
+from hypothesis import strategies as st
 
 from contractforge.model import (Constraints, Contract, FieldSpec, Provenance,
                                  QualityRule)
@@ -87,8 +95,6 @@ def random_contract(rng: random.Random, name: str | None = None,
 
 def mutate_contract(rng: random.Random, contract: Contract) -> Contract:
     """One structural mutation; may be a no-op when the roll does not apply."""
-    import copy
-
     mutated = copy.deepcopy(contract)
     move = rng.randrange(10)
     if move == 0:  # add a field
@@ -140,3 +146,71 @@ def compatibility_pair(rng: random.Random) -> tuple[Contract, Contract]:
             new = mutate_contract(rng, new)
         new.rules = []
     return old, new
+
+
+# -- mutations of a contract or any JSON document ------------------------------
+
+HOSTILE = [None, True, 1.5, math.nan, math.inf, 10**40, "x", [], {}]
+
+
+def _children(node) -> list:
+    if isinstance(node, dict):
+        return list(node)
+    if isinstance(node, list):
+        return list(range(len(node)))
+    if dataclasses.is_dataclass(node):
+        return [f.name for f in dataclasses.fields(node)]
+    return []
+
+
+def _child(node, key):
+    return getattr(node, key) if dataclasses.is_dataclass(node) else node[key]
+
+
+def _paths(node, path=()):
+    yield path
+    for key in _children(node):
+        yield from _paths(_child(node, key), path + (key,))
+
+
+def _child_at(root, path):
+    for key in path:
+        root = _child(root, key)
+    return root
+
+
+def mutated(root, mutations):
+    """A copy of ``root`` (a contract or its document) with each mutation
+    applied: ``"drop"`` deletes a key or list item, or resets an attribute
+    to its default (``None`` when it has none); ``"dup"`` repeats the first
+    item of a list; any other move is a value swapped in."""
+    root = copy.deepcopy(root)
+    for move, pick in mutations:
+        nodes = [(path, _child_at(root, path)) for path in _paths(root)]
+        if move == "dup":
+            paths = [path for path, node in nodes if isinstance(node, list) and node]
+        else:
+            paths = [path for path, _ in nodes if path]
+        if not paths:
+            continue
+        *head, key = paths[pick % len(paths)]
+        parent = _child_at(root, head)
+        if move == "dup":
+            parent = _child(parent, key)
+            parent.append(copy.deepcopy(parent[0]))
+        elif move == "drop" and dataclasses.is_dataclass(parent):
+            spec = next(f for f in dataclasses.fields(parent) if f.name == key)
+            default = spec.default_factory() if spec.default_factory is not dataclasses.MISSING \
+                else None if spec.default is dataclasses.MISSING else spec.default
+            setattr(parent, key, default)
+        elif move == "drop":
+            del parent[key]
+        elif dataclasses.is_dataclass(parent):
+            setattr(parent, key, copy.deepcopy(move))
+        else:
+            parent[key] = copy.deepcopy(move)
+    return root
+
+
+MUTATIONS = st.lists(st.tuples(st.sampled_from(["drop", "dup"] + HOSTILE),
+                               st.integers(0, 10**6)), min_size=1, max_size=2)

@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, exit codes, file outputs."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
 
 import contractforge
 from contractforge import cli
@@ -16,6 +19,7 @@ from contractforge.model import canonicalize, parse_contract
 from contractforge.profiling import dump_profile, ingest, load_profile
 from contractforge.registry import RegistryStore
 from contractforge.service import RegistryServer
+from _builders import MUTATIONS, mutated
 from conftest import csv_bytes
 
 
@@ -527,3 +531,56 @@ class TestUnreadableInputs:
         policy.write_text(json.dumps({"threshold": 1, "temperature": 0.5}))
         assert main(["--config", str(config), "generate", str(toy_profile_file),
                      "--policy", str(policy)]) == 0
+
+
+class TestMutatedInputs:
+    """A profile or config document with a key dropped, a list item
+    duplicated or an ill-typed value swapped in is read or refused cleanly
+    by every command that reads it: exit 0, 1 or 2, never 70."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("mutated")
+        data = root / "data.csv"
+        data.write_bytes(csv_bytes(["id", "price", "status", "day", "note"], [
+            [str(i), f"{i}.5", ["open", "shut"][i % 2], f"2021-01-{i + 1:02d}", ["", "x"][i % 2]]
+            for i in range(12)]))
+        profile = ingest(data.read_bytes(), "delimited", dataset_name="data")
+        (root / "profile.json").write_text(dump_profile(profile))
+        (root / "contract.json").write_text(canonicalize(infer_contract(profile)))
+        return root
+
+    @staticmethod
+    def check(argv) -> None:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        assert code != 2 or err.getvalue().startswith("error: "), (argv, err.getvalue())
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(MUTATIONS)
+    def test_mutated_profile(self, inputs, mutations):
+        doc = mutated(json.loads((inputs / "profile.json").read_text()), mutations)
+        profile = inputs / "mutated.profile.json"
+        profile.write_text(json.dumps(doc))
+        contract, data = inputs / "contract.json", inputs / "data.csv"
+        self.check(["generate", profile])
+        self.check(["rules", profile, contract])
+        self.check(["rules", profile, contract, "--check", data])
+
+    @settings(max_examples=70, deadline=None, derandomize=True, database=None)
+    @given(MUTATIONS)
+    def test_mutated_config(self, inputs, mutations):
+        doc = mutated(cli.DEFAULT_CONFIG, mutations)
+        backend = doc.get("backend")
+        # Only the oracle backend may run: never one that reaches a network.
+        assume(not isinstance(backend, dict) or backend.get("kind") in (None, "oracle"))
+        config = inputs / "mutated.config.json"
+        config.write_text(json.dumps(doc))
+        profile, contract, data = (inputs / name for name in
+                                   ("profile.json", "contract.json", "data.csv"))
+        for argv in (["profile", data], ["generate", profile], ["rules", profile, contract],
+                     ["rules", profile, contract, "--check", data],
+                     ["validate", contract, data]):
+            self.check(["--config", config, *argv])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from contractforge.errors import ContractForgeError
+from contractforge.errors import ContractForgeError, InvariantViolation
 from contractforge.expectations import evaluate_rules, synthesize_rules
 from contractforge.inference import infer_contract, safe_generic_contract
 from contractforge.model import QualityRule
@@ -130,6 +130,26 @@ class TestEvaluate:
         rows = [{"d": "2021-01-01T00:00:00Z"}]
         rule = QualityRule("matches_format", "d", {"format": "date"}, "error")
         assert evaluate_rules([rule], rows)[0].rows_failed == 1
+
+
+class TestRulesChecked:
+    @pytest.mark.parametrize("kind, params", [
+        ("between", {"min": "x", "max": 1}),
+        ("between", {}),
+        ("values_in_set", {"values": 5}),
+        ("matches_format", {}),
+        ("matches_format", {"format": "string"}),
+    ], ids=["between-text-bound", "between-no-bounds", "set-not-a-list", "format-missing",
+            "format-not-temporal"])
+    def test_ill_formed_rule_is_refused(self, kind, params):
+        rows = [{"a": "1"}, {"a": "x"}]
+        with pytest.raises(InvariantViolation, match="rule params match kind"):
+            evaluate_rules([QualityRule(kind, "a", params, "error")], rows)
+
+    def test_every_rule_is_checked_before_any_runs(self):
+        rules = [QualityRule("not_null", "a", {}, "error"), QualityRule("sorted", "a", {}, "error")]
+        with pytest.raises(InvariantViolation, match="unknown rule kind"):
+            evaluate_rules(rules, [{"a": "1"}])
 
 
 class TestSelfConsistency:

@@ -1,9 +1,6 @@
 """Contract parsing, canonical form, and the JSON Schema export."""
 
-import copy
-import dataclasses
 import json
-import math
 import random
 import re
 
@@ -15,7 +12,7 @@ from contractforge.errors import ContractForgeError, ContractSyntaxError, Invari
 from contractforge.model import (Constraints, Contract, FieldSpec, Provenance,
                                  QualityRule, canonicalize, contract_from_doc,
                                  parse_contract, to_json_schema)
-from _builders import random_contract
+from _builders import MUTATIONS, mutated, random_contract
 
 MINIMAL = '{"name": "things", "fields": [{"name": "label", "logical_type": "string", "nullable": false}]}'
 
@@ -292,76 +289,12 @@ def rich_contract() -> Contract:
     return contract
 
 
-HOSTILE = [None, True, 1.5, math.nan, math.inf, 10**40, "x", [], {}]
-
-
-def _children(node) -> list:
-    if isinstance(node, dict):
-        return list(node)
-    if isinstance(node, list):
-        return list(range(len(node)))
-    if dataclasses.is_dataclass(node):
-        return [f.name for f in dataclasses.fields(node)]
-    return []
-
-
-def _child(node, key):
-    return getattr(node, key) if dataclasses.is_dataclass(node) else node[key]
-
-
-def _paths(node, path=()):
-    yield path
-    for key in _children(node):
-        yield from _paths(_child(node, key), path + (key,))
-
-
-def _child_at(root, path):
-    for key in path:
-        root = _child(root, key)
-    return root
-
-
-def _mutated(root, mutations):
-    """A copy of ``root`` (a contract or its document) with each mutation
-    applied: ``"drop"`` deletes a key or list item, or resets an attribute
-    to its default (``None`` when it has none); ``"dup"`` repeats the first
-    item of a list; any other move is a value swapped in."""
-    root = copy.deepcopy(root)
-    for move, pick in mutations:
-        nodes = [(path, _child_at(root, path)) for path in _paths(root)]
-        if move == "dup":
-            paths = [path for path, node in nodes if isinstance(node, list) and node]
-        else:
-            paths = [path for path, _ in nodes if path]
-        if not paths:
-            continue
-        *head, key = paths[pick % len(paths)]
-        parent = _child_at(root, head)
-        if move == "dup":
-            parent = _child(parent, key)
-            parent.append(copy.deepcopy(parent[0]))
-        elif move == "drop" and dataclasses.is_dataclass(parent):
-            spec = next(f for f in dataclasses.fields(parent) if f.name == key)
-            default = spec.default_factory() if spec.default_factory is not dataclasses.MISSING \
-                else None if spec.default is dataclasses.MISSING else spec.default
-            setattr(parent, key, default)
-        elif move == "drop":
-            del parent[key]
-        elif dataclasses.is_dataclass(parent):
-            setattr(parent, key, copy.deepcopy(move))
-        else:
-            parent[key] = copy.deepcopy(move)
-    return root
-
-
 def _strict_json(text: str):
     def refuse(constant):
         raise AssertionError(f"canonical text holds {constant}")
     return json.loads(text, parse_constant=refuse)
 
 
-MUTATIONS = st.lists(st.tuples(st.sampled_from(["drop", "dup"] + HOSTILE),
-                               st.integers(0, 10**6)), min_size=1, max_size=2)
 BASES = st.one_of(st.just(None), st.integers(0, 2**32))
 
 
@@ -376,7 +309,7 @@ class TestOneDefinition:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(BASES, MUTATIONS)
     def test_mutated_documents_parse_or_fail_cleanly(self, seed, mutations):
-        text = json.dumps(_mutated(_base(seed).to_doc(), mutations))
+        text = json.dumps(mutated(_base(seed).to_doc(), mutations))
         try:
             contract = parse_contract(text)
         except ContractForgeError:
@@ -388,7 +321,7 @@ class TestOneDefinition:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(BASES, MUTATIONS)
     def test_validate_passes_exactly_when_the_document_parses(self, seed, mutations):
-        contract = _mutated(_base(seed), mutations)
+        contract = mutated(_base(seed), mutations)
         try:
             contract.validate()
             refusal = None

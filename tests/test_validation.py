@@ -5,12 +5,14 @@ import json
 from dataclasses import replace
 
 import jsonschema
+import pytest
 
+from contractforge.errors import InvariantViolation
 from contractforge.inference import infer_contract, safe_generic_contract
 from contractforge.model import (Constraints, Contract, FieldSpec,
                                  canonicalize, to_json_schema)
 from contractforge.profiling import ingest
-from contractforge.validation import (check_syntax, detect_drift,
+from contractforge.validation import (check_syntax, detect_drift, failing_rows,
                                       validate_rows)
 from conftest import csv_bytes, profile_of
 
@@ -144,6 +146,22 @@ class TestValidateRows:
         full = validate_rows(contract, rows)
         trimmed = validate_rows(contract, [r for r in rows if r["n"] != "bad"])
         assert trimmed.rows_passed >= full.rows_passed
+
+
+class TestContractChecked:
+    """The engine checks the contract it compiles: a contract built in code
+    that breaks an invariant is refused, not half-enforced or a crash."""
+
+    @pytest.mark.parametrize("spec, message", [
+        (FieldSpec("a", "integer", False, Constraints(min_value="0")), "min must be numeric"),
+        (FieldSpec("a", "integr", False), "unknown logical_type"),
+        (FieldSpec("a", "string", False, Constraints(allowed_values=["x"])),
+         "allowed_values present iff enum_string"),
+    ], ids=["text-bound", "type-typo", "enum-on-string"])
+    @pytest.mark.parametrize("check", [validate_rows, failing_rows])
+    def test_invalid_field_is_refused(self, check, spec, message):
+        with pytest.raises(InvariantViolation, match=message):
+            check(Contract("t", [spec]), [{"a": "1"}, {"a": "x"}])
 
 
 class TestJsonSchemaAgreement:
