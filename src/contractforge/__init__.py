@@ -29,8 +29,8 @@ from .generation import (GenerationPolicy, GenerationReport, TWO_PASS,
 from .inference import infer_contract, infer_field, safe_generic_contract
 from .lexical import classify_lexeme, join
 from .model import (Constraints, Contract, FieldSpec, Provenance, QualityRule,
-                    canonicalize, contract_from_doc, parse_contract,
-                    to_json_schema)
+                    canonicalize, contract_from_doc, from_json_schema,
+                    parse_contract, to_json_schema)
 from .profiling import (ColumnProfile, DataProfile, IngestOptions, Table,
                         dump_profile, ingest, load_profile, profile_column,
                         profile_table, read_table)

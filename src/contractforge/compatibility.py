@@ -38,8 +38,6 @@ def _bounds(spec: FieldSpec) -> tuple[float | None, float | None]:
 def _value_set_reasons(name: str, narrow: FieldSpec, wide: FieldSpec) -> list[str]:
     """Why the non-null values of ``narrow`` are not all accepted by ``wide``."""
     ta, tb = narrow.logical_type, wide.logical_type
-    if tb == "string":
-        return []
     if ta == "enum_string":
         values = (narrow.constraints.allowed_values or []) if narrow.constraints else []
         rejected = sorted(v for v in values if not value_conforms(wide, v))
@@ -85,7 +83,9 @@ def _subsumption_reasons(old: Contract, new: Contract) -> list[str]:
 
 def check_compatibility(old: Contract, new: Contract,
                         mode: str = "backward") -> CompatibilityVerdict:
-    """Decide compatibility under the given mode, naming offending fields."""
+    """Check both contracts, then decide compatibility in ``mode``, naming offending fields."""
+    old.validate()
+    new.validate()
     if mode not in COMPATIBILITY_MODES:
         raise ContractForgeError(f"unknown compatibility mode {mode!r}")
     if mode == "none":

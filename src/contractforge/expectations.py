@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import ContractForgeError
 from .inference import ENUM_MIN_ROWS, _numeric_bounds
-from .model import FieldSpec, QualityRule
+from .model import NUMERIC_TYPES, TEMPORAL_TYPES, FieldSpec, QualityRule
 from .profiling import ABSENT, DataProfile, Table
 from .validation import failing_cells
 
@@ -67,13 +67,13 @@ def synthesize_rules(profile: DataProfile,
             per_field.append(QualityRule(
                 "values_in_set", spec.name,
                 {"values": list(spec.constraints.allowed_values)}, "error"))
-        if spec.logical_type in ("integer", "number"):
+        if spec.logical_type in NUMERIC_TYPES:
             bounds = _numeric_bounds(column, spec.logical_type)
             if bounds is not None:
                 per_field.append(QualityRule(
                     "between", spec.name,
                     {"min": bounds.min_value, "max": bounds.max_value}, "warning"))
-        if spec.logical_type in ("date", "timestamp"):
+        if spec.logical_type in TEMPORAL_TYPES:
             per_field.append(QualityRule(
                 "matches_format", spec.name, {"format": spec.logical_type}, "error"))
         if column.total_count >= UNIQUE_MIN_ROWS \

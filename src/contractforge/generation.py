@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .backends import CompletionBackend, GenerationRequest
 from .errors import ContractForgeError, ExtractionFailure, parse_json
 from .inference import safe_generic_contract
-from .model import Contract, Provenance, contract_from_doc
+from .model import Contract, Provenance, contract_from_doc, from_json_schema
 from .profiling import DataProfile
 from .prompts import SINGLE_PASS, TWO_PASS_STAGE1, TWO_PASS_STAGE2, build_prompt
 from .validation import failing_rows
@@ -128,64 +128,10 @@ def remove_trailing_commas(text: str) -> str:
     return "".join(pieces) + text[start:]
 
 
-_SCHEMA_TYPE_MAP = {"integer": "integer", "number": "number",
-                    "boolean": "boolean", "string": "string"}
-
-
-def _wrap_bare_schema(doc: dict) -> dict:
-    """Lift a JSON-Schema-like object (has ``properties``, no ``fields``)
-    into the contract document shape with inferred defaults."""
-    properties = doc.get("properties")
-    if not isinstance(properties, dict):
-        raise ExtractionFailure("schema-like object without a properties map")
-    required = doc.get("required")
-    required_names = set(required) if isinstance(required, list) else set()
-    fields = []
-    for name, prop in properties.items():
-        if not isinstance(prop, dict):
-            raise ExtractionFailure(f"property {name!r} is not an object")
-        nullable = name not in required_names
-        declared = prop.get("type")
-        if isinstance(declared, list):
-            if "null" in declared:
-                nullable = True
-            non_null = [t for t in declared if t != "null"]
-            declared = non_null[0] if len(non_null) == 1 else "string"
-        logical = _SCHEMA_TYPE_MAP.get(declared, "string")
-        constraints = None
-        if logical == "string":
-            fmt = prop.get("format")
-            if fmt == "date":
-                logical = "date"
-            elif fmt == "date-time":
-                logical = "timestamp"
-            enum = prop.get("enum")
-            if isinstance(enum, list):
-                values = list(dict.fromkeys(v for v in enum if isinstance(v, str)))
-                if values:
-                    logical = "enum_string"
-                    constraints = {"allowed_values": values}
-        field_doc: dict = {"name": str(name), "logical_type": logical,
-                           "nullable": nullable}
-        if constraints is not None:
-            field_doc["constraints"] = constraints
-        if isinstance(prop.get("description"), str):
-            field_doc["description"] = prop["description"]
-        fields.append(field_doc)
-    title = doc.get("title")
-    return {
-        "name": title if isinstance(title, str) and title else "contract",
-        "version": 1,
-        "status": "draft",
-        "fields": fields,
-        "rules": [],
-    }
-
-
 def _try_parse(text: str) -> Contract:
     doc = parse_json(text, ExtractionFailure)
     if isinstance(doc, dict) and "properties" in doc and "fields" not in doc:
-        doc = _wrap_bare_schema(doc)
+        doc = from_json_schema(doc)
     return contract_from_doc(doc)
 
 

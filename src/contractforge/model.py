@@ -3,7 +3,9 @@
 A contract is our own JSON document rather than raw JSON Schema, because it
 carries provenance, quality rules and review status that JSON Schema cannot
 house.  ``to_json_schema`` is the export path for consumers that want a
-standard validator document.
+standard validator document, and ``from_json_schema`` its inverse, less
+ranges, format hints and field order.  ``TYPES`` is the one table of what
+each logical type means.
 
 Parsing is strict: unknown keys are rejected rather than silently accepted,
 since most contract text arrives from a text-generation backend.
@@ -17,13 +19,27 @@ trimmed by construction, so every module compares them exactly as written.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .errors import ContractSyntaxError, InvariantViolation, dump_json, parse_json
+from . import lexical
+from .errors import (ContractSyntaxError, ExtractionFailure, InvariantViolation, dump_json,
+                     parse_json)
 
-LOGICAL_TYPES = ("boolean", "integer", "number", "string", "date", "timestamp", "enum_string")
-NUMERIC_TYPES = ("integer", "number")
-TEMPORAL_TYPES = ("date", "timestamp")
+#: Each logical type: its lexical-lattice class, JSON-Schema ``type`` and ``format``.
+LogicalType = namedtuple("LogicalType", "lattice json_type json_format", defaults=[None])
+TYPES = {
+    "boolean": LogicalType(lexical.BOOLEAN, "boolean"),
+    "integer": LogicalType(lexical.INTEGER, "integer"),
+    "number": LogicalType(lexical.NUMBER, "number"),
+    "string": LogicalType(lexical.STRING, "string"),
+    "date": LogicalType(lexical.DATE, "string", "date"),
+    "timestamp": LogicalType(lexical.TIMESTAMP, "string", "date-time"),
+    "enum_string": LogicalType(lexical.STRING, "string"),
+}
+LOGICAL_TYPES = tuple(TYPES)
+NUMERIC_TYPES = tuple(n for n, t in TYPES.items() if lexical.is_subclass(t.lattice, lexical.NUMBER))
+TEMPORAL_TYPES = tuple(n for n, t in TYPES.items() if t.json_format is not None)
 STATUSES = ("draft", "approved", "deprecated")
 GENERATOR_MODES = ("oracle", "backend", "fallback")
 
@@ -174,7 +190,7 @@ class QualityRule:
                 raise InvariantViolation("rule params match kind",
                                          f"between on {self.column!r} needs finite min <= max")
         elif self.kind == "matches_format":
-            if self.params.get("format") not in ("date", "timestamp"):
+            if self.params.get("format") not in TEMPORAL_TYPES:
                 raise InvariantViolation("rule params match kind",
                                          f"matches_format on {self.column!r} needs format date or timestamp")
 
@@ -319,18 +335,6 @@ def canonicalize(contract: Contract) -> str:
     return dump_json(contract.to_doc())
 
 
-_JSON_SCHEMA_TYPES = {
-    "boolean": "boolean",
-    "integer": "integer",
-    "number": "number",
-    "string": "string",
-    "date": "string",
-    "timestamp": "string",
-    "enum_string": "string",
-}
-_JSON_SCHEMA_FORMATS = {"date": "date", "timestamp": "date-time"}
-
-
 def to_json_schema(contract: Contract) -> str:
     """Export as a draft-07-style JSON Schema document.
 
@@ -340,10 +344,10 @@ def to_json_schema(contract: Contract) -> str:
     properties: dict = {}
     required: list[str] = []
     for f in contract.fields:
-        base = _JSON_SCHEMA_TYPES[f.logical_type]
+        _, base, fmt = TYPES[f.logical_type]
         prop: dict = {"type": [base, "null"] if f.nullable else base}
-        if f.logical_type in _JSON_SCHEMA_FORMATS:
-            prop["format"] = _JSON_SCHEMA_FORMATS[f.logical_type]
+        if fmt is not None:
+            prop["format"] = fmt
         if f.logical_type == "enum_string" and f.constraints is not None:
             enum: list = list(f.constraints.allowed_values or [])
             if f.nullable:
@@ -364,3 +368,49 @@ def to_json_schema(contract: Contract) -> str:
     if required:
         schema["required"] = required
     return dump_json(schema)
+
+
+#: ``TYPES`` read backwards: the logical type of a JSON-Schema ``type`` and
+#: ``format``, the first in ``TYPES`` where two share them.
+_BY_SCHEMA = {(t.json_type, t.json_format): n for n, t in reversed(TYPES.items())}
+
+
+def _text(value) -> str | None:
+    """``value`` if it is a string, else ``None``: what an unknown value reads as."""
+    return value if isinstance(value, str) else None
+
+
+def from_json_schema(doc: dict) -> dict:
+    """Lift a JSON-Schema-like object into the contract document shape,
+    reading each property back through ``TYPES``.  Only string ``type``,
+    ``format``, ``required`` and ``enum`` values are read; any other reads
+    as unknown: a ``string`` type, no format, not required, no value."""
+    properties = doc.get("properties")
+    if not isinstance(properties, dict):
+        raise ExtractionFailure("schema-like object without a properties map")
+    required = doc.get("required")
+    required_names = set(map(_text, required)) if isinstance(required, list) else set()
+    fields = []
+    for name, prop in properties.items():
+        if not isinstance(prop, dict):
+            raise ExtractionFailure(f"property {name!r} is not an object")
+        declared = prop.get("type")
+        nullable = name not in required_names or isinstance(declared, list) and "null" in declared
+        if isinstance(declared, list):
+            non_null = [t for t in declared if t != "null"]
+            declared = non_null[0] if len(non_null) == 1 else None
+        base = declared if (_text(declared), None) in _BY_SCHEMA else "string"
+        logical = _BY_SCHEMA.get((base, _text(prop.get("format"))), _BY_SCHEMA[base, None])
+        field_doc: dict = {"name": name, "logical_type": logical, "nullable": nullable}
+        enum = prop.get("enum")
+        if base == "string" and isinstance(enum, list):
+            values = list(dict.fromkeys(v for v in enum if isinstance(v, str)))
+            if values:
+                field_doc.update(logical_type="enum_string",
+                                 constraints={"allowed_values": values})
+        if isinstance(prop.get("description"), str):
+            field_doc["description"] = prop["description"]
+        fields.append(field_doc)
+    title = doc.get("title")
+    return {"name": title if isinstance(title, str) and title else "contract",
+            "version": 1, "status": "draft", "fields": fields, "rules": []}

@@ -8,6 +8,7 @@ column list, then feeds that list back into the contract request.
 
 from __future__ import annotations
 
+from .model import LOGICAL_TYPES
 from .profiling import DataProfile
 
 SINGLE_PASS = "single_pass"
@@ -24,7 +25,7 @@ _TEMPLATE = """{
   "fields": [
     {
       "name": "<column name>",
-      "logical_type": "<one of: boolean, integer, number, string, date, timestamp, enum_string>",
+      "logical_type": "<one of: %s>",
       "nullable": <true or false>
     }
   ],
@@ -76,7 +77,7 @@ def build_prompt(profile: DataProfile, mode: str = SINGLE_PASS,
     parts += [
         "",
         "Respond with a document in exactly this shape:",
-        _TEMPLATE % _json_string(profile.dataset_name),
+        _TEMPLATE % (_json_string(profile.dataset_name), ", ".join(LOGICAL_TYPES)),
         "",
     ]
     return "\n".join(parts)

@@ -30,7 +30,7 @@ from typing import Callable
 from . import lexical
 from .errors import ContractForgeError
 from .inference import infer_column_type
-from .model import Contract, FieldSpec, parse_contract
+from .model import TYPES, Contract, FieldSpec, parse_contract
 from .profiling import ABSENT, DataProfile, Table
 
 TYPE_MISMATCH = "type_mismatch"
@@ -89,7 +89,7 @@ def check_syntax(text: str) -> list[str]:
 
 def lattice_type(logical_type: str) -> str:
     """Map a field type onto the lexical lattice (enums are strings there)."""
-    return lexical.STRING if logical_type == "enum_string" else logical_type
+    return TYPES[logical_type].lattice
 
 
 def value_test(kind: str, params: dict) -> Callable[[str, str], bool]:
@@ -256,8 +256,9 @@ def detect_drift(contract: Contract, profile: DataProfile) -> DriftReport:
     Extra columns are additive (non-breaking); removed columns and columns
     whose observed type no longer conforms to the declared type are breaking.
     Field and column names match exactly as written, since both are trimmed
-    by construction.
+    by construction.  The contract is checked first, as ``validate_rows`` checks it.
     """
+    contract.validate()
     declared = {f.name for f in contract.fields}
     # Only a profile built in code can repeat a column name; as in
     # ``DataProfile.column``, the first column of that name is the one read.

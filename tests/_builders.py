@@ -18,13 +18,11 @@ import random
 
 from hypothesis import strategies as st
 
-from contractforge.model import (Constraints, Contract, FieldSpec, Provenance,
-                                 QualityRule)
+from contractforge.model import (LOGICAL_TYPES, Constraints, Contract, FieldSpec,
+                                 Provenance, QualityRule)
 
 FIELD_NAMES = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
 ENUM_POOL = ["red", "green", "blue", "amber", "cyan", "opal"]
-LOGICAL_TYPES = ["boolean", "integer", "number", "string", "date", "timestamp",
-                 "enum_string"]
 
 
 def random_constraints(rng: random.Random, logical_type: str) -> Constraints | None:
@@ -179,14 +177,16 @@ def _child_at(root, path):
     return root
 
 
-def mutated(root, mutations):
+def mutated(root, mutations, keys=None):
     """A copy of ``root`` (a contract or its document) with each mutation
     applied: ``"drop"`` deletes a key or list item, or resets an attribute
     to its default (``None`` when it has none); ``"dup"`` repeats the first
-    item of a list; any other move is a value swapped in."""
+    item of a list; any other move is a value swapped in.  With ``keys``,
+    only what lies at or below one of those keys is mutated."""
     root = copy.deepcopy(root)
     for move, pick in mutations:
-        nodes = [(path, _child_at(root, path)) for path in _paths(root)]
+        nodes = [(path, _child_at(root, path)) for path in _paths(root)
+                 if keys is None or any(key in keys for key in path)]
         if move == "dup":
             paths = [path for path, node in nodes if isinstance(node, list) and node]
         else:

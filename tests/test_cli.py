@@ -520,6 +520,22 @@ class TestUnreadableInputs:
                      "--script", str(script), "--report", str(tmp_path / "r.json")]) == 0
         assert json.loads((tmp_path / "r.json").read_text())["fallback"] is True
 
+    @pytest.mark.parametrize("completion, lifted", [
+        ({"properties": {"a": {"type": {}}}}, {"a": ["string", True]}),
+        ({"properties": {"id": {"type": "integer", "format": [1]}, "price": {"enum": [{}]}},
+          "required": [[1], "id"]}, {"id": ["integer", False], "price": ["string", True]}),
+    ], ids=["type-object", "required-list"])
+    def test_ill_typed_json_schema_completion_is_lifted(self, tmp_path, toy_profile_file,
+                                                        completion, lifted):
+        """An ill-typed ``type``, ``format``, ``enum`` or ``required`` value
+        in a bare JSON-Schema answer reads as unknown."""
+        script, report = tmp_path / "script.json", tmp_path / "r.json"
+        script.write_text(json.dumps({"0": [json.dumps(completion)]}))
+        assert main(["generate", str(toy_profile_file), "--backend", "script",
+                     "--script", str(script), "--report", str(report)]) == 0
+        parsed = json.loads(report.read_text())["candidates"][0]["parsed"]
+        assert {f["name"]: [f["logical_type"], f["nullable"]] for f in parsed["fields"]} == lifted
+
     def test_ints_stand_for_floats_and_null_defaults_take_anything(self, tmp_path,
                                                                    toy_profile_file):
         config = tmp_path / "config.json"

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from contractforge.compatibility import check_compatibility, diff
-from contractforge.errors import ContractForgeError
+from contractforge.errors import ContractForgeError, InvariantViolation
 from contractforge.model import (Constraints, Contract, FieldSpec,
                                  Provenance, QualityRule, canonicalize)
 from _builders import compatibility_pair, mutate_contract, random_contract
@@ -139,6 +139,17 @@ class TestBackwardRules:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ContractForgeError, match="unknown compatibility mode"):
             check_compatibility(BASE, BASE, "sideways")
+
+    @pytest.mark.parametrize("bad, message", [
+        (Contract("pairwise", [FieldSpec("alpha", "integr", False)]), "unknown logical_type"),
+        (Contract("pairwise", None), "fields must be an array"),
+    ], ids=["type-typo", "no-fields"])
+    @pytest.mark.parametrize("bad_is_new", [True, False], ids=["new", "old"])
+    def test_invalid_contract_is_refused(self, bad, message, bad_is_new):
+        """A contract built in code is checked first, not read as a verdict."""
+        old, new = (BASE, bad) if bad_is_new else (bad, BASE)
+        with pytest.raises(InvariantViolation, match=message):
+            check_compatibility(old, new)
 
 
 class TestOracleAgreement:

@@ -163,6 +163,14 @@ class TestContractChecked:
         with pytest.raises(InvariantViolation, match=message):
             check(Contract("t", [spec]), [{"a": "1"}, {"a": "x"}])
 
+    @pytest.mark.parametrize("contract, message", [
+        (Contract("t", [FieldSpec("a", "integr", False)]), "unknown logical_type"),
+        (Contract("t", None), "fields must be an array"),
+    ], ids=["type-typo", "no-fields"])
+    def test_drift_refuses_an_invalid_contract(self, contract, message):
+        with pytest.raises(InvariantViolation, match=message):
+            detect_drift(contract, profile_of(["a"], [["1"], ["2"]]))
+
 
 class TestJsonSchemaAgreement:
     """Dual validation: rows accepted by validate_rows match rows accepted by
