@@ -12,32 +12,55 @@ The usual flow:
     store = RegistryStore("registry")
     version = store.publish("orders", contract)
     store.approve("orders", version, reviewer="alice")
+
+Exports load lazily (PEP 562): ``import contractforge`` imports no submodule,
+and each name or submodule is imported on first access.
 """
 
-from .backends import (CompletionBackend, GenerationRequest, HttpBackend,
-                       OracleBackend, ScriptedBackend)
-from .compatibility import (COMPATIBILITY_MODES, CompatibilityVerdict,
-                            ContractDiff, check_compatibility, diff)
-from .errors import (BackendTransportError, ContractForgeError,
-                     ContractSyntaxError, ExtractionFailure, IngestError,
-                     InvariantViolation, NotFoundError, RegistryError,
-                     RegistryRejection, RegistryTransportError)
-from .evalharness import CorpusMetrics, TableMetrics, run_eval, structural_accuracy
-from .expectations import RuleResult, evaluate_rules, synthesize_rules
-from .generation import (GenerationPolicy, GenerationReport, TWO_PASS,
-                         extract_contract, generate_contract, score_candidate)
-from .inference import infer_contract, infer_field, safe_generic_contract
-from .lexical import classify_lexeme, join
-from .model import (Constraints, Contract, FieldSpec, Provenance, QualityRule,
-                    canonicalize, contract_from_doc, from_json_schema,
-                    parse_contract, to_json_schema)
-from .profiling import (ColumnProfile, DataProfile, IngestOptions, Table,
-                        dump_profile, ingest, load_profile, profile_column,
-                        profile_table, read_table)
-from .prompts import SINGLE_PASS, TWO_PASS_STAGE1, TWO_PASS_STAGE2, build_prompt
-from .registry import RegistryStore, VersionRecord
-from .service import RegistryClient, RegistryServer
-from .validation import (DriftReport, ValidationReport, check_syntax,
-                         detect_drift, failing_rows, validate_rows)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+#: Submodule -> the names the package exports from it.
+_EXPORTS = {
+    "backends": ("CompletionBackend", "GenerationRequest", "HttpBackend", "OracleBackend",
+                 "ScriptedBackend"),
+    "cli": (),
+    "compatibility": ("COMPATIBILITY_MODES", "CompatibilityVerdict", "check_compatibility"),
+    "errors": ("BackendTransportError", "ContractForgeError", "ContractSyntaxError",
+               "ExtractionFailure", "IngestError", "InvariantViolation", "NotFoundError",
+               "RegistryError", "RegistryRejection", "RegistryTransportError"),
+    "evalharness": ("CorpusMetrics", "TableMetrics", "run_eval", "structural_accuracy"),
+    "expectations": ("RuleResult", "evaluate_rules", "synthesize_rules"),
+    "generation": ("GenerationPolicy", "GenerationReport", "TWO_PASS", "extract_contract",
+                   "generate_contract", "score_candidate"),
+    "inference": ("infer_contract", "infer_field", "safe_generic_contract"),
+    "lexical": ("classify_lexeme", "join"),
+    "model": ("Constraints", "Contract", "FieldSpec", "Provenance", "QualityRule", "canonicalize",
+              "contract_from_doc", "from_json_schema", "parse_contract", "to_json_schema"),
+    "profiling": ("ColumnProfile", "DataProfile", "IngestOptions", "Table", "dump_profile",
+                  "ingest", "load_profile", "profile_column", "profile_table", "read_table"),
+    "prompts": ("SINGLE_PASS", "TWO_PASS_STAGE1", "TWO_PASS_STAGE2", "build_prompt"),
+    "registry": ("RegistryStore", "VersionRecord"),
+    "service": ("RegistryClient", "RegistryServer"),
+    "transport": (),
+    "validation": ("DriftReport", "ValidationReport", "detect_drift", "failing_rows",
+                   "validate_rows"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import an exported name's home module, or a submodule, on first use."""
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")  # binds itself on the package
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME) | set(_EXPORTS))

@@ -21,19 +21,14 @@ import threading
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .backends import HttpBackend, OracleBackend, ScriptedBackend
 from .errors import (BackendTransportError, ContractForgeError, NotFoundError,
                      RegistryRejection, RegistryTransportError, dump_json,
                      parse_json)
-from .evalharness import format_metrics_table, run_eval
-from .expectations import evaluate_rules, synthesize_rules
-from .generation import TWO_PASS, GenerationPolicy, generate_contract
-from .model import canonicalize, parse_contract
-from .profiling import IngestOptions, dump_profile, ingest, load_profile, read_table
-from .prompts import SINGLE_PASS
-from .registry import RegistryStore
-from .service import RegistryClient, RegistryServer
-from .validation import detect_drift, validate_rows
+
+# Each command imports the engine modules it calls when it runs, so that it
+# loads only those.  No engine function is kept in this module's globals, so
+# a function rebound on its home module later (a timing wrapper, a test's
+# stand-in) is the one called.
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -124,7 +119,8 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _ingest_options(config: dict, args) -> IngestOptions:
+def _ingest_options(config: dict, args):
+    from .profiling import IngestOptions
     section = config["ingest"]
     delimiter = getattr(args, "delimiter", None) or section["delimiter"]
     return IngestOptions(delimiter=delimiter,
@@ -134,7 +130,9 @@ def _ingest_options(config: dict, args) -> IngestOptions:
                          null_tokens=list(section["null_tokens"]))
 
 
-def _build_policy(config: dict, args) -> GenerationPolicy:
+def _build_policy(config: dict, args):
+    from .generation import TWO_PASS, GenerationPolicy
+    from .prompts import SINGLE_PASS
     section = config["generation"]
     policy_path = getattr(args, "policy", None)
     if policy_path:
@@ -155,6 +153,7 @@ def _build_policy(config: dict, args) -> GenerationPolicy:
 
 
 def _build_backend(config: dict, args, profile=None):
+    from .backends import HttpBackend, OracleBackend, ScriptedBackend
     section = config["backend"]
     kind = getattr(args, "backend", None) or section["kind"]
     if kind == "oracle":
@@ -175,7 +174,8 @@ def _build_backend(config: dict, args, profile=None):
     raise ContractForgeError(f"unknown backend kind {kind!r}")
 
 
-def _registry_client(config: dict, args) -> RegistryClient:
+def _registry_client(config: dict, args):
+    from .service import RegistryClient
     addr = getattr(args, "addr", None) or config["registry"]["addr"]
     base = addr if addr.startswith("http") else f"http://{addr}"
     return RegistryClient(base)
@@ -185,6 +185,7 @@ def _registry_client(config: dict, args) -> RegistryClient:
 
 
 def _cmd_profile(args, config) -> int:
+    from .profiling import dump_profile, ingest
     options = _ingest_options(config, args)
     name = args.name or Path(args.path).stem
     with open(args.path, "rb") as handle:
@@ -195,6 +196,9 @@ def _cmd_profile(args, config) -> int:
 
 
 def _cmd_generate(args, config) -> int:
+    from .generation import generate_contract
+    from .model import canonicalize
+    from .profiling import load_profile
     profile = load_profile(Path(args.profile).read_text(encoding="utf-8"))
     backend = _build_backend(config, args, profile=profile)
     policy = _build_policy(config, args)
@@ -209,6 +213,9 @@ def _cmd_generate(args, config) -> int:
 
 
 def _cmd_validate(args, config) -> int:
+    from .model import parse_contract
+    from .profiling import read_table
+    from .validation import validate_rows
     contract = parse_contract(Path(args.contract).read_text(encoding="utf-8"))
     options = _ingest_options(config, args)
     with open(args.data, "rb") as handle:
@@ -227,6 +234,9 @@ def _cmd_validate(args, config) -> int:
 
 
 def _cmd_drift(args, config) -> int:
+    from .model import parse_contract
+    from .profiling import ingest
+    from .validation import detect_drift
     contract = parse_contract(Path(args.contract).read_text(encoding="utf-8"))
     options = _ingest_options(config, args)
     with open(args.data, "rb") as handle:
@@ -238,6 +248,9 @@ def _cmd_drift(args, config) -> int:
 
 
 def _cmd_rules(args, config) -> int:
+    from .expectations import evaluate_rules, synthesize_rules
+    from .model import parse_contract
+    from .profiling import load_profile, read_table
     profile = load_profile(Path(args.profile).read_text(encoding="utf-8"))
     contract = parse_contract(Path(args.contract).read_text(encoding="utf-8"))
     rules = synthesize_rules(profile, contract.fields)
@@ -255,6 +268,7 @@ def _cmd_rules(args, config) -> int:
 
 
 def _cmd_eval(args, config) -> int:
+    from .evalharness import format_metrics_table, run_eval
     backend = _build_backend(config, args)
     policy = _build_policy(config, args)
     metrics = run_eval(args.corpus, backend, policy)
@@ -265,6 +279,8 @@ def _cmd_eval(args, config) -> int:
 
 
 def _cmd_registry_serve(args, config) -> int:
+    from .registry import RegistryStore
+    from .service import RegistryServer
     root = args.root or config["registry"]["root"]
     addr = args.addr or config["registry"]["addr"]
     host, _, port = addr.rpartition(":")
@@ -282,6 +298,7 @@ def _cmd_registry_serve(args, config) -> int:
 
 
 def _cmd_registry_publish(args, config) -> int:
+    from .model import parse_contract
     contract = parse_contract(Path(args.contract).read_text(encoding="utf-8"))
     client = _registry_client(config, args)
     version = client.publish(args.name, contract)
@@ -290,6 +307,7 @@ def _cmd_registry_publish(args, config) -> int:
 
 
 def _cmd_registry_get(args, config) -> int:
+    from .model import canonicalize
     client = _registry_client(config, args)
     if args.version is not None:
         contract = client.get_version(args.name, args.version)
@@ -314,6 +332,7 @@ def _cmd_registry_feedback(args, config) -> int:
 
 
 def _cmd_registry_compat(args, config) -> int:
+    from .model import parse_contract
     contract = parse_contract(Path(args.contract).read_text(encoding="utf-8"))
     client = _registry_client(config, args)
     verdict = client.check_compat(args.name, contract)

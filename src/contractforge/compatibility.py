@@ -1,4 +1,4 @@
-"""Schema-evolution compatibility and version diffing.
+"""Schema-evolution compatibility.
 
 Compatibility is defined by row subsumption, not a syntactic rule list:
 ``backward`` holds when every row valid under the old contract stays valid
@@ -97,106 +97,3 @@ def check_compatibility(old: Contract, new: Contract,
         prefix = "forward: " if mode == "full" else ""
         reasons.extend(prefix + r for r in _subsumption_reasons(new, old))
     return CompatibilityVerdict(compatible=not reasons, reasons=reasons)
-
-
-@dataclass
-class ContractDiff:
-    added_fields: list[str] = field(default_factory=list)
-    removed_fields: list[str] = field(default_factory=list)
-    retyped: list[dict] = field(default_factory=list)
-    constraint_changes: list[dict] = field(default_factory=list)
-    rule_changes: list[str] = field(default_factory=list)
-
-    @property
-    def empty(self) -> bool:
-        return not (self.added_fields or self.removed_fields or self.retyped
-                    or self.constraint_changes or self.rule_changes)
-
-    def to_doc(self) -> dict:
-        return {
-            "added_fields": list(self.added_fields),
-            "removed_fields": list(self.removed_fields),
-            "retyped": [dict(r) for r in self.retyped],
-            "constraint_changes": [dict(c) for c in self.constraint_changes],
-            "rule_changes": list(self.rule_changes),
-        }
-
-
-def _constraints_doc(spec: FieldSpec) -> dict:
-    if spec.constraints is None:
-        return {}
-    return spec.constraints.to_doc()
-
-
-def _rule_key(doc: dict) -> tuple:
-    import json
-
-    return (doc["column"], doc["kind"], json.dumps(doc, sort_keys=True))
-
-
-def _diff_rules(old: Contract, new: Contract) -> list[str]:
-    old_docs = [r.to_doc() for r in old.rules]
-    new_docs = [r.to_doc() for r in new.rules]
-    if old_docs == new_docs:
-        return []
-    changes: list[str] = []
-    old_by_slot: dict[tuple, list[dict]] = {}
-    new_by_slot: dict[tuple, list[dict]] = {}
-    for doc in old_docs:
-        old_by_slot.setdefault((doc["column"], doc["kind"]), []).append(doc)
-    for doc in new_docs:
-        new_by_slot.setdefault((doc["column"], doc["kind"]), []).append(doc)
-    for slot in sorted(set(old_by_slot) | set(new_by_slot)):
-        column, kind = slot
-        before, after = old_by_slot.get(slot, []), new_by_slot.get(slot, [])
-        if not after:
-            changes.append(f"removed rule {kind} on {column!r}")
-        elif not before:
-            changes.append(f"added rule {kind} on {column!r}")
-        elif sorted(map(_rule_key, before)) != sorted(map(_rule_key, after)):
-            changes.append(f"changed rule {kind} on {column!r}")
-    if not changes:
-        changes.append("rule order changed")
-    return changes
-
-
-def diff(old: Contract, new: Contract) -> ContractDiff:
-    """Field-level and rule-level difference between two contract versions.
-
-    Everything that alters the canonical form apart from version, provenance
-    and status shows up in exactly one bucket, so an empty diff certifies
-    textual equivalence modulo those keys.  Deterministic ordering by field
-    name throughout.
-    """
-    result = ContractDiff()
-    if old.name != new.name:
-        result.constraint_changes.append(
-            {"name": old.name, "description": f"contract renamed to {new.name!r}"})
-    old_fields = {f.name: f for f in old.fields}
-    new_fields = {f.name: f for f in new.fields}
-    result.added_fields = sorted(n for n in new_fields if n not in old_fields)
-    result.removed_fields = sorted(n for n in old_fields if n not in new_fields)
-    common = [n for n in old_fields if n in new_fields]
-    old_order = [f.name for f in old.fields if f.name in new_fields]
-    new_order = [f.name for f in new.fields if f.name in old_fields]
-    if old_order != new_order:
-        result.constraint_changes.append(
-            {"name": old.name, "description": "field order changed"})
-    for name in sorted(common):
-        old_spec, new_spec = old_fields[name], new_fields[name]
-        if old_spec.logical_type != new_spec.logical_type:
-            result.retyped.append({"name": name, "old_type": old_spec.logical_type,
-                                   "new_type": new_spec.logical_type})
-        if old_spec.nullable != new_spec.nullable:
-            result.constraint_changes.append(
-                {"name": name,
-                 "description": f"nullable changed {old_spec.nullable} -> {new_spec.nullable}"})
-        before, after = _constraints_doc(old_spec), _constraints_doc(new_spec)
-        if before != after:
-            result.constraint_changes.append(
-                {"name": name, "description": f"constraints changed {before} -> {after}"})
-        if old_spec.description != new_spec.description:
-            result.constraint_changes.append(
-                {"name": name, "description": "description changed"})
-    result.rule_changes = _diff_rules(old, new)
-    return result

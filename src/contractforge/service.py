@@ -22,15 +22,17 @@ from __future__ import annotations
 
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import TYPE_CHECKING
 
-from .compatibility import CompatibilityVerdict
 from .errors import (ContractForgeError, NotFoundError, RegistryError,
                      RegistryRejection, RegistryTransportError, dump_json,
                      parse_json)
 from .model import Contract, contract_from_doc
-from .registry import RegistryStore
 from .transport import send
+
+if TYPE_CHECKING:  # the server side's imports wait for a server: clients skip them
+    from .compatibility import CompatibilityVerdict
+    from .registry import RegistryStore
 
 MAX_BODY_BYTES = 16 * 1024 * 1024
 READ_TIMEOUT_S = 30.0
@@ -89,6 +91,8 @@ _ROUTES = [(method, re.compile(pattern + r"\Z"), handler) for method, pattern, h
 
 
 def _make_handler(store: RegistryStore):
+    from http.server import BaseHTTPRequestHandler
+
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         timeout = READ_TIMEOUT_S
@@ -160,6 +164,7 @@ class RegistryServer:
     """Threading HTTP server wrapper; ``port=0`` binds an ephemeral port."""
 
     def __init__(self, store: RegistryStore, host: str = "127.0.0.1", port: int = 0):
+        from http.server import ThreadingHTTPServer
         self._httpd = ThreadingHTTPServer((host, port), _make_handler(store))
         self._thread: threading.Thread | None = None
 
@@ -242,5 +247,6 @@ class RegistryClient:
 
     def check_compat(self, name: str, contract: Contract) -> CompatibilityVerdict:
         doc = self._call("POST", f"/contracts/{name}/compat", contract.to_doc())
+        from .compatibility import CompatibilityVerdict  # loads the engine: only on a reply
         return CompatibilityVerdict(compatible=bool(doc.get("compatible")),
                                     reasons=doc.get("reasons", []))

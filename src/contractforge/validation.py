@@ -1,4 +1,4 @@
-"""Check contract syntax, validate rows against a contract, detect drift.
+"""Validate rows against a contract, detect drift.
 
 One engine enforces fields and quality rules, and ``value_test`` is its only
 test of a lexeme: set membership (``values_in_set``), a class at or below a
@@ -30,7 +30,7 @@ from typing import Callable
 from . import lexical
 from .errors import ContractForgeError
 from .inference import infer_column_type
-from .model import TYPES, Contract, FieldSpec, parse_contract
+from .model import TYPES, Contract, FieldSpec
 from .profiling import ABSENT, DataProfile, Table
 
 TYPE_MISMATCH = "type_mismatch"
@@ -76,15 +76,6 @@ class ValidationReport:
     def to_doc(self) -> dict:
         return {"rows_checked": self.rows_checked, "rows_passed": self.rows_passed,
                 "violations": [v.to_doc() for v in self.violations]}
-
-
-def check_syntax(text: str) -> list[str]:
-    """Diagnostics for contract text; empty list when it parses cleanly."""
-    try:
-        parse_contract(text)
-    except ContractForgeError as exc:
-        return [str(exc)]
-    return []
 
 
 def lattice_type(logical_type: str) -> str:

@@ -262,15 +262,45 @@ class TestUsage:
         assert main(["--config", str(config), "profile", str(toy_csv),
                      "--format", "delimited"]) == 2
 
-    def test_import_pulls_in_no_http_library(self):
+    def test_import_pulls_in_no_http_library(self, tmp_path, toy_csv, toy_profile_file,
+                                             toy_contract_file):
+        """A fresh interpreter loads only what it runs.  Importing the CLI
+        loads no HTTP library; ``profile``, ``validate``, ``drift`` and
+        ``rules`` load neither the HTTP stack nor the backends or service;
+        the registry client commands load no server side.  ``urllib.parse``
+        is allowed: ``pathlib`` loads it."""
+        probe = ("import json, sys\n"
+                 "from contractforge.cli import main\n"
+                 "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                 "print(json.dumps([codes, sorted(sys.modules)]))")
         src = str(Path(contractforge.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        probe = ("import sys, contractforge.cli; "
-                 "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))")
-        done = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+
+        def loaded(commands, forbidden):
+            done = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)],
+                                  env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            codes, modules = json.loads(done.stdout.splitlines()[-1])
+            return codes, [m for m in modules if m in forbidden
+                           or any(m.startswith(f + ".") for f in forbidden)]
+
+        assert loaded([], ["requests", "urllib3", "contractforge.model"]) == ([], [])
+        contract, data, profile = str(toy_contract_file), str(toy_csv), str(toy_profile_file)
+        engine = [["profile", data, "--out", "profile.json"],
+                  ["validate", contract, data, "--report", "validate.json"],
+                  ["drift", contract, data, "--report", "drift.json"],
+                  ["rules", profile, contract, "--check", data, "--out", "rules.json"]]
+        assert loaded(engine, ["http", "urllib.request", "email", "ssl",
+                               "contractforge.backends", "contractforge.service"]) == (
+            [0, 0, 0, 0], [])
+        closed = ["--addr", "127.0.0.1:1"]
+        client = [["registry", "publish", "toy", contract, *closed],
+                  ["registry", "get", "toy", *closed],
+                  ["registry", "approve", "toy", "1", "--reviewer", "alice", *closed],
+                  ["registry", "compat", "toy", contract, *closed]]
+        assert loaded(client, ["http.server", "contractforge.registry",
+                               "contractforge.compatibility", "contractforge.validation",
+                               "contractforge.profiling"]) == ([4, 4, 4, 4], [])
 
 
 class TestRegistryCommands:

@@ -1,16 +1,14 @@
-"""Compatibility rules against the brute-force row-subsumption oracle,
-plus contract diffing."""
+"""Compatibility rules against the brute-force row-subsumption oracle."""
 
 import copy
 import random
 
 import pytest
 
-from contractforge.compatibility import check_compatibility, diff
+from contractforge.compatibility import check_compatibility
 from contractforge.errors import ContractForgeError, InvariantViolation
-from contractforge.model import (Constraints, Contract, FieldSpec,
-                                 Provenance, QualityRule, canonicalize)
-from _builders import compatibility_pair, mutate_contract, random_contract
+from contractforge.model import Constraints, Contract, FieldSpec, canonicalize
+from _builders import compatibility_pair
 from _compat_oracle import rows_subsume
 
 
@@ -187,64 +185,3 @@ class TestOracleAgreement:
                 assert verdict.reasons
                 assert all("field" in r for r in verdict.reasons)
         assert seen_reason
-
-
-class TestDiff:
-    def test_identity_diff_is_empty(self):
-        result = diff(BASE, copy.deepcopy(BASE))
-        assert result.empty
-
-    def test_version_provenance_status_do_not_count(self):
-        other = copy.deepcopy(BASE)
-        other.version = 9
-        other.status = "approved"
-        other.provenance = Provenance("oracle", "oracle", "2026-01-01T00:00:00+00:00")
-        assert diff(BASE, other).empty
-
-    def test_retype_reported(self):
-        old = contract_of(FieldSpec("age", "integer", False))
-        new = contract_of(FieldSpec("age", "number", False))
-        result = diff(old, new)
-        assert result.retyped == [{"name": "age", "old_type": "integer",
-                                   "new_type": "number"}]
-
-    def test_added_rule_reported(self):
-        old = contract_of(FieldSpec("status", "enum_string", False,
-                                    Constraints(allowed_values=["a", "b"])))
-        new = copy.deepcopy(old)
-        new.rules.append(QualityRule("values_in_set", "status",
-                                     {"values": ["a", "b"]}, "error"))
-        result = diff(old, new)
-        assert result.rule_changes == ["added rule values_in_set on 'status'"]
-
-    def test_added_and_removed_fields(self):
-        old = contract_of(FieldSpec("a", "string", True), FieldSpec("b", "string", True))
-        new = contract_of(FieldSpec("b", "string", True), FieldSpec("c", "string", True))
-        result = diff(old, new)
-        assert result.added_fields == ["c"]
-        assert result.removed_fields == ["a"]
-
-    def test_field_reorder_is_a_change(self):
-        old = contract_of(FieldSpec("a", "string", True), FieldSpec("b", "string", True))
-        new = contract_of(FieldSpec("b", "string", True), FieldSpec("a", "string", True))
-        result = diff(old, new)
-        assert not result.empty
-        assert any("order" in c["description"] for c in result.constraint_changes)
-
-    def test_empty_diff_iff_canonical_equal_modulo_metadata(self):
-        rng = random.Random(31337)
-
-        def normalized(contract: Contract) -> str:
-            clone = copy.deepcopy(contract)
-            clone.version = 1
-            clone.status = "draft"
-            clone.provenance = None
-            return canonicalize(clone)
-
-        for _ in range(60):
-            old = random_contract(rng)
-            new = mutate_contract(rng, old) if rng.random() < 0.7 else copy.deepcopy(old)
-            same_text = normalized(old) == normalized(new)
-            result = diff(old, new)
-            assert result.empty == same_text, (
-                normalized(old), normalized(new), result.to_doc())

@@ -1,4 +1,4 @@
-"""Row validation, syntax checking, drift detection, and the JSON Schema
+"""Row validation, drift detection, and the JSON Schema
 agreement property (dual validation against the jsonschema package)."""
 
 import json
@@ -9,11 +9,9 @@ import pytest
 
 from contractforge.errors import InvariantViolation
 from contractforge.inference import infer_contract, safe_generic_contract
-from contractforge.model import (Constraints, Contract, FieldSpec,
-                                 canonicalize, to_json_schema)
+from contractforge.model import Constraints, Contract, FieldSpec, to_json_schema
 from contractforge.profiling import ingest
-from contractforge.validation import (check_syntax, detect_drift, failing_rows,
-                                      validate_rows)
+from contractforge.validation import detect_drift, failing_rows, validate_rows
 from conftest import csv_bytes, profile_of
 
 
@@ -25,24 +23,6 @@ def contract_of(*fields: FieldSpec, name="t") -> Contract:
 
 ENUM_FIELD = FieldSpec("status", "enum_string", False,
                        Constraints(allowed_values=["active", "inactive"]))
-
-
-class TestCheckSyntax:
-    def test_valid_contract_no_diagnostics(self, toy_profile):
-        assert check_syntax(canonicalize(infer_contract(toy_profile))) == []
-
-    def test_truncated_document_positions_the_error(self):
-        diagnostics = check_syntax('{"name": "t", "fields": [')
-        assert len(diagnostics) == 1
-        assert "line" in diagnostics[0]
-
-    def test_invariant_violation_named(self):
-        text = json.dumps({"name": "t", "fields": [
-            {"name": "a", "logical_type": "string", "nullable": True},
-            {"name": "a", "logical_type": "string", "nullable": True}]})
-        diagnostics = check_syntax(text)
-        assert len(diagnostics) == 1
-        assert "field names unique" in diagnostics[0]
 
 
 class TestValidateRows:
