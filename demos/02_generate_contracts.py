@@ -25,7 +25,7 @@ CSV = b"order_id,total,status\n" + b"".join(
 profile = ingest(CSV, "delimited", dataset_name="orders")
 
 # --- the oracle backend: deterministic inference behind the backend API
-contract, report = generate_contract(profile, OracleBackend(profile))
+contract, report = generate_contract(profile, OracleBackend())
 print("oracle-backed generation chose candidate", report.chosen)
 print(canonicalize(contract))
 

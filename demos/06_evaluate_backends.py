@@ -36,7 +36,7 @@ for name, raw in TABLES.items():
         canonicalize(infer_contract(profile)))
 
 print("== oracle backend ==")
-metrics = run_eval(corpus, lambda profile: OracleBackend(profile))
+metrics = run_eval(corpus, OracleBackend())
 print(format_metrics_table(metrics))
 
 print()

@@ -7,7 +7,7 @@ The usual flow:
 
     columns, table = read_table(open("orders.csv", "rb"), "delimited")
     profile = profile_table(table, "delimited", dataset_name="orders")
-    contract, report = generate_contract(profile, OracleBackend(profile))
+    contract, report = generate_contract(profile, OracleBackend())
     validate_rows(contract, table)
     store = RegistryStore("registry")
     version = store.publish("orders", contract)
@@ -26,7 +26,7 @@ _EXPORTS = {
     "backends": ("CompletionBackend", "GenerationRequest", "HttpBackend", "OracleBackend",
                  "ScriptedBackend"),
     "cli": (),
-    "compatibility": ("COMPATIBILITY_MODES", "CompatibilityVerdict", "check_compatibility"),
+    "compatibility": ("COMPATIBILITY_MODES", "check_compatibility"),
     "errors": ("BackendTransportError", "ContractForgeError", "ContractSyntaxError",
                "ExtractionFailure", "IngestError", "InvariantViolation", "NotFoundError",
                "RegistryError", "RegistryRejection", "RegistryTransportError"),
@@ -36,8 +36,9 @@ _EXPORTS = {
                    "generate_contract", "score_candidate"),
     "inference": ("infer_contract", "infer_field", "safe_generic_contract"),
     "lexical": ("classify_lexeme", "join"),
-    "model": ("Constraints", "Contract", "FieldSpec", "Provenance", "QualityRule", "canonicalize",
-              "contract_from_doc", "from_json_schema", "parse_contract", "to_json_schema"),
+    "model": ("CompatibilityVerdict", "Constraints", "Contract", "FieldSpec", "Provenance",
+              "QualityRule", "canonicalize", "contract_from_doc", "from_json_schema",
+              "parse_contract", "to_json_schema"),
     "profiling": ("ColumnProfile", "DataProfile", "IngestOptions", "Table", "dump_profile",
                   "ingest", "load_profile", "profile_column", "profile_table", "read_table"),
     "prompts": ("SINGLE_PASS", "TWO_PASS_STAGE1", "TWO_PASS_STAGE2", "build_prompt"),

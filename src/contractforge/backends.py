@@ -14,7 +14,7 @@ import os
 import threading
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import BackendTransportError, ContractForgeError, parse_json
@@ -22,7 +22,6 @@ from .inference import infer_contract
 from .model import canonicalize
 from .profiling import DataProfile
 from .prompts import STAGE1_PREFIX
-from .transport import send
 
 
 @dataclass
@@ -31,6 +30,8 @@ class GenerationRequest:
     temperature: float = 0.0
     max_output_chars: int = 8000
     candidate_count: int = 1
+    # The profile the prompt renders, for backends that answer from data.
+    profile: DataProfile | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.candidate_count < 1:
@@ -54,7 +55,8 @@ class CompletionBackend(ABC):
 
 
 class OracleBackend(CompletionBackend):
-    """Answers every request from deterministic inference on a fixed profile.
+    """Answers each request from deterministic inference on the profile the
+    request carries, so one instance serves every profile.
 
     Stage-1 prompts get the column list; everything else gets the canonical
     text of the inferred contract.
@@ -62,13 +64,13 @@ class OracleBackend(CompletionBackend):
 
     backend_id = "oracle"
 
-    def __init__(self, profile: DataProfile):
-        self._profile = profile
-
     def complete(self, request: GenerationRequest) -> list[str]:
+        profile = request.profile
+        if profile is None:
+            raise ContractForgeError("the oracle backend needs a request that carries its profile")
         if request.prompt.startswith(STAGE1_PREFIX):
-            return [json.dumps(self._profile.column_names())]
-        return [canonicalize(infer_contract(self._profile))]
+            return [json.dumps(profile.column_names())]
+        return [canonicalize(infer_contract(profile))]
 
 
 class ScriptedBackend(CompletionBackend):
@@ -134,6 +136,7 @@ class HttpBackend(CompletionBackend):
         self._auth_env = auth_env
 
     def complete(self, request: GenerationRequest) -> list[str]:
+        from .transport import send  # the HTTP stack loads only when a request goes out
         body = {
             "prompt": request.prompt,
             "temperature": request.temperature,

@@ -152,14 +152,12 @@ def _build_policy(config: dict, args):
     )
 
 
-def _build_backend(config: dict, args, profile=None):
+def _build_backend(config: dict, args):
     from .backends import HttpBackend, OracleBackend, ScriptedBackend
     section = config["backend"]
     kind = getattr(args, "backend", None) or section["kind"]
     if kind == "oracle":
-        if profile is None:
-            return lambda prof: OracleBackend(prof)
-        return OracleBackend(profile)
+        return OracleBackend()
     if kind == "script":
         script = getattr(args, "script", None) or section["script"]
         if not script:
@@ -200,7 +198,7 @@ def _cmd_generate(args, config) -> int:
     from .model import canonicalize
     from .profiling import load_profile
     profile = load_profile(Path(args.profile).read_text(encoding="utf-8"))
-    backend = _build_backend(config, args, profile=profile)
+    backend = _build_backend(config, args)
     policy = _build_policy(config, args)
     contract, report = generate_contract(profile, backend, policy)
     _emit(canonicalize(contract), args.out)

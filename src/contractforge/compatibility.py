@@ -10,23 +10,12 @@ only safe when it is nullable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import lexical
 from .errors import ContractForgeError
-from .model import Contract, FieldSpec
+from .model import CompatibilityVerdict, Contract, FieldSpec
 from .validation import value_conforms
 
 COMPATIBILITY_MODES = ("none", "backward", "forward", "full")
-
-
-@dataclass
-class CompatibilityVerdict:
-    compatible: bool
-    reasons: list[str] = field(default_factory=list)
-
-    def to_doc(self) -> dict:
-        return {"compatible": self.compatible, "reasons": list(self.reasons)}
 
 
 def _bounds(spec: FieldSpec) -> tuple[float | None, float | None]:

@@ -72,14 +72,11 @@ def structural_accuracy(generated: Contract, truth: Contract) -> float:
     return hits / len(truth.fields)
 
 
-def run_eval(corpus_dir, backend, policy: GenerationPolicy | None = None) -> CorpusMetrics:
-    """Generate a contract for every corpus profile and compare to truth.
-
-    ``backend`` is either a :class:`CompletionBackend` used for every table
-    or a callable building one per profile (the oracle backend wraps a
-    specific profile, so it needs the factory form).  Malformed corpus
-    entries are skipped and counted separately; backend transport failures
-    propagate.
+def run_eval(corpus_dir, backend: CompletionBackend,
+             policy: GenerationPolicy | None = None) -> CorpusMetrics:
+    """Generate a contract for every corpus profile with ``backend`` and
+    compare to truth.  Malformed corpus entries are skipped and counted
+    separately; backend transport failures propagate.
     """
     corpus = Path(corpus_dir)
     profile_paths = sorted(corpus.glob("*.profile.json"))
@@ -93,9 +90,7 @@ def run_eval(corpus_dir, backend, policy: GenerationPolicy | None = None) -> Cor
             profile = load_profile(profile_path.read_text(encoding="utf-8"))
             truth_path = corpus / f"{name}.truth.json"
             truth = parse_contract(truth_path.read_text(encoding="utf-8"))
-            table_backend = backend if isinstance(backend, CompletionBackend) \
-                else backend(profile)
-            contract, report = generate_contract(profile, table_backend, policy)
+            contract, report = generate_contract(profile, backend, policy)
             per_table.append(TableMetrics(
                 name=name,
                 structural_accuracy=structural_accuracy(contract, truth),

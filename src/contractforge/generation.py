@@ -65,14 +65,11 @@ class CandidateRecord:
 class GenerationReport:
     candidates: list[CandidateRecord]
     chosen: int | None
-    fallback: bool
     mode: str
 
-    def validate(self) -> None:
-        if self.fallback == (self.chosen is not None):
-            raise ContractForgeError("report must carry exactly one of chosen index or fallback marker")
-        if self.chosen is not None and self.candidates[self.chosen].parsed is None:
-            raise ContractForgeError("chosen candidate did not parse")
+    @property
+    def fallback(self) -> bool:
+        return self.chosen is None
 
     def to_doc(self) -> dict:
         return {"mode": self.mode, "fallback": self.fallback, "chosen": self.chosen,
@@ -215,6 +212,7 @@ def generate_contract(profile: DataProfile, backend: CompletionBackend,
             temperature=policy.temperature,
             max_output_chars=policy.max_output_chars,
             candidate_count=1,
+            profile=profile,
         )
         stage1_texts = backend.complete(stage1_request)
         stage1_columns = _parse_stage1(stage1_texts[0]) if stage1_texts else None
@@ -228,6 +226,7 @@ def generate_contract(profile: DataProfile, backend: CompletionBackend,
         temperature=policy.temperature,
         max_output_chars=policy.max_output_chars,
         candidate_count=policy.candidate_count,
+        profile=profile,
     )
     texts = backend.complete(request)[: policy.candidate_count]
 
@@ -254,8 +253,5 @@ def generate_contract(profile: DataProfile, backend: CompletionBackend,
         contract.provenance = Provenance(backend_id=backend.backend_id,
                                          generator_mode="backend",
                                          generated_at=policy.generated_at)
-    report = GenerationReport(candidates=candidates, chosen=best,
-                              fallback=best is None,
-                              mode=TWO_PASS if two_pass else SINGLE_PASS)
-    report.validate()
-    return contract, report
+    return contract, GenerationReport(candidates=candidates, chosen=best,
+                                      mode=TWO_PASS if two_pass else SINGLE_PASS)

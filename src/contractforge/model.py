@@ -274,6 +274,17 @@ class Contract:
         return doc
 
 
+@dataclass
+class CompatibilityVerdict:
+    """A compatibility check's answer, kept here so registry clients skip the engine."""
+
+    compatible: bool
+    reasons: list[str] = field(default_factory=list)
+
+    def to_doc(self) -> dict:
+        return {"compatible": self.compatible, "reasons": list(self.reasons)}
+
+
 _TOP_KEYS = {"name", "version", "status", "provenance", "fields", "rules"}
 _FIELD_KEYS = {"name", "logical_type", "nullable", "constraints", "description"}
 _CONSTRAINT_KEYS = {"allowed_values", "min", "max", "format_hint"}

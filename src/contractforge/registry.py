@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .compatibility import COMPATIBILITY_MODES, CompatibilityVerdict, check_compatibility
+from .compatibility import COMPATIBILITY_MODES, check_compatibility
 from .errors import NotFoundError, RegistryError, RegistryRejection, dump_json, parse_json
-from .model import Contract, canonicalize, parse_contract
+from .model import CompatibilityVerdict, Contract, canonicalize, parse_contract
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*\Z")
 _VERSION_FILE_RE = re.compile(r"v([1-9][0-9]{0,17})\.json\Z")

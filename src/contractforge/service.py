@@ -27,11 +27,10 @@ from typing import TYPE_CHECKING
 from .errors import (ContractForgeError, NotFoundError, RegistryError,
                      RegistryRejection, RegistryTransportError, dump_json,
                      parse_json)
-from .model import Contract, contract_from_doc
+from .model import CompatibilityVerdict, Contract, contract_from_doc
 from .transport import send
 
 if TYPE_CHECKING:  # the server side's imports wait for a server: clients skip them
-    from .compatibility import CompatibilityVerdict
     from .registry import RegistryStore
 
 MAX_BODY_BYTES = 16 * 1024 * 1024
@@ -247,6 +246,5 @@ class RegistryClient:
 
     def check_compat(self, name: str, contract: Contract) -> CompatibilityVerdict:
         doc = self._call("POST", f"/contracts/{name}/compat", contract.to_doc())
-        from .compatibility import CompatibilityVerdict  # loads the engine: only on a reply
         return CompatibilityVerdict(compatible=bool(doc.get("compatible")),
                                     reasons=doc.get("reasons", []))

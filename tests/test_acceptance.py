@@ -133,7 +133,7 @@ def test_criterion_3_oracle_self_consistency(tmp_path, hand_profiles):
         (corpus / f"{name}.profile.json").write_text(dump_profile(profile))
         (corpus / f"{name}.truth.json").write_text(
             canonicalize(infer_contract(profile)))
-    metrics = run_eval(corpus, lambda profile: OracleBackend(profile))
+    metrics = run_eval(corpus, OracleBackend())
     elapsed = time.monotonic() - started
     assert metrics.tables_evaluated == 20
     assert metrics.mean_structural_accuracy == 1.0
@@ -150,7 +150,7 @@ def test_criterion_4_hand_labeled_accuracy(tmp_path, hand_profiles):
         (corpus / f"{name}.profile.json").write_text(dump_profile(profile))
         truth = (HAND_LABELED / f"{name}.truth.json").read_text()
         (corpus / f"{name}.truth.json").write_text(truth)
-    metrics = run_eval(corpus, lambda profile: OracleBackend(profile))
+    metrics = run_eval(corpus, OracleBackend())
     assert metrics.tables_evaluated == 20
     assert metrics.mean_structural_accuracy >= 0.90, metrics.to_doc()
     report(4, f"oracle vs 20 hand-labeled tables: mean structural accuracy "

@@ -267,7 +267,9 @@ class TestUsage:
         """A fresh interpreter loads only what it runs.  Importing the CLI
         loads no HTTP library; ``profile``, ``validate``, ``drift`` and
         ``rules`` load neither the HTTP stack nor the backends or service;
-        the registry client commands load no server side.  ``urllib.parse``
+        ``generate`` with the oracle or a script loads no HTTP stack; the
+        registry client commands, against a closed port or a live server,
+        load no server side and no engine past the model.  ``urllib.parse``
         is allowed: ``pathlib`` loads it."""
         probe = ("import json, sys\n"
                  "from contractforge.cli import main\n"
@@ -290,17 +292,35 @@ class TestUsage:
                   ["validate", contract, data, "--report", "validate.json"],
                   ["drift", contract, data, "--report", "drift.json"],
                   ["rules", profile, contract, "--check", data, "--out", "rules.json"]]
-        assert loaded(engine, ["http", "urllib.request", "email", "ssl",
-                               "contractforge.backends", "contractforge.service"]) == (
-            [0, 0, 0, 0], [])
+        http_stack = ["http", "urllib.request", "email", "ssl"]
+        assert loaded(engine, [*http_stack, "contractforge.backends",
+                               "contractforge.service"]) == ([0, 0, 0, 0], [])
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"0": [toy_contract_file.read_text()]}))
+        generate = [["generate", profile, "--backend", "oracle", "--out", "oracle.json"],
+                    ["generate", profile, "--backend", "script", "--script", str(script),
+                     "--out", "script.json"]]
+        assert loaded(generate, [*http_stack, "contractforge.transport"]) == ([0, 0], [])
+
+        # ``lexical`` is allowed: the model's type table names its classes.
+        server_side = ["http.server", "contractforge.registry", "contractforge.compatibility",
+                       "contractforge.validation", "contractforge.profiling",
+                       "contractforge.inference"]
         closed = ["--addr", "127.0.0.1:1"]
         client = [["registry", "publish", "toy", contract, *closed],
                   ["registry", "get", "toy", *closed],
                   ["registry", "approve", "toy", "1", "--reviewer", "alice", *closed],
                   ["registry", "compat", "toy", contract, *closed]]
-        assert loaded(client, ["http.server", "contractforge.registry",
-                               "contractforge.compatibility", "contractforge.validation",
-                               "contractforge.profiling"]) == ([4, 4, 4, 4], [])
+        assert loaded(client, server_side) == ([4, 4, 4, 4], [])
+        server = RegistryServer(RegistryStore(tmp_path / "registry_root")).start()
+        try:
+            live = ["--addr", server.address]
+            client = [["registry", "publish", "toy", contract, *live],
+                      ["registry", "approve", "toy", "1", "--reviewer", "alice", *live],
+                      ["registry", "compat", "toy", contract, *live]]
+            assert loaded(client, server_side) == ([0, 0, 0], [])
+        finally:
+            server.stop()
 
 
 class TestRegistryCommands:

@@ -80,7 +80,9 @@ def write_corpus(root, tables):
 def small_corpus(tmp_path):
     tables = []
     for i in range(5):
-        profile = profile_of(["id", "label"],
+        # Each table has its own column, so an oracle stuck on one profile
+        # would miss it on every other table.
+        profile = profile_of(["id", f"label{i}"],
                              [[str(j), f"w{j % 3}"] for j in range(6 + i)],
                              name=f"table{i}")
         tables.append((f"table{i}", profile, infer_contract(profile)))
@@ -91,8 +93,10 @@ def small_corpus(tmp_path):
 
 class TestRunEval:
     def test_oracle_self_consistency(self, small_corpus):
-        metrics = run_eval(small_corpus, lambda profile: OracleBackend(profile))
+        # One oracle instance answers every table from that table's profile.
+        metrics = run_eval(small_corpus, OracleBackend())
         assert metrics.tables_evaluated == 5
+        assert [t.structural_accuracy for t in metrics.per_table] == [1.0] * 5
         assert metrics.mean_structural_accuracy == 1.0
         assert metrics.fallback_rate == 0.0
         assert metrics.syntax_validity_rate == 1.0
@@ -118,7 +122,7 @@ class TestRunEval:
         assert metrics.mean_structural_accuracy == 0.5
 
     def test_means_recompute_from_per_table(self, small_corpus):
-        metrics = run_eval(small_corpus, lambda p: OracleBackend(p))
+        metrics = run_eval(small_corpus, OracleBackend())
         per = metrics.per_table
         assert metrics.mean_structural_accuracy == pytest.approx(
             sum(t.structural_accuracy for t in per) / len(per))
@@ -132,14 +136,15 @@ class TestRunEval:
         orphan = profile_of(["x"], [["1"]], name="orphan")
         (small_corpus / "orphan.profile.json").write_text(dump_profile(orphan))
         # no orphan.truth.json
-        metrics = run_eval(small_corpus, lambda p: OracleBackend(p))
+        metrics = run_eval(small_corpus, OracleBackend())
         assert metrics.tables_evaluated == 5
         assert {s["name"] for s in metrics.skipped} == {"broken", "orphan"}
         assert metrics.to_doc()["tables_skipped"] == 2
 
     def test_deterministic_and_name_ordered(self, small_corpus):
-        first = run_eval(small_corpus, lambda p: OracleBackend(p)).to_doc()
-        second = run_eval(small_corpus, lambda p: OracleBackend(p)).to_doc()
+        oracle = OracleBackend()
+        first = run_eval(small_corpus, oracle).to_doc()
+        second = run_eval(small_corpus, oracle).to_doc()
         assert first == second
         names = [t["name"] for t in first["per_table"]]
         assert names == sorted(names)
@@ -151,7 +156,7 @@ class TestRunEval:
             run_eval(empty, ScriptedBackend({}))
 
     def test_human_table_renders(self, small_corpus):
-        metrics = run_eval(small_corpus, lambda p: OracleBackend(p))
+        metrics = run_eval(small_corpus, OracleBackend())
         text = format_metrics_table(metrics)
         assert "mean structural accuracy" in text
         assert "table0" in text
@@ -159,7 +164,7 @@ class TestRunEval:
     def test_two_pass_policy_over_corpus(self, small_corpus):
         from contractforge.generation import TWO_PASS, GenerationPolicy
 
-        metrics = run_eval(small_corpus, lambda p: OracleBackend(p),
+        metrics = run_eval(small_corpus, OracleBackend(),
                            GenerationPolicy(mode=TWO_PASS))
         assert metrics.mean_structural_accuracy == 1.0
         assert metrics.fallback_rate == 0.0

@@ -19,7 +19,7 @@ EXPORTS = {
     "backends": ["CompletionBackend", "GenerationRequest", "HttpBackend", "OracleBackend",
                  "ScriptedBackend"],
     "cli": [],
-    "compatibility": ["COMPATIBILITY_MODES", "CompatibilityVerdict", "check_compatibility"],
+    "compatibility": ["COMPATIBILITY_MODES", "check_compatibility"],
     "errors": ["BackendTransportError", "ContractForgeError", "ContractSyntaxError",
                "ExtractionFailure", "IngestError", "InvariantViolation", "NotFoundError",
                "RegistryError", "RegistryRejection", "RegistryTransportError"],
@@ -29,9 +29,9 @@ EXPORTS = {
                    "generate_contract", "score_candidate"],
     "inference": ["infer_contract", "infer_field", "safe_generic_contract"],
     "lexical": ["classify_lexeme", "join"],
-    "model": ["Constraints", "Contract", "FieldSpec", "Provenance", "QualityRule",
-              "canonicalize", "contract_from_doc", "from_json_schema", "parse_contract",
-              "to_json_schema"],
+    "model": ["CompatibilityVerdict", "Constraints", "Contract", "FieldSpec", "Provenance",
+              "QualityRule", "canonicalize", "contract_from_doc", "from_json_schema",
+              "parse_contract", "to_json_schema"],
     "profiling": ["ColumnProfile", "DataProfile", "IngestOptions", "Table", "dump_profile",
                   "ingest", "load_profile", "profile_column", "profile_table", "read_table"],
     "prompts": ["SINGLE_PASS", "TWO_PASS_STAGE1", "TWO_PASS_STAGE2", "build_prompt"],
@@ -108,3 +108,8 @@ def test_unknown_name_raises_the_standard_attribute_error(name):
              "except AttributeError as exc:\n"
              "    print(json.dumps(str(exc)))")
     assert fresh(probe, name) == f"module 'contractforge' has no attribute {name!r}"
+
+
+def test_compatibility_verdict_keeps_its_old_path():
+    from contractforge import compatibility, model
+    assert compatibility.CompatibilityVerdict is model.CompatibilityVerdict

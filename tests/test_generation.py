@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 import _reference_engine as reference
-from contractforge import backends
+from contractforge import transport
 from contractforge.backends import (GenerationRequest, HttpBackend,
                                     OracleBackend, ScriptedBackend)
 from contractforge.errors import (BackendTransportError, ContractForgeError,
@@ -181,6 +181,7 @@ class TestGenerate:
         contract, report = generate_contract(toy_profile, backend)
         assert report.fallback is False
         assert report.chosen == 0
+        assert report.fallback == (report.chosen is None)
         assert contract.field_names() == ["id", "price"]
         assert contract.provenance.backend_id == "script"
         assert contract.provenance.generator_mode == "backend"
@@ -191,6 +192,7 @@ class TestGenerate:
             toy_profile, backend, GenerationPolicy(candidate_count=2))
         assert report.fallback is True
         assert report.chosen is None
+        assert report.fallback == (report.chosen is None)
         assert contract.provenance.generator_mode == "fallback"
         assert contract.provenance.backend_id == "script"
         assert all(f.logical_type == "string" and f.nullable for f in contract.fields)
@@ -266,7 +268,7 @@ class TestGenerate:
 
     def test_two_pass_with_oracle_backend(self, status_profile):
         contract, report = generate_contract(
-            status_profile, OracleBackend(status_profile),
+            status_profile, OracleBackend(),
             GenerationPolicy(mode=TWO_PASS))
         assert report.mode == TWO_PASS
         assert report.fallback is False
@@ -308,6 +310,27 @@ class TestGenerate:
         with pytest.raises(ContractForgeError, match="empty profile"):
             generate_contract(DataProfile("x", 0, [], "delimited", []),
                               ScriptedBackend({}))
+
+
+class TestOracleBackend:
+    def test_one_instance_serves_every_profile(self, toy_profile, status_profile):
+        oracle = OracleBackend()
+        for profile in (toy_profile, status_profile, toy_profile):
+            for mode in ("single_pass", TWO_PASS):
+                contract, report = generate_contract(profile, oracle,
+                                                     GenerationPolicy(mode=mode))
+                assert (report.chosen, report.fallback, report.mode) == (0, False, mode)
+                inferred = infer_contract(profile)
+                assert (contract.fields, contract.rules) == (inferred.fields, inferred.rules)
+
+    def test_request_without_a_profile_is_refused(self):
+        with pytest.raises(ContractForgeError, match="carries its profile"):
+            OracleBackend().complete(GenerationRequest(prompt="x"))
+
+    def test_profile_stays_out_of_request_equality_and_repr(self, toy_profile):
+        request = GenerationRequest(prompt="p", profile=toy_profile)
+        assert request == GenerationRequest(prompt="p")
+        assert "profile" not in repr(request)
 
 
 class TestScriptedBackend:
@@ -465,7 +488,7 @@ class TestHttpBackend:
     @pytest.mark.parametrize("raw", [b"[" * 100_000, b"9" * 5000],
                              ids=["too-deep", "long-integer"])
     def test_unreadable_body_is_transport_error(self, monkeypatch, raw):
-        monkeypatch.setattr(backends, "send", lambda *args, **kwargs: (200, raw))
+        monkeypatch.setattr(transport, "send", lambda *args, **kwargs: (200, raw))
         backend = HttpBackend("http://127.0.0.1:1/complete", retries=0)
         with pytest.raises(BackendTransportError, match="non-JSON body"):
             backend.complete(GenerationRequest(prompt="p"))

@@ -50,6 +50,6 @@ def test_hostile_bytes_are_read_or_refused(data, source_format):
         failing_rows(contract, table)
         evaluate_rules(synthesize_rules(profile, contract.fields), table)
         detect_drift(contract, profile)
-        generate_contract(profile, OracleBackend(profile))
+        generate_contract(profile, OracleBackend())
     except ContractForgeError:
         pass
