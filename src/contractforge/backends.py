@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import BackendTransportError, ContractForgeError, parse_json
-from .inference import infer_contract
+from .inference import ORACLE_BACKEND_ID, infer_contract
 from .model import canonicalize
 from .profiling import DataProfile
 from .prompts import STAGE1_PREFIX
@@ -62,7 +62,7 @@ class OracleBackend(CompletionBackend):
     text of the inferred contract.
     """
 
-    backend_id = "oracle"
+    backend_id = ORACLE_BACKEND_ID
 
     def complete(self, request: GenerationRequest) -> list[str]:
         profile = request.profile
@@ -103,7 +103,9 @@ class ScriptedBackend(CompletionBackend):
 
     @staticmethod
     def prompt_key(prompt: str) -> str:
-        return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+        # A lone surrogate, which a JSON profile may hold, hashes instead of
+        # raising; a prompt without one keeps its key.
+        return hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).hexdigest()
 
     def complete(self, request: GenerationRequest) -> list[str]:
         with self._lock:
@@ -125,10 +127,10 @@ class HttpBackend(CompletionBackend):
     retries raises :class:`BackendTransportError`.
     """
 
-    def __init__(self, url: str, backend_id: str = "http", timeout: float = 30.0,
-                 retries: int = 2, backoff: float = 1.0,
-                 auth_env: str | None = None):
-        self.backend_id = backend_id
+    backend_id = "http"
+
+    def __init__(self, url: str, timeout: float = 30.0, retries: int = 2,
+                 backoff: float = 1.0, auth_env: str | None = None):
         self._url = url
         self._timeout = timeout
         self._retries = max(0, retries)

@@ -2,9 +2,10 @@
 corpus of (profile, ground-truth contract) pairs.
 
 A corpus directory holds ``<name>.profile.json`` / ``<name>.truth.json``
-pairs.  Fallback contracts count as valid outputs and are scored like any
-other, but the fallback rate is reported separately so the two effects stay
-distinguishable.
+pairs.  A table is syntactically valid when some candidate parsed into a
+valid contract, and falls back when no parsed candidate reached the score
+threshold; a table can be both, so the two rates stay distinguishable.
+Fallback contracts are scored like any other.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def run_eval(corpus_dir, backend: CompletionBackend,
             per_table.append(TableMetrics(
                 name=name,
                 structural_accuracy=structural_accuracy(contract, truth),
-                syntactically_valid=not report.fallback,
+                syntactically_valid=any(c.parsed is not None for c in report.candidates),
                 fallback=report.fallback,
             ))
         except BackendTransportError:

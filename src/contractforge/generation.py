@@ -165,14 +165,12 @@ def extract_contract(completion: str) -> tuple[Contract, list[str]]:
 def score_candidate(contract: Contract, profile: DataProfile) -> float:
     """Validator score in [0, 1]: column coverage (0.5), sample-row pass
     rate (0.3) and absence of invented fields (0.2)."""
+    failed = failing_rows(contract, profile.sample_rows)  # checks the contract first
     columns = set(profile.column_names())
     fields = set(contract.field_names())
     coverage = len(fields & columns) / max(1, len(columns))
-    if profile.sample_rows:
-        rows = len(profile.sample_rows)
-        row_pass_rate = (rows - len(failing_rows(contract, profile.sample_rows))) / rows
-    else:
-        row_pass_rate = 1.0
+    rows = len(profile.sample_rows)
+    row_pass_rate = (rows - len(failed)) / rows if rows else 1.0
     hallucination_rate = len(fields - columns) / max(1, len(fields))
     return 0.5 * coverage + 0.3 * row_pass_rate + 0.2 * (1.0 - hallucination_rate)
 

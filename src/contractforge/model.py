@@ -318,6 +318,7 @@ def contract_from_doc(doc: dict) -> Contract:
                 c = _object(c, _CONSTRAINT_KEYS, f"fields[{i}].constraints")
                 c = Constraints(c.get("allowed_values"), c.get("min"), c.get("max"),
                                 c.get("format_hint"))
+                c = None if c.is_empty() else c  # as canonical text drops it
             built.append(FieldSpec(f.get("name"), f.get("logical_type"), f.get("nullable"),
                                    c, f.get("description")))
         fields = built

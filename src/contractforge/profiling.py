@@ -326,14 +326,10 @@ def profile_column(values: Sequence, name: str = "",
 
 
 def _decode(source) -> str:
-    if isinstance(source, bytes):
-        data = source
-    elif isinstance(source, str):
-        data = source.encode("utf-8")
-    else:
-        data = source.read()
-        if isinstance(data, str):
-            data = data.encode("utf-8")
+    """Text as it is; bytes, or what a binary handle reads, as UTF-8."""
+    data = source if isinstance(source, (bytes, str)) else source.read()
+    if isinstance(data, str):
+        return data
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -8,6 +8,8 @@ column list, then feeds that list back into the contract request.
 
 from __future__ import annotations
 
+import json
+
 from .model import LOGICAL_TYPES
 from .profiling import DataProfile
 
@@ -41,12 +43,6 @@ def _column_table(profile: DataProfile) -> str:
     return "\n".join(lines)
 
 
-def _json_string(text: str) -> str:
-    import json
-
-    return json.dumps(text, ensure_ascii=True)
-
-
 def build_prompt(profile: DataProfile, mode: str = SINGLE_PASS,
                  stage1_columns: list[str] | None = None) -> str:
     """Build the prompt for one generation request.  Deterministic: the same
@@ -72,12 +68,12 @@ def build_prompt(profile: DataProfile, mode: str = SINGLE_PASS,
         table,
     ]
     if mode == TWO_PASS_STAGE2:
-        listed = ", ".join(_json_string(c) for c in (stage1_columns or []))
+        listed = ", ".join(json.dumps(c) for c in (stage1_columns or []))
         parts += ["", f"Include exactly these columns, in this order: [{listed}]"]
     parts += [
         "",
         "Respond with a document in exactly this shape:",
-        _TEMPLATE % (_json_string(profile.dataset_name), ", ".join(LOGICAL_TYPES)),
+        _TEMPLATE % (json.dumps(profile.dataset_name), ", ".join(LOGICAL_TYPES)),
         "",
     ]
     return "\n".join(parts)

@@ -78,11 +78,6 @@ class ValidationReport:
                 "violations": [v.to_doc() for v in self.violations]}
 
 
-def lattice_type(logical_type: str) -> str:
-    """Map a field type onto the lexical lattice (enums are strings there)."""
-    return TYPES[logical_type].lattice
-
-
 def value_test(kind: str, params: dict) -> Callable[[str, str], bool]:
     """Compile a value rule kind to its test of one lexeme and its class:
     set membership, a class at or below the format, or a number within the
@@ -128,7 +123,7 @@ def _field_tests(spec: FieldSpec) -> list[tuple[str, dict]]:
     """The value rules a field's spec implies, in the order a lexeme meets
     them: its lattice type (none for text, which every class sits below),
     its enum and its range."""
-    c, expected = spec.constraints, lattice_type(spec.logical_type)
+    c, expected = spec.constraints, TYPES[spec.logical_type].lattice
     tests = [] if expected == lexical.STRING else [("matches_format", {"format": expected})]
     if c is not None and c.allowed_values is not None:
         tests.append(("values_in_set", {"values": c.allowed_values}))
@@ -262,7 +257,7 @@ def detect_drift(contract: Contract, profile: DataProfile) -> DriftReport:
         if column is None:
             continue
         observed = infer_column_type(column)
-        if not lexical.is_subclass(observed, lattice_type(spec.logical_type)):
+        if not lexical.is_subclass(observed, TYPES[spec.logical_type].lattice):
             retyped.append(Retyped(name=spec.name, old_type=spec.logical_type,
                                    observed_type=observed))
     return DriftReport(added_columns=added, removed_columns=removed, retyped=retyped)

@@ -23,12 +23,12 @@ from contractforge import lexical
 from contractforge.errors import ContractForgeError, IngestError, parse_json
 from contractforge.expectations import RuleResult
 from contractforge.lexical import BOOLEAN, DATE, EMPTY, INTEGER, NUMBER, STRING, TIMESTAMP
-from contractforge.model import Contract, QualityRule
+from contractforge.model import TYPES, Contract, QualityRule
 from contractforge.profiling import (DELIMITED, SOURCE_FORMATS, ColumnProfile, DataProfile,
                                      IngestOptions, _decode, lexeme_of)
 from contractforge.validation import (ENUM_VIOLATION, MISSING_FIELD, NULL_VIOLATION,
                                       RANGE_VIOLATION, TYPE_MISMATCH, UNKNOWN_FIELD,
-                                      ValidationReport, Violation, lattice_type)
+                                      ValidationReport, Violation)
 
 
 def _numeric_value(lexeme: str, cls: str) -> int | float:
@@ -42,7 +42,7 @@ def _check_field(spec, value, row_index: int, out: list[Violation]) -> None:
         return
     lexeme = lexeme_of(value)
     cls = classify_lexeme(lexeme)
-    if not lexical.is_subclass(cls, lattice_type(spec.logical_type)):
+    if not lexical.is_subclass(cls, TYPES[spec.logical_type].lattice):
         out.append(Violation(row_index, spec.name, TYPE_MISMATCH, lexeme))
         return
     if cls == lexical.EMPTY:

@@ -93,6 +93,21 @@ class TestGenerateCommand:
         assert report["fallback"] is False
         assert report["chosen"] == 0
 
+    def test_scripted_generation_on_a_lone_surrogate_name(self, tmp_path, toy_profile_file):
+        """A profile may hold a lone-surrogate escape, which is valid JSON;
+        the scripted backend still keys the prompt."""
+        doc = json.loads(toy_profile_file.read_text())
+        doc["dataset_name"] = "t\ud800"
+        profile = tmp_path / "surrogate.profile.json"
+        profile.write_text(json.dumps(doc))
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"0": ["junk"]}))
+        out, report = tmp_path / "c.json", tmp_path / "r.json"
+        assert main(["generate", str(profile), "--backend", "script", "--script", str(script),
+                     "--out", str(out), "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["fallback"] is True
+        assert parse_contract(out.read_text()).name == "t\ud800"
+
     def test_unreachable_http_backend_exits_4(self, tmp_path, toy_profile_file):
         config = tmp_path / "config.json"
         for url in ("http://127.0.0.1:1/complete", "127.0.0.1:1/complete"):

@@ -121,6 +121,17 @@ class TestRunEval:
         assert by_name["numbers"].structural_accuracy == 0.0
         assert metrics.mean_structural_accuracy == 0.5
 
+    def test_parsed_candidate_under_threshold_is_valid_and_falls_back(self, tmp_path):
+        profile = profile_of(["n"], [["1"], ["2"]], name="numbers")
+        root = tmp_path / "corpus"
+        write_corpus(root, [("numbers", profile, infer_contract(profile))])
+        stranger = Contract("t", [FieldSpec("other", "string", True)])
+        metrics = run_eval(root, ScriptedBackend({"0": [canonicalize(stranger)]}))
+        assert metrics.to_doc()["per_table"] == [
+            {"name": "numbers", "structural_accuracy": 0.0,
+             "syntactically_valid": True, "fallback": True}]
+        assert (metrics.syntax_validity_rate, metrics.fallback_rate) == (1.0, 1.0)
+
     def test_means_recompute_from_per_table(self, small_corpus):
         metrics = run_eval(small_corpus, OracleBackend())
         per = metrics.per_table

@@ -19,7 +19,7 @@ from contractforge.generation import (GenerationPolicy, TWO_PASS, _balanced_span
                                       remove_trailing_commas, score_candidate,
                                       strip_fences, trim_to_braces)
 from contractforge.inference import infer_contract
-from contractforge.model import canonicalize, parse_contract
+from contractforge.model import Contract, canonicalize, parse_contract
 from contractforge.profiling import ingest, read_table
 from contractforge.validation import validate_rows
 from conftest import csv_bytes
@@ -173,6 +173,14 @@ class TestScore:
         # coverage 1, pass rate 1, hallucination 1/3
         assert degraded == pytest.approx(0.5 + 0.3 + 0.2 * (2 / 3))
         assert degraded < perfect
+
+    @pytest.mark.parametrize("fields", ["ab", [1]], ids=["text", "list-of-int"])
+    @pytest.mark.parametrize("rows", [True, False], ids=["sampled", "no-rows"])
+    def test_ill_typed_contract_is_an_invariant_violation(self, toy_profile, fields, rows):
+        if not rows:
+            toy_profile.sample_rows = []
+        with pytest.raises(InvariantViolation):
+            score_candidate(Contract("x", fields=fields), toy_profile)
 
 
 class TestGenerate:

@@ -129,14 +129,14 @@ class TestContractLevel:
 
     def test_soundness_on_sample_values(self, status_profile, toy_profile):
         from contractforge.lexical import classify_lexeme, is_subclass
-        from contractforge.validation import lattice_type
+        from contractforge.model import TYPES
 
         for profile in (status_profile, toy_profile):
             contract = infer_contract(profile)
             for column, spec in zip(profile.columns, contract.fields):
                 for lexeme in column.sample_values:
                     assert is_subclass(classify_lexeme(lexeme),
-                                       lattice_type(spec.logical_type))
+                                       TYPES[spec.logical_type].lattice)
 
     def test_oracle_contract_accepts_own_sample_rows(self, status_profile):
         contract = infer_contract(status_profile)

@@ -199,6 +199,14 @@ class TestCanonical:
         contract = sample_contract()
         assert parse_contract(canonicalize(contract)) == contract
 
+    @pytest.mark.parametrize("constraints", [{}, {"min": None}], ids=["empty", "null-min"])
+    def test_constraints_with_no_key_set_round_trip(self, constraints):
+        contract = parse_contract(json.dumps({"name": "t", "fields": [
+            {"name": "n", "logical_type": "integer", "nullable": True,
+             "constraints": constraints}]}))
+        assert contract.fields[0].constraints is None
+        assert parse_contract(canonicalize(contract)) == contract
+
     def test_canonicalize_idempotent(self):
         contract = sample_contract()
         once = canonicalize(contract)

@@ -244,6 +244,13 @@ def test_read_table_accepts_binary_handles():
     assert rows == [{"a": "1"}]
 
 
+@pytest.mark.parametrize("wrap", [lambda text: text, io.StringIO], ids=["str", "text-handle"])
+def test_text_is_read_as_it_is(wrap):
+    """Text is not encoded and decoded again, so a lone surrogate stays a cell."""
+    columns, rows = read_table(wrap("a\n\ud800\n"), "delimited")
+    assert rows == [{"a": "\ud800"}]
+
+
 def test_unknown_format_rejected():
     with pytest.raises(IngestError, match="unknown source format"):
         read_table(b"a\n1\n", "parquet")

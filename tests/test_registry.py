@@ -2,7 +2,9 @@
 
 import copy
 import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -216,6 +218,79 @@ class TestPersistence:
         assert [r.version for r in reopened.list_versions("orders")] == [1, 2]
         assert reopened.get_record("orders", 2).status == "draft"
         assert reopened.publish("orders", orders_v1) == 3
+
+
+def _dying_at(k: int, calls: list):
+    """Wrap an ``os`` call so that the ``k``-th call through any wrapper
+    ends the process before it runs; ``k == 0`` only counts."""
+    def wrap(real):
+        def call(*args, **kwargs):
+            calls.append(real.__name__)
+            if len(calls) == k:
+                os._exit(0)
+            return real(*args, **kwargs)
+        return call
+    return wrap
+
+
+class TestCrashPoints:
+    """A process killed at any ``os.replace`` or ``os.fsync`` of a publish,
+    approve, publish, feedback, approve, publish script leaves a store that
+    reopens whole.  Each crash is a forked child that exits at its k-th such
+    call, one child at a time.  This models a killed process, not lost page
+    cache: what the child wrote before it died stays written."""
+
+    @staticmethod
+    def script(root, first, second) -> None:
+        store = RegistryStore(root)
+        store.publish("orders", first)
+        store.approve("orders", 1, "alice")
+        store.publish("orders", second)
+        store.record_feedback("orders", 2, "bob", "adds an extra column")
+        store.approve("orders", 2, "bob")
+        store.publish("orders", second)
+
+    def crash_at(self, k: int, root, first, second) -> None:
+        pid = os.fork()
+        if pid == 0:
+            code = 3  # the script ran to its end: no k-th call
+            try:
+                wrap = _dying_at(k, [])
+                os.replace, os.fsync = wrap(os.replace), wrap(os.fsync)
+                self.script(root, first, second)
+            except BaseException:
+                code = 2
+            os._exit(code)
+        deadline = time.monotonic() + 10
+        while not (reaped := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail(f"crash point {k}: the child hung")
+            time.sleep(0.001)
+        assert os.waitstatus_to_exitcode(reaped[1]) == 0, f"crash point {k}"
+
+    def test_every_crash_point_leaves_a_whole_store(self, tmp_path, orders_v1, monkeypatch):
+        widened = copy.deepcopy(orders_v1)
+        widened.fields.append(FieldSpec("extra", "string", True))
+        calls: list = []
+        with monkeypatch.context() as patch:
+            wrap = _dying_at(0, calls)
+            patch.setattr(os, "replace", wrap(os.replace))
+            patch.setattr(os, "fsync", wrap(os.fsync))
+            self.script(tmp_path / "dry", orders_v1, widened)
+        assert set(calls) == {"replace", "fsync"}
+        for k in range(1, len(calls) + 1):
+            root = tmp_path / f"crash{k}"
+            self.crash_at(k, root, orders_v1, widened)
+            store = RegistryStore(root)
+            records = store.list_versions("orders")
+            versions = [r.version for r in records]
+            assert versions == list(range(1, len(versions) + 1)), f"crash point {k}"
+            assert sum(r.status == "approved" for r in records) <= 1, f"crash point {k}"
+            for version in versions:
+                store.get_version("orders", version)
+            assert store.publish("orders", widened) == len(versions) + 1, f"crash point {k}"
 
 
 class TestConcurrency:
