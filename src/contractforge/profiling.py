@@ -20,17 +20,28 @@ the shared per-column metrics of Deequ (Schelter et al., VLDB 2018).
 ``ingest`` is ``read_table`` followed by ``profile_table``, and
 ``profile_column`` profiles a one-column table.  Read as a sequence, a table
 gives the row dicts of the public API, built on demand.
+
+The reader is bounded.  It pulls a source (text, bytes, any bytes-like
+object, or a handle) a fixed block at a time, bytes through an incremental
+UTF-8 decoder; splits each block into lines, carrying a cut line over to
+the next block; and appends every chunk of rows to the table's column
+lists.  Besides the table it holds one block and one chunk: never the
+whole text, a copy of it, or every row at once.  Columns and key orders
+are kept against the first-seen column order of all chunks so far, so the
+table, and any error, are the ones reading the whole text at once gives.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
+from operator import methodcaller
 
 from .errors import IngestError, dump_json, parse_json
 from .lexical import class_runs
@@ -43,6 +54,11 @@ SOURCE_FORMATS = (DELIMITED, NDJSON)
 #: purpose: profiles feed prompts, and prompts for wide tables get long fast.
 DEFAULT_VALUE_CAP = 20
 DEFAULT_ROW_CAP = 10
+
+#: Rows a reader collects before appending their cells to the table's
+#: columns, and characters or bytes it reads from a source at a time.
+_CHUNK_ROWS = 1024
+_BLOCK_SIZE = 1 << 16
 
 
 @dataclass
@@ -208,10 +224,11 @@ ABSENT = _Absent()
 _LEXEME_TYPES = {str, type(None), _Absent}
 
 
-def _lexemes(cells: tuple) -> tuple:
-    """A column's cells as lexemes.  A column of text and nulls is returned
-    as it is; any other is read with ``lexeme_of``, because ``True``, ``1``
-    and ``1.0`` are one dict key and lists are none; ``ABSENT`` stays."""
+def _lexemes(cells: Sequence) -> Sequence:
+    """A column's cells as lexemes.  Cells of text and nulls are returned
+    as they are; any others as a tuple read with ``lexeme_of``, because
+    ``True``, ``1`` and ``1.0`` are one dict key and lists are none;
+    ``ABSENT`` stays."""
     if set(map(type, cells)) <= _LEXEME_TYPES:
         return cells
     return tuple([cell if cell is ABSENT else lexeme_of(cell) for cell in cells])
@@ -243,19 +260,9 @@ class Table(Sequence):
         with ``lexeme_of``; a :class:`Table` is returned as it is."""
         if isinstance(rows, Table):
             return rows
-        shapes = dict.fromkeys(map(tuple, rows))  # each distinct key sequence
-        positions: dict = {}  # column name -> first-seen position
-        unordered: dict[tuple, tuple] = {}  # key sequences not in column order
-        for keys in shapes:
-            for key in keys:
-                positions.setdefault(key, len(positions))
-            at = [positions[key] for key in keys]
-            if at != sorted(at):
-                unordered[keys] = keys
-        key_orders = {index: shared for index, keys in enumerate(map(tuple, rows))
-                      if (shared := unordered.get(keys))} if unordered else {}
-        cells = [_lexemes(tuple(row.get(name, ABSENT) for row in rows)) for name in positions]
-        return cls(positions, cells, len(rows), key_orders)
+        columns = _Columns()
+        columns.add_rows(rows)
+        return columns.table()
 
     def column(self, name: str) -> tuple:
         """The cells of column ``name``; all ``ABSENT`` for a name the table
@@ -325,48 +332,194 @@ def profile_column(values: Sequence, name: str = "",
     return profile_table(table, DELIMITED, IngestOptions(value_cap=value_cap)).columns[0]
 
 
-def _decode(source) -> str:
-    """Text as it is; bytes, or what a binary handle reads, as UTF-8."""
-    data = source if isinstance(source, (bytes, str)) else source.read()
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"input is not valid UTF-8: {exc}") from exc
+def _pieces(source):
+    """A source a block at a time: text sliced, a handle read, and any other
+    bytes-like object sliced as bytes."""
+    size = _BLOCK_SIZE
+    if isinstance(source, str):
+        return (source[start:start + size] for start in range(0, len(source), size))
+    if hasattr(source, "read"):
+        def reads():
+            while piece := source.read(size):
+                yield piece
+        return reads()
+    view = memoryview(source).cast("B")
+    return (view[start:start + size] for start in range(0, len(view), size))
 
 
-def _read_delimited(text: str, options: IngestOptions) -> Table:
+def _utf8_error(exc: UnicodeDecodeError, shift: int) -> IngestError:
+    """The error decoding the whole input at once gives, for ``exc`` raised
+    by a decoder that had read ``shift`` bytes before ``exc.object``."""
+    if exc.end == exc.start + 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {exc.start + shift}"
+    else:
+        where = f"bytes in position {exc.start + shift}-{exc.end - 1 + shift}"
+    return IngestError(f"input is not valid UTF-8: 'utf-8' codec can't decode {where}: "
+                       f"{exc.reason}")
+
+
+class _Text:
+    """The text of a source as an iterator of blocks: text as it is, and
+    bytes decoded as UTF-8, a multi-byte character cut by a block carried
+    over to the next.
+
+    ``blank`` holds while every block read was whitespace, and ``failure``
+    is the exception reading the source raised, if any.
+    """
+
+    def __init__(self, source):
+        self.blank = True
+        self.failure: Exception | None = None
+        self._blocks = self._decode(_pieces(source))
+
+    def __iter__(self):
+        return self._blocks
+
+    def _decode(self, pieces):
+        rest = b""  # the start of a character the last piece cut
+        fed = 0
+        try:
+            for piece in chain(pieces, [b""]):
+                if isinstance(piece, str):
+                    block = piece
+                else:
+                    fed += len(piece)
+                    data = rest + piece if rest else piece
+                    try:
+                        block, used = codecs.utf_8_decode(data, "strict", not piece)
+                    except UnicodeDecodeError as exc:
+                        raise _utf8_error(exc, fed - len(data)) from exc
+                    rest = bytes(data[used:])
+                if block:
+                    self.blank = self.blank and block.isspace()
+                    yield block
+        except Exception as exc:
+            self.failure = exc
+            raise
+
+
+def _csv_split(text: str) -> list[str]:
+    """The lines ``newline=""`` splits ``text`` into, each ending at LF,
+    CRLF or a bare CR; the last item is what may go on past ``text``,
+    which includes a line ending in CR, for a LF may follow it."""
+    lines = io.StringIO(text, newline="").readlines()
+    if lines[-1][-1] == "\n":
+        lines.append("")
+    return lines
+
+
+def _lines(text: _Text, split, ends: str):
+    """The lines of ``text``, one block's worth of lines at a time, each cut
+    by ``split``, which returns a block's unfinished last line last.  Blocks
+    without any of the line ends ``ends`` are only collected, so a line
+    longer than a block is joined once."""
+    pending: list[str] = []
+    for block in text:
+        pending.append(block)
+        if any(map(block.__contains__, ends)):
+            lines = split("".join(pending))
+            pending = [lines.pop()]
+            yield lines
+    if rest := "".join(pending):
+        yield list(filter(None, split(rest)))
+
+
+def _frozen(column: list) -> tuple:
+    """A column's cells as a tuple, its list emptied so both are not kept."""
+    cells = tuple(column)
+    column.clear()
+    return cells
+
+
+class _Columns:
+    """The columns of a table being read, as lists that chunks of rows are
+    appended to.
+
+    Columns keep their first-seen order over all chunks, and a row whose
+    keys are out of that order has them kept under its index in the whole
+    table, so ``table`` returns the table the rows of every chunk make at
+    once.
+    """
+
+    def __init__(self, names=()):
+        self.cells: dict[str, list] = {name: [] for name in names}
+        self.length = 0
+        self._positions = {name: at for at, name in enumerate(self.cells)}
+        self._key_orders: dict[int, tuple] = {}
+        # Key sequence -> itself where out of column order, else None.
+        self._orders: dict[tuple, tuple | None] = {}
+
+    def add_records(self, records: list[list[str]], nulls: dict) -> None:
+        """Append delimited records, one cell per column in column order;
+        a cell in ``nulls`` becomes ``None``."""
+        for column, cells in zip(self.cells.values(), zip(*records)):
+            column.extend(map(nulls.get, cells, cells))
+        self.length += len(records)
+
+    def add_rows(self, rows: Sequence[dict]) -> None:
+        """Append row dicts, whose values are read as lexemes with
+        ``lexeme_of``; a key first seen here starts a column that is
+        ``ABSENT`` on every earlier row."""
+        cells, positions, orders = self.cells, self._positions, self._orders
+        shapes = dict.fromkeys(map(tuple, rows))  # each distinct key sequence
+        for keys in shapes:
+            if keys in orders:
+                continue
+            for key in keys:
+                if key not in positions:
+                    positions[key] = len(positions)
+                    cells[key] = [ABSENT] * self.length
+            at = [positions[key] for key in keys]
+            orders[keys] = keys if at != sorted(at) else None
+        if any(map(orders.get, shapes)):
+            self._key_orders.update({self.length + index: order
+                                     for index, keys in enumerate(map(tuple, rows))
+                                     if (order := orders[keys])})
+        for name, column in cells.items():
+            column.extend(_lexemes([row.get(name, ABSENT) for row in rows]))
+        self.length += len(rows)
+
+    def table(self) -> "Table":
+        return Table(self.cells, map(_frozen, self.cells.values()), self.length,
+                     self._key_orders)
+
+
+def _read_delimited(text: _Text, options: IngestOptions) -> Table:
     if len(options.delimiter) != 1:
         raise IngestError(f"delimiter must be one character, got {options.delimiter!r}")
     # ``newline=""`` leaves line ends to the reader, so a bare CR ends a
     # line as CRLF and LF do, and a quoted one stays in its cell.
-    reader = csv.reader(io.StringIO(text, newline=""), delimiter=options.delimiter)
+    reader = csv.reader(chain.from_iterable(_lines(text, _csv_split, "\r\n")),
+                        delimiter=options.delimiter)
     try:
         header = next(reader, None)
         if header is None:
             raise IngestError("no data")
-        columns = [name.strip() for name in header]
+        names = [name.strip() for name in header]
         seen: set[str] = set()
-        for name in columns:
+        for name in names:
             if name in seen:
                 raise IngestError(f"duplicate column name {name!r} after normalization")
             seen.add(name)
+        columns = _Columns(names)
+        nulls = dict.fromkeys(["", *options.null_tokens])
         records: list[list[str]] = []
         for index, record in enumerate(reader):
             if not record:  # blank line, not a record
                 continue
-            if len(record) != len(columns):
+            if len(record) != len(names):
                 raise IngestError(
                     f"ragged row {index + 1} (line {reader.line_num}): "
-                    f"expected {len(columns)} cells, got {len(record)}"
+                    f"expected {len(names)} cells, got {len(record)}"
                 )
             records.append(record)
+            if len(records) == _CHUNK_ROWS:
+                columns.add_records(records, nulls)
+                records = []
     except csv.Error as exc:
         raise IngestError(f"malformed delimited line {reader.line_num}: {exc}") from None
-    nulls = dict.fromkeys(["", *options.null_tokens])
-    cells = [tuple(map(nulls.get, column, column)) for column in zip(*records)]
-    return Table(columns, cells or [()] * len(columns), len(records))
+    columns.add_records(records, nulls)
+    return columns.table()
 
 
 def _flatten(obj: dict, depth: int, line_no: int) -> dict:
@@ -386,11 +539,13 @@ def _flatten(obj: dict, depth: int, line_no: int) -> dict:
     return flat
 
 
-def _read_ndjson(text: str, options: IngestOptions) -> Table:
+def _read_ndjson(text: _Text, options: IngestOptions) -> Table:
+    columns = _Columns()
     rows: list[dict] = []
     # Lines end at LF alone: JSON strings may hold U+2028, U+2029 and U+0085
     # raw, at which ``str.splitlines`` would also break.
-    for line_no, line in enumerate(text.split("\n"), start=1):
+    lines = chain.from_iterable(_lines(text, methodcaller("split", "\n"), "\n"))
+    for line_no, line in enumerate(lines, start=1):
         line = line[:-1] if line.endswith("\r") else line
         if not line.strip():
             continue
@@ -402,31 +557,47 @@ def _read_ndjson(text: str, options: IngestOptions) -> Table:
         if line.count("{") > 1 or not all(key == key.strip() for key in obj):
             obj = _flatten(obj, options.flatten_depth, line_no)
         rows.append(obj)
-    if not rows:
+        if len(rows) == _CHUNK_ROWS:
+            columns.add_rows(rows)
+            rows = []
+    columns.add_rows(rows)
+    if not columns.length:
         raise IngestError("no data")
-    return Table.from_rows(rows)
+    return columns.table()
 
 
 def read_table(source, source_format: str,
                options: IngestOptions | None = None) -> tuple[list[str], Table]:
     """Read every row of a source as (column names, :class:`Table`).
 
-    Cells are lexemes or ``None``; an ndjson row lacks the keys absent on
-    its line.  Used by ingest and by row-level validation, which needs all
-    rows rather than the capped profile sample; ``list(table)`` gives the
-    rows as dicts.
+    The source is text, bytes or any bytes-like object, or a handle that
+    reads either; bytes are UTF-8.  It is read ``_BLOCK_SIZE`` characters
+    or bytes at a time, and every ``_CHUNK_ROWS`` rows are appended to the
+    table's columns, so besides the table a read holds one block and one
+    chunk, never the whole text or a list of every row.  Cells are lexemes
+    or ``None``; an ndjson row lacks the keys absent on its line.  Used by
+    ingest and by row-level validation, which needs all rows rather than
+    the capped profile sample; ``list(table)`` gives the rows as dicts.
     """
     options = options or IngestOptions()
     _check_options(options)
     if source_format not in SOURCE_FORMATS:
         raise IngestError(f"unknown source format {source_format!r}")
-    text = _decode(source)
-    if not text.strip():
+    text = _Text(source)
+    try:
+        table = (_read_delimited if source_format == DELIMITED else _read_ndjson)(text, options)
+    except Exception as exc:
+        # Errors come in the order of decoding the whole text, checking that
+        # it is not blank, then reading it: so the rest of the source is read
+        # through, and a decoding error there, or a blank text, wins.
+        if exc is not text.failure:
+            for _ in text:
+                pass
+            if text.blank:
+                raise IngestError("no data") from None
+        raise
+    if text.blank:
         raise IngestError("no data")
-    if source_format == DELIMITED:
-        table = _read_delimited(text, options)
-    else:
-        table = _read_ndjson(text, options)
     return list(table.columns), table
 
 

@@ -25,7 +25,7 @@ from contractforge.expectations import RuleResult
 from contractforge.lexical import BOOLEAN, DATE, EMPTY, INTEGER, NUMBER, STRING, TIMESTAMP
 from contractforge.model import TYPES, Contract, QualityRule
 from contractforge.profiling import (DELIMITED, SOURCE_FORMATS, ColumnProfile, DataProfile,
-                                     IngestOptions, _decode, lexeme_of)
+                                     IngestOptions, lexeme_of)
 from contractforge.validation import (ENUM_VIOLATION, MISSING_FIELD, NULL_VIOLATION,
                                       RANGE_VIOLATION, TYPE_MISMATCH, UNKNOWN_FIELD,
                                       ValidationReport, Violation)
@@ -198,6 +198,17 @@ def profile_column(values: list, name: str = "", value_cap: int = 20) -> ColumnP
         sample_values=samples,
         lexical_histogram=histogram,
     )
+
+
+def _decode(source) -> str:
+    """Text as it is; bytes, or what a binary handle reads, as UTF-8."""
+    data = source if isinstance(source, (bytes, str)) else source.read()
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"input is not valid UTF-8: {exc}") from exc
 
 
 def _read_delimited(text: str, options: IngestOptions) -> tuple[list[str], list[dict]]:

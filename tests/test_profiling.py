@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 from collections.abc import Sequence
 
 import pytest
@@ -249,6 +250,41 @@ def test_text_is_read_as_it_is(wrap):
     """Text is not encoded and decoded again, so a lone surrogate stays a cell."""
     columns, rows = read_table(wrap("a\n\ud800\n"), "delimited")
     assert rows == [{"a": "\ud800"}]
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_any_bytes_like_source_is_read_as_bytes(wrap):
+    assert read_table(wrap(b"a\n1\n"), "delimited") == (["a"], [{"a": "1"}])
+    assert read_table(wrap(b'{"a": 1}\n'), "ndjson") == (["a"], [{"a": "1"}])
+    with pytest.raises(IngestError, match="position 2: invalid start byte"):
+        read_table(wrap(b"a\n\xff\n"), "delimited")
+
+
+def test_a_read_holds_little_besides_its_table():
+    """Reading a 20 000 x 12 table from a binary handle peaks at most 1.5
+    times the size of the table it returns, in either format: the reader
+    holds a block and a chunk of rows, not the whole text or every row."""
+    names = list("abcdefghijkl")  # one-character keys: json.loads allocates none for them
+    records = [[str(i), f"user {i * 7919 % 100_003}", ("new", "open", "done")[i % 3],
+                str(i % 97), f"{i * 0.37:.2f}", "true" if i % 2 else "false",
+                f"2024-{i % 12 + 1:02d}-{i % 28 + 1:02d}", f"C{i % 1000:04d}",
+                f"note {i}" if i % 5 == 0 else "", ("eu", "us", "apac")[i % 3],
+                str(i % 1000 / 8), f"R-{i:08d}"] for i in range(20_000)]
+    sources = {"delimited": csv_bytes(names, records),
+               "ndjson": "".join(json.dumps(dict(zip(names, record))) + "\n"
+                                 for record in records).encode()}
+    del records
+    for source_format, data in sources.items():
+        handle = io.BytesIO(data)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = read_table(handle, source_format)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table[1]) == 20_000
+        assert peak - before <= 1.5 * (live - before), (source_format, live - before, peak - before)
 
 
 def test_unknown_format_rejected():
