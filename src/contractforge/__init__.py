@@ -44,6 +44,7 @@ _EXPORTS = {
     "prompts": ("SINGLE_PASS", "TWO_PASS_STAGE1", "TWO_PASS_STAGE2", "build_prompt"),
     "registry": ("RegistryStore", "VersionRecord"),
     "service": ("RegistryClient", "RegistryServer"),
+    "settings": (),
     "transport": (),
     "validation": ("DriftReport", "ValidationReport", "detect_drift", "failing_rows",
                    "validate_rows"),

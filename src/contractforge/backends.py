@@ -22,22 +22,23 @@ from .inference import ORACLE_BACKEND_ID, infer_contract
 from .model import canonicalize
 from .profiling import DataProfile
 from .prompts import STAGE1_PREFIX
+from .settings import GenerationPolicy, HttpOptions, check
 
 
 @dataclass
 class GenerationRequest:
     prompt: str
-    temperature: float = 0.0
-    max_output_chars: int = 8000
-    candidate_count: int = 1
+    temperature: float = GenerationPolicy.temperature
+    max_output_chars: int = GenerationPolicy.max_output_chars
+    candidate_count: int = GenerationPolicy.candidate_count
     # The profile the prompt renders, for backends that answer from data.
     profile: DataProfile | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        for key in ("temperature", "max_output_chars", "candidate_count"):
+            check("GenerationRequest", key, getattr(self, key), getattr(GenerationPolicy, key))
         if self.candidate_count < 1:
             raise ContractForgeError("candidate_count must be >= 1")
-        if self.temperature < 0:
-            raise ContractForgeError("temperature must be >= 0")
 
 
 class CompletionBackend(ABC):
@@ -124,18 +125,16 @@ class HttpBackend(CompletionBackend):
     ``{"completions": [text, ...]}`` response.  Bearer auth comes from the
     environment variable named at construction, never from config literals.
     Transient failures are retried with exponential backoff; exhausting the
-    retries raises :class:`BackendTransportError`.
+    retries raises :class:`BackendTransportError`.  The keywords are the
+    fields of :class:`~contractforge.settings.HttpOptions`, checked here.
     """
 
     backend_id = "http"
 
-    def __init__(self, url: str, timeout: float = 30.0, retries: int = 2,
-                 backoff: float = 1.0, auth_env: str | None = None):
+    def __init__(self, url: str, **settings):
         self._url = url
-        self._timeout = timeout
-        self._retries = max(0, retries)
-        self._backoff = backoff
-        self._auth_env = auth_env
+        self._settings = HttpOptions(**settings)
+        self._settings.validate()
 
     def complete(self, request: GenerationRequest) -> list[str]:
         from .transport import send  # the HTTP stack loads only when a request goes out
@@ -145,14 +144,15 @@ class HttpBackend(CompletionBackend):
             "max_tokens": request.max_output_chars,
             "n": request.candidate_count,
         }
-        token = os.environ.get(self._auth_env) if self._auth_env else None
+        settings = self._settings
+        token = os.environ.get(settings.auth_env) if settings.auth_env else None
         headers = {"Authorization": f"Bearer {token}"} if token else {}
-        delay = self._backoff
+        delay = settings.backoff
         last_error = "no attempt made"
-        for attempt in range(self._retries + 1):
+        for attempt in range(settings.retries + 1):
             try:
                 status, raw = send("POST", self._url, body, headers=headers,
-                                   timeout=self._timeout)
+                                   timeout=settings.timeout)
             except OSError as exc:
                 last_error = f"transport error: {exc}"
             else:
@@ -164,11 +164,12 @@ class HttpBackend(CompletionBackend):
                         f"{status} {raw.decode('utf-8', 'replace')[:200]}")
                 else:
                     return self._parse_response(raw)[: request.candidate_count]
-            if attempt < self._retries:
+            if attempt < settings.retries:
                 time.sleep(delay)
                 delay *= 2
         raise BackendTransportError(
-            f"backend at {self._url} unreachable after {self._retries + 1} attempts: {last_error}")
+            f"backend at {self._url} unreachable after {settings.retries + 1} attempts: "
+            f"{last_error}")
 
     def _parse_response(self, raw: bytes) -> list[str]:
         doc = parse_json(raw, BackendTransportError, "backend returned non-JSON body")

@@ -17,13 +17,14 @@ from __future__ import annotations
 import argparse
 import copy
 import sys
-import threading
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import (BackendTransportError, ContractForgeError, NotFoundError,
                      RegistryRejection, RegistryTransportError, dump_json,
                      parse_json)
+from .settings import SINGLE_PASS, TWO_PASS, GenerationPolicy, HttpOptions, IngestOptions, check
 
 # Each command imports the engine modules it calls when it runs, so that it
 # loads only those.  No engine function is kept in this module's globals, so
@@ -38,55 +39,45 @@ EXIT_TRANSPORT = 4
 EXIT_REJECTED = 5
 EXIT_INTERNAL = 70
 
+#: The config's own spellings of fields (``None``: the CLI sets it) and modes.
+_KEYS = {"candidate_count": "candidates", "generated_at": None}
+_MODES = {"single": SINGLE_PASS, "two-pass": TWO_PASS, "two_pass": TWO_PASS}
+
+
+def _section(settings) -> dict:
+    """The config section that holds ``settings``, keyed by config spelling."""
+    section = {_KEYS.get(name, name): value for name, value in vars(settings).items()}
+    section.pop(None, None)
+    if "mode" in section:
+        section["mode"] = next(key for key, mode in _MODES.items() if mode == settings.mode)
+    return section
+
+
+# Literals only for settings that the library does not have.
 DEFAULT_CONFIG: dict = {
-    "backend": {"kind": "oracle", "url": None, "auth_env": None, "script": None,
-                "timeout": 30.0, "retries": 2, "backoff": 1.0},
-    "generation": {"mode": "single", "candidates": 1, "temperature": 0.0,
-                   "threshold": 0.5, "max_output_chars": 8000},
+    "backend": {"kind": "oracle", "url": None, "script": None, **_section(HttpOptions())},
+    "generation": _section(GenerationPolicy()),
     "registry": {"root": "registry", "addr": "127.0.0.1:8765"},
-    "ingest": {"delimiter": ",", "value_cap": 20, "row_cap": 10,
-               "flatten_depth": 1, "null_tokens": []},
+    "ingest": _section(IngestOptions()),
 }
 
 
 def _merge(base: dict, override, defaults: dict, where: str) -> dict:
-    """``base`` with ``override`` merged in, recursively.  Each override must
-    have the type of the ``defaults`` value it replaces: an int may stand for
-    a float, a null default takes a string or null, a list default takes a
-    list of strings, a number is never negative, a float is finite (a
-    ``timeout`` or ``backoff`` at most ``threading.TIMEOUT_MAX``), an int is
-    at most ``sys.maxsize``, and a mode is a ``--mode`` choice or
-    ``two_pass``.  An unknown key takes anything."""
+    """``base`` with ``override`` merged in, recursively: each known key's
+    value passes ``settings.check`` against its ``defaults`` value, and a mode
+    is a ``--mode`` choice or ``two_pass``.  An unknown key is left out."""
     if not isinstance(override, dict):
         raise ContractForgeError(f"{where} must be a JSON object")
     merged = dict(base)
     for key, value in override.items():
-        default = defaults.get(key)
-        if isinstance(default, dict):
-            merged[key] = _merge(base[key], value, default, f"{where} key {key!r}")
-            continue
-        if default is None:
-            ok = key not in defaults or value is None or isinstance(value, str)
-            expected = "str or null"
-        else:
-            kind = (int, float) if type(default) is float else type(default)
-            ok = isinstance(value, kind) and isinstance(value, bool) == isinstance(default, bool)
-            expected = type(default).__name__
-        if not ok:
-            raise ContractForgeError(f"{where} key {key!r} must be {expected}, "
-                                     f"not {type(value).__name__}")
-        if type(default) in (int, float) and not value >= 0:
-            raise ContractForgeError(f"{where} key {key!r} must be >= 0, not {value}")
-        limit = (threading.TIMEOUT_MAX if key in ("timeout", "backoff")
-                 else sys.float_info.max if type(default) is float else sys.maxsize)
-        if type(default) in (int, float) and not value <= limit:
-            raise ContractForgeError(f"{where} key {key!r} must be at most {limit:g}, not {value}")
-        if key == "mode" and key in defaults and value not in ("single", "two-pass", "two_pass"):
-            raise ContractForgeError(f"{where} key 'mode' must be single or two-pass, "
-                                     f"not {value!r:.40}")
-        if type(default) is list and not all(isinstance(item, str) for item in value):
-            raise ContractForgeError(f"{where} key {key!r} must hold only strings")
-        merged[key] = value
+        if isinstance(defaults.get(key), dict):
+            merged[key] = _merge(base[key], value, defaults[key], f"{where} key {key!r}")
+        elif key in defaults:
+            check(where, key, value, defaults[key])
+            if key == "mode" and value not in _MODES:
+                raise ContractForgeError(f"{where} key 'mode' must be single or two-pass, "
+                                         f"not {value!r:.40}")
+            merged[key] = value
     return merged
 
 
@@ -119,37 +110,27 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _ingest_options(config: dict, args):
-    from .profiling import IngestOptions
-    section = config["ingest"]
-    delimiter = getattr(args, "delimiter", None) or section["delimiter"]
-    return IngestOptions(delimiter=delimiter,
-                         value_cap=section["value_cap"],
-                         row_cap=section["row_cap"],
-                         flatten_depth=section["flatten_depth"],
-                         null_tokens=list(section["null_tokens"]))
+def _read(read, path: str, config: dict, args, **kwargs):
+    """``read`` (``ingest`` or ``read_table``) of the file at ``path`` under the
+    config's ingest settings, with ``--delimiter`` over its delimiter."""
+    options = IngestOptions(**config["ingest"])
+    if args.delimiter is not None:
+        options.delimiter = args.delimiter
+    with open(path, "rb") as handle:
+        return read(handle, args.format, options, **kwargs)
 
 
-def _build_policy(config: dict, args):
-    from .generation import TWO_PASS, GenerationPolicy
-    from .prompts import SINGLE_PASS
-    section = config["generation"]
-    policy_path = getattr(args, "policy", None)
-    if policy_path:
-        section = _merge(section, _read_json(policy_path, "policy file"),
-                         DEFAULT_CONFIG["generation"], "policy file")
-    flags = {key: getattr(args, key, None)
-             for key in ("mode", "candidates", "temperature", "threshold")}
+def _build_policy(config: dict, args) -> GenerationPolicy:
+    section, defaults = config["generation"], DEFAULT_CONFIG["generation"]
+    if getattr(args, "policy", None):
+        section = _merge(section, _read_json(args.policy, "policy file"), defaults, "policy file")
+    flags = {key: getattr(args, key, None) for key in defaults}  # a flag spells its key
     section = _merge(section, {k: v for k, v in flags.items() if v is not None},
-                     DEFAULT_CONFIG["generation"], "command line")
-    return GenerationPolicy(
-        mode=TWO_PASS if section["mode"] in ("two-pass", "two_pass") else SINGLE_PASS,
-        candidate_count=section["candidates"],
-        temperature=section["temperature"],
-        threshold=section["threshold"],
-        max_output_chars=section["max_output_chars"],
-        generated_at=_now(),
-    )
+                     defaults, "command line")
+    names = {key: name for name, key in _KEYS.items()}
+    values = {names.get(key, key): value for key, value in section.items()}
+    values["mode"] = _MODES[values["mode"]]
+    return GenerationPolicy(**values, generated_at=_now())
 
 
 def _build_backend(config: dict, args):
@@ -167,8 +148,7 @@ def _build_backend(config: dict, args):
         url = getattr(args, "url", None) or section["url"]
         if not url:
             raise ContractForgeError("http backend needs --url or backend.url in config")
-        return HttpBackend(url, timeout=section["timeout"], retries=section["retries"],
-                           backoff=section["backoff"], auth_env=section["auth_env"])
+        return HttpBackend(url, **{spec.name: section[spec.name] for spec in fields(HttpOptions)})
     raise ContractForgeError(f"unknown backend kind {kind!r}")
 
 
@@ -184,10 +164,8 @@ def _registry_client(config: dict, args):
 
 def _cmd_profile(args, config) -> int:
     from .profiling import dump_profile, ingest
-    options = _ingest_options(config, args)
     name = args.name or Path(args.path).stem
-    with open(args.path, "rb") as handle:
-        profile = ingest(handle, args.format, options, dataset_name=name)
+    profile = _read(ingest, args.path, config, args, dataset_name=name)
     _emit(dump_profile(profile), args.out)
     _note(f"profiled {profile.row_count} rows, {len(profile.columns)} columns")
     return EXIT_OK
@@ -215,9 +193,7 @@ def _cmd_validate(args, config) -> int:
     from .profiling import read_table
     from .validation import validate_rows
     contract = parse_contract(Path(args.contract).read_text(encoding="utf-8"))
-    options = _ingest_options(config, args)
-    with open(args.data, "rb") as handle:
-        _, rows = read_table(handle, args.format, options)
+    _, rows = _read(read_table, args.data, config, args)
     report = validate_rows(contract, rows, allow_unknown=args.allow_unknown)
     if args.report:
         _emit_doc(report.to_doc(), args.report)
@@ -236,10 +212,7 @@ def _cmd_drift(args, config) -> int:
     from .profiling import ingest
     from .validation import detect_drift
     contract = parse_contract(Path(args.contract).read_text(encoding="utf-8"))
-    options = _ingest_options(config, args)
-    with open(args.data, "rb") as handle:
-        profile = ingest(handle, args.format, options,
-                         dataset_name=Path(args.data).stem)
+    profile = _read(ingest, args.data, config, args, dataset_name=Path(args.data).stem)
     report = detect_drift(contract, profile)
     _emit_doc(report.to_doc(), args.report)
     return EXIT_BREAKING_DRIFT if report.breaking else EXIT_OK
@@ -255,9 +228,7 @@ def _cmd_rules(args, config) -> int:
     if not args.check:
         _emit_doc([r.to_doc() for r in rules], args.out)
         return EXIT_OK
-    options = _ingest_options(config, args)
-    with open(args.check, "rb") as handle:
-        _, rows = read_table(handle, args.format, options)
+    _, rows = _read(read_table, args.check, config, args)
     results = evaluate_rules(rules, rows)
     _emit_doc([r.to_doc() for r in results], args.out)
     failed = [r for r in results if not r.passed]

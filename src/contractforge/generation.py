@@ -18,9 +18,8 @@ from .inference import safe_generic_contract
 from .model import Contract, Provenance, contract_from_doc, from_json_schema
 from .profiling import DataProfile
 from .prompts import SINGLE_PASS, TWO_PASS_STAGE1, TWO_PASS_STAGE2, build_prompt
+from .settings import TWO_PASS, GenerationPolicy
 from .validation import failing_rows
-
-TWO_PASS = "two_pass"
 
 STRIP_FENCES = "strip_fences"
 TRIM_TO_BRACES = "trim_to_braces"
@@ -29,18 +28,6 @@ REMOVE_TRAILING_COMMAS = "remove_trailing_commas"
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\s*\n?(.*?)```", re.DOTALL)
 # A JSON string literal, up to its closing quote or the end of the text.
 _STRING_LITERAL = r'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)'
-
-
-@dataclass
-class GenerationPolicy:
-    mode: str = SINGLE_PASS
-    candidate_count: int = 1
-    temperature: float = 0.0
-    threshold: float = 0.5
-    max_output_chars: int = 8000
-    # Provenance timestamp; left unset the library stays deterministic and
-    # the CLI stamps wall-clock time itself.
-    generated_at: str | None = None
 
 
 @dataclass
@@ -200,33 +187,25 @@ def generate_contract(profile: DataProfile, backend: CompletionBackend,
     a success path, transport failure is not.
     """
     policy = policy or GenerationPolicy()
+    policy.validate()
     if not profile.columns:
         raise ContractForgeError("empty profile")
 
+    def complete(prompt: str, candidate_count: int) -> list[str]:
+        return backend.complete(GenerationRequest(
+            prompt=prompt, temperature=policy.temperature,
+            max_output_chars=policy.max_output_chars, candidate_count=candidate_count,
+            profile=profile))
+
     stage1_columns = None
     if policy.mode == TWO_PASS:
-        stage1_request = GenerationRequest(
-            prompt=build_prompt(profile, TWO_PASS_STAGE1),
-            temperature=policy.temperature,
-            max_output_chars=policy.max_output_chars,
-            candidate_count=1,
-            profile=profile,
-        )
-        stage1_texts = backend.complete(stage1_request)
+        stage1_texts = complete(build_prompt(profile, TWO_PASS_STAGE1), 1)
         stage1_columns = _parse_stage1(stage1_texts[0]) if stage1_texts else None
     # Two-pass iff stage 1 yielded columns: a failed stage 1 degrades to
     # single-pass rather than failing.
     two_pass = stage1_columns is not None
-
-    request = GenerationRequest(
-        prompt=build_prompt(profile, TWO_PASS_STAGE2 if two_pass else SINGLE_PASS,
-                            stage1_columns),
-        temperature=policy.temperature,
-        max_output_chars=policy.max_output_chars,
-        candidate_count=policy.candidate_count,
-        profile=profile,
-    )
-    texts = backend.complete(request)[: policy.candidate_count]
+    prompt = build_prompt(profile, TWO_PASS_STAGE2 if two_pass else SINGLE_PASS, stage1_columns)
+    texts = complete(prompt, policy.candidate_count)[: policy.candidate_count]
 
     candidates: list[CandidateRecord] = []
     for text in texts:

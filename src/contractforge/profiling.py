@@ -39,45 +39,22 @@ import io
 import json
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice
 from operator import methodcaller
 
 from .errors import IngestError, dump_json, parse_json
 from .lexical import class_runs
+from .settings import IngestOptions
 
 DELIMITED = "delimited"
 NDJSON = "ndjson"
 SOURCE_FORMATS = (DELIMITED, NDJSON)
 
-#: Sampled values kept per column and sample rows kept per profile.  Small on
-#: purpose: profiles feed prompts, and prompts for wide tables get long fast.
-DEFAULT_VALUE_CAP = 20
-DEFAULT_ROW_CAP = 10
-
 #: Rows a reader collects before appending their cells to the table's
 #: columns, and characters or bytes it reads from a source at a time.
 _CHUNK_ROWS = 1024
 _BLOCK_SIZE = 1 << 16
-
-
-@dataclass
-class IngestOptions:
-    delimiter: str = ","
-    value_cap: int = DEFAULT_VALUE_CAP
-    row_cap: int = DEFAULT_ROW_CAP
-    flatten_depth: int = 1
-    null_tokens: list[str] = field(default_factory=list)
-
-
-def _check_options(options: IngestOptions) -> None:
-    for name in ("value_cap", "row_cap", "flatten_depth"):
-        value = getattr(options, name)
-        if type(value) is not int or value < 0:
-            raise IngestError(f"{name} must be a non-negative integer, got {value!r:.40}")
-    tokens = options.null_tokens
-    if not isinstance(tokens, (list, tuple)) or not all(isinstance(t, str) for t in tokens):
-        raise IngestError(f"null_tokens must be a list of strings, got {tokens!r:.40}")
 
 
 def _checked(doc: dict, key: str, kind: type, item: type | None = None):
@@ -319,7 +296,7 @@ class Table(Sequence):
 
 
 def profile_column(values: Sequence, name: str = "",
-                   value_cap: int = DEFAULT_VALUE_CAP) -> ColumnProfile:
+                   value_cap: int = IngestOptions.value_cap) -> ColumnProfile:
     """Profile one column given its raw lexemes (``None``, ``""`` and
     ``ABSENT`` = null); any other non-text cell is read with ``lexeme_of``.
 
@@ -580,7 +557,7 @@ def read_table(source, source_format: str,
     the capped profile sample; ``list(table)`` gives the rows as dicts.
     """
     options = options or IngestOptions()
-    _check_options(options)
+    options.validate()
     if source_format not in SOURCE_FORMATS:
         raise IngestError(f"unknown source format {source_format!r}")
     text = _Text(source)
@@ -607,7 +584,7 @@ def profile_table(table: Table, source_format: str, options: IngestOptions | Non
     summaries it keeps, so a table already validated is not tallied or
     classified again.  Columns appear in the table's first-seen order."""
     options = options or IngestOptions()
-    _check_options(options)
+    options.validate()
     columns = []
     for name in table.columns:
         tally = table.tally(name)

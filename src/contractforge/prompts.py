@@ -12,8 +12,8 @@ import json
 
 from .model import LOGICAL_TYPES
 from .profiling import DataProfile
+from .settings import SINGLE_PASS
 
-SINGLE_PASS = "single_pass"
 TWO_PASS_STAGE1 = "two_pass_stage1"
 TWO_PASS_STAGE2 = "two_pass_stage2"
 

@@ -21,7 +21,7 @@ import _reference_engine as reference
 from contractforge import profiling
 from contractforge.errors import IngestError, parse_json
 from contractforge.profiling import (ABSENT, DELIMITED, SOURCE_FORMATS, IngestOptions, Table,
-                                     _check_options, _flatten, _lexemes, read_table)
+                                     _flatten, _lexemes, read_table)
 
 
 # -- the whole-text reader ---------------------------------------------------------
@@ -102,7 +102,7 @@ def _whole_ndjson(text: str, options: IngestOptions) -> Table:
 
 def whole_text_read_table(source, source_format: str, options: IngestOptions | None = None):
     options = options or IngestOptions()
-    _check_options(options)
+    options.validate()
     if source_format not in SOURCE_FORMATS:
         raise IngestError(f"unknown source format {source_format!r}")
     text = _decode(source)

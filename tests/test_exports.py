@@ -13,8 +13,8 @@ import pytest
 
 import contractforge
 
-#: The package's exports by home module; ``cli`` and ``transport`` export
-#: nothing but are reachable as attributes too.
+#: The package's exports by home module; ``cli``, ``settings`` and
+#: ``transport`` export nothing but are reachable as attributes too.
 EXPORTS = {
     "backends": ["CompletionBackend", "GenerationRequest", "HttpBackend", "OracleBackend",
                  "ScriptedBackend"],
@@ -37,6 +37,7 @@ EXPORTS = {
     "prompts": ["SINGLE_PASS", "TWO_PASS_STAGE1", "TWO_PASS_STAGE2", "build_prompt"],
     "registry": ["RegistryStore", "VersionRecord"],
     "service": ["RegistryClient", "RegistryServer"],
+    "settings": [],
     "transport": [],
     "validation": ["DriftReport", "ValidationReport", "detect_drift", "failing_rows",
                    "validate_rows"],

@@ -298,14 +298,14 @@ def test_invalid_utf8_rejected():
 
 
 @pytest.mark.parametrize("options, message", [
-    (IngestOptions(value_cap=-1), "value_cap must be a non-negative integer"),
-    (IngestOptions(row_cap=-1), "row_cap must be a non-negative integer"),
+    (IngestOptions(value_cap=-1), "value_cap' must be >= 0, not -1"),
+    (IngestOptions(row_cap=-1), "row_cap' must be >= 0, not -1"),
     (IngestOptions(value_cap=-1, row_cap=-1), "value_cap"),
-    (IngestOptions(flatten_depth=-1), "flatten_depth must be a non-negative integer"),
+    (IngestOptions(flatten_depth=-1), "flatten_depth' must be >= 0, not -1"),
     (IngestOptions(value_cap=2.5), "value_cap"),
     (IngestOptions(row_cap=True), "row_cap"),
-    (IngestOptions(null_tokens=[None]), "null_tokens must be a list of strings"),
-    (IngestOptions(null_tokens="NA"), "null_tokens must be a list of strings"),
+    (IngestOptions(null_tokens=[None]), "null_tokens' must hold only strings"),
+    (IngestOptions(null_tokens="NA"), "null_tokens' must be list, not str"),
 ])
 def test_bad_options_are_ingest_errors(options, message):
     for call in (read_table, ingest):
