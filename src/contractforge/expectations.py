@@ -11,9 +11,10 @@ and ``matches_format`` are ``validation.value_test`` kinds, and
 ``validation.failing_cells`` finds the distinct lexemes of a column that
 fail one, on the kept tally and class runs of a :class:`~.profiling.Table`,
 so a table that was just validated or profiled is not tallied or
-classified again.  Nulls and absent keys fail only ``not_null``, the empty
-lexeme fails no rule, and ``unique`` counts the repeats of the other
-lexemes.  ``evaluate_rules`` checks each rule before it runs any.
+classified again, and a rule that repeats a field's test is not run again.
+Nulls and absent keys fail only ``not_null``, the empty lexeme fails no
+rule, and ``unique`` counts the repeats of the other lexemes.
+``evaluate_rules`` checks each rule before it runs any.
 """
 
 from __future__ import annotations

@@ -39,19 +39,31 @@ def infer_column_type(column: ColumnProfile) -> str:
 
 
 def _numeric_bounds(column: ColumnProfile, logical_type: str) -> Constraints | None:
+    """The least and greatest sampled number; for a ``number`` field as
+    floats, each rounded outward where it has no exact float, so that the
+    range still holds the sampled values."""
     values = [v for v in map(lexical.number_of, column.sample_values) if v is not None]
     if not values:
         return None
     lo, hi = min(values), max(values)
     try:
         if logical_type == "number":
-            lo, hi = float(lo), float(hi)
+            lo, hi = _float_at_or_past(lo, -math.inf), _float_at_or_past(hi, math.inf)
     except OverflowError:
         return None
     # No range from an overflowing numeral: contract bounds are finite.
     if math.inf in (abs(lo), abs(hi)):
         return None
     return Constraints(min_value=lo, max_value=hi)
+
+
+def _float_at_or_past(value: int | float, direction: float) -> float:
+    """The float nearest ``value``, or the next one towards ``direction``
+    if the nearest lies on the other side of ``value``."""
+    rounded = float(value)
+    if (rounded < value) if direction > 0 else (rounded > value):
+        rounded = math.nextafter(rounded, direction)
+    return rounded
 
 
 def _enum_eligible(column: ColumnProfile) -> bool:

@@ -12,23 +12,33 @@ Null conventions: in delimited input the empty cell is null (the literals
 in ndjson both explicit ``null`` and an absent key count as null.
 
 ``read_table`` reads a source into a :class:`Table`, which holds one tuple
-of lexemes per column and keeps one summary per column: the tally of its
-cells and the ``lexical.class_runs`` of its distinct cells, each computed on
-first use.  ``profile_table``, row validation and rule evaluation all read
-that summary, so a table is tallied and classified once per column, after
-the shared per-column metrics of Deequ (Schelter et al., VLDB 2018).
+of lexemes per column and keeps what is computed from it: per column the
+tally of its cells and the ``lexical.class_runs`` of its distinct cells,
+each computed on first use.  ``profile_table``, row validation and rule
+evaluation all read that summary, so a table is tallied and classified
+once per column, after the shared per-column metrics of Deequ (Schelter et
+al., VLDB 2018).
 ``ingest`` is ``read_table`` followed by ``profile_table``, and
 ``profile_column`` profiles a one-column table.  Read as a sequence, a table
 gives the row dicts of the public API, built on demand.
 
 The reader is bounded.  It pulls a source (text, bytes, any bytes-like
 object, or a handle) a fixed block at a time, bytes through an incremental
-UTF-8 decoder; splits each block into lines, carrying a cut line over to
-the next block; and appends every chunk of rows to the table's column
-lists.  Besides the table it holds one block and one chunk: never the
-whole text, a copy of it, or every row at once.  Columns and key orders
+UTF-8 decoder; cuts each block into its whole lines, carrying a cut line
+over to the next block; and appends every chunk of rows to the table's
+column lists.  Besides the table it holds one block and one chunk: never
+the whole text, a copy of it, or every row at once.  Columns and key orders
 are kept against the first-seen column order of all chunks so far, so the
 table, and any error, are the ones reading the whole text at once gives.
+
+The ndjson reader runs no Python per cell, a column at a time after
+MonetDB/X100 (Boncz et al., CIDR 2005).  It decodes each line with one
+call of the JSON scanner at the line's start (``_NdjsonReader``), checks
+key trimming once per distinct key tuple, pulls each column from the rows
+with one ``map(dict.get, ...)`` and renders a column's non-text cells in
+bulk by exact type (``_lexemes``).  Any line the scanner does not take
+whole is read alone by ``_row_of_line``, the only place an ndjson error
+message is formed.
 """
 
 from __future__ import annotations
@@ -38,10 +48,10 @@ import csv
 import io
 import json
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
-from operator import methodcaller
+from itertools import chain, compress, count, islice, repeat
+from operator import eq, is_, not_
 
 from .errors import IngestError, dump_json, parse_json
 from .lexical import class_runs
@@ -199,16 +209,48 @@ ABSENT = _Absent()
 
 #: Cell types a column keeps as they are: text, null and :data:`ABSENT`.
 _LEXEME_TYPES = {str, type(None), _Absent}
+#: Cell types ``str`` renders as ``repr`` does.
+_NUMBER_TYPES = {int, float}
+#: The lexemes of the two booleans, and the blank cells kept as they are.
+_BOOLEANS = {True: "true", False: "false"}
+_BLANKS = {None: None, ABSENT: ABSENT}
+#: How cells of each exact non-text type are rendered; any other with ``lexeme_of``.
+_RENDER = {int: repr, float: repr, bool: _BOOLEANS.__getitem__}
 
 
 def _lexemes(cells: Sequence) -> Sequence:
-    """A column's cells as lexemes.  Cells of text and nulls are returned
-    as they are; any others as a tuple read with ``lexeme_of``, because
-    ``True``, ``1`` and ``1.0`` are one dict key and lists are none;
-    ``ABSENT`` stays."""
-    if set(map(type, cells)) <= _LEXEME_TYPES:
+    """A column's cells as lexemes, rendered in bulk by exact type: text,
+    nulls and ``ABSENT`` as they are, ints and floats as ``repr`` gives
+    them, booleans as ``true`` and ``false``, and any others (lists and
+    dicts) with ``lexeme_of``.
+
+    A column holding both booleans and numbers, or any other type, is
+    mapped by identity, not by value: ``True == 1 == 1.0`` and
+    ``0.0 == -0.0`` are one dict key, a list is none, and ``bool`` is a
+    subclass of ``int``.
+    """
+    kinds = set(map(type, cells))
+    if kinds <= _LEXEME_TYPES:
         return cells
-    return tuple([cell if cell is ABSENT else lexeme_of(cell) for cell in cells])
+    odd = kinds - _LEXEME_TYPES
+    if odd == {bool}:
+        return list(map(_BOOLEANS.get, cells, cells))
+    if odd == {int}:
+        # With no bool or float to collide with, equal ints are one dict
+        # key, so each distinct cell is rendered once (``format`` gives
+        # text as it is) and equal lexemes are one string.
+        distinct = dict.fromkeys(cells)
+        lexemes = dict(zip(distinct, map(format, distinct)))
+        lexemes.update(_BLANKS)
+        return list(map(lexemes.__getitem__, cells))
+    if odd <= _NUMBER_TYPES:
+        # ``str`` gives text as it is, and ints and floats as ``repr`` does.
+        return list(map(_BLANKS.get, cells, map(str, cells)))
+    lexemes: dict = {}
+    for kind in odd:
+        picked = list(compress(cells, map(is_, map(type, cells), repeat(kind))))
+        lexemes.update(zip(map(id, picked), map(_RENDER.get(kind, lexeme_of), picked)))
+    return list(map(lexemes.get, map(id, cells), cells))
 
 
 class Table(Sequence):
@@ -218,8 +260,9 @@ class Table(Sequence):
     tuple of lexemes: ``None`` for null and :data:`ABSENT` where a row lacks
     the key.  As a sequence a table gives row dicts, built on demand, each
     with the keys present on its row in that row's own order; it equals a
-    list of the same dicts.  A table is immutable, so ``tally`` and ``runs``
-    compute a column's summary once and keep it.
+    list of the same dicts.  A table is immutable, so what is computed from
+    it holds: ``tally`` and ``runs`` compute a column's summary once and
+    keep it, and ``kept`` does so for any other value.
     """
 
     def __init__(self, columns, cells, length: int, key_orders: dict | None = None):
@@ -230,6 +273,7 @@ class Table(Sequence):
         self._key_orders = key_orders or {}
         self._tallies: dict[str, Counter] = {}
         self._runs: dict[str, list[tuple[str, int]]] = {}
+        self._kept: dict = {}
 
     @classmethod
     def from_rows(cls, rows) -> "Table":
@@ -247,6 +291,14 @@ class Table(Sequence):
         cells = self._cells.get(name)
         return (ABSENT,) * self._length if cells is None else cells
 
+    def kept(self, key, compute: Callable, *args):
+        """``compute(*args)``, called on the first use of ``key`` and kept
+        for every later one, so callers must not change what it returns."""
+        value = self._kept.get(key, ABSENT)
+        if value is ABSENT:
+            value = self._kept[key] = compute(*args)
+        return value
+
     def tally(self, name: str) -> Counter:
         """The cells of column ``name`` counted, in first-seen order;
         computed on first use and kept, so callers must not change it."""
@@ -261,7 +313,11 @@ class Table(Sequence):
         first use and kept, so callers must not change it."""
         runs = self._runs.get(name)
         if runs is None:
-            lexemes = [cell if isinstance(cell, str) else "" for cell in self.tally(name)]
+            tally = self.tally(name)
+            lexemes = list(tally)
+            for blank in (None, ABSENT):
+                if blank in tally:
+                    lexemes[lexemes.index(blank)] = ""
             runs = self._runs[name] = class_runs(lexemes)
         return runs
 
@@ -304,7 +360,7 @@ def profile_column(values: Sequence, name: str = "",
     ``value_cap`` *distinct* non-null lexemes in first-seen order, so small
     value domains are retained completely.
     """
-    cells = _lexemes(tuple(values))
+    cells = tuple(_lexemes(list(values)))
     table = Table([name], [cells], len(cells))
     return profile_table(table, DELIMITED, IngestOptions(value_cap=value_cap)).columns[0]
 
@@ -433,27 +489,35 @@ class _Columns:
             column.extend(map(nulls.get, cells, cells))
         self.length += len(records)
 
-    def add_rows(self, rows: Sequence[dict]) -> None:
-        """Append row dicts, whose values are read as lexemes with
-        ``lexeme_of``; a key first seen here starts a column that is
-        ``ABSENT`` on every earlier row."""
+    def add_rows(self, rows: list[dict], shapes: dict | None = None) -> None:
+        """Append row dicts, whose values are read as lexemes as ``_lexemes``
+        renders them; a key first seen here starts a column that is
+        ``ABSENT`` on every earlier row.  A caller that has the rows' distinct
+        key tuples in first-seen order passes them as ``shapes``."""
         cells, positions, orders = self.cells, self._positions, self._orders
-        shapes = dict.fromkeys(map(tuple, rows))  # each distinct key sequence
-        for keys in shapes:
-            if keys in orders:
+        if shapes is None:
+            if not set(map(type, rows)) <= {dict}:
+                rows = list(map(dict, rows))  # so that ``dict.get`` reads each
+            shapes = dict.fromkeys(map(tuple, rows))
+        for shape in shapes:
+            if shape in orders:
                 continue
-            for key in keys:
+            for key in shape:
                 if key not in positions:
                     positions[key] = len(positions)
                     cells[key] = [ABSENT] * self.length
-            at = [positions[key] for key in keys]
-            orders[keys] = keys if at != sorted(at) else None
+            at = [positions[key] for key in shape]
+            orders[shape] = shape if at != sorted(at) else None
         if any(map(orders.get, shapes)):
-            self._key_orders.update({self.length + index: order
-                                     for index, keys in enumerate(map(tuple, rows))
-                                     if (order := orders[keys])})
-        for name, column in cells.items():
-            column.extend(_lexemes([row.get(name, ABSENT) for row in rows]))
+            self._key_orders.update({self.length + index: order for index, order
+                                     in enumerate(map(orders.get, map(tuple, rows))) if order})
+        names = list(cells)
+        if len(rows) < len(names):  # short and wide: a row at a time, then transposed
+            pulled = zip(*[list(map(row.get, names, repeat(ABSENT))) for row in rows])
+        else:
+            pulled = (list(map(dict.get, rows, repeat(name), repeat(ABSENT))) for name in names)
+        for column, row_cells in zip(cells.values(), pulled):
+            column.extend(_lexemes(row_cells))
         self.length += len(rows)
 
     def table(self) -> "Table":
@@ -516,31 +580,125 @@ def _flatten(obj: dict, depth: int, line_no: int) -> dict:
     return flat
 
 
+#: The scanner ``json.loads`` runs: one call reads the JSON value that
+#: starts at an index of a text, and returns it and the index after it.
+_scan = json.JSONDecoder().scan_once
+
+
+def _whole_lines(text: str) -> list[str]:
+    """``text`` cut after its last LF: its whole lines, then the rest."""
+    cut = text.rfind("\n") + 1
+    return [text[:cut], text[cut:]]
+
+
+def _row_of_line(line: str, line_no: int, depth: int) -> dict | None:
+    """The row of one ndjson line read alone, or ``None`` for a blank line;
+    the only place an ndjson line's error is formed."""
+    line = line[:-1] if line.endswith("\r") else line
+    if not line.strip():
+        return None
+    obj = parse_json(line, IngestError, f"ndjson line {line_no}")
+    if not isinstance(obj, dict):
+        raise IngestError(f"malformed ndjson line {line_no}: not a JSON object")
+    # An object holds a nested object only if its line holds a second
+    # brace; a flat one with stripped keys is already a row.
+    if line.count("{") > 1 or not all(key == key.strip() for key in obj):
+        obj = _flatten(obj, depth, line_no)
+    return obj
+
+
+class _NdjsonReader:
+    """Reads ndjson text, a piece of whole lines at a time, into the columns
+    of a table.
+
+    Each line is decoded with one call of the scanner at its start.  A line
+    that holds a flat object and nothing else joins a run of such objects;
+    any other line ends the run and is read alone with ``_row_of_line``.  A
+    run's objects are rows as they are, except those whose line holds a
+    second brace or whose key tuple, checked once per distinct tuple, holds
+    an untrimmed key: those are flattened.  Rows, and their distinct key
+    tuples, go to the columns once they number ``_CHUNK_ROWS`` or more.
+    """
+
+    def __init__(self, depth: int):
+        self._columns = _Columns()
+        self._depth = depth
+        self._lines_read = 0
+        self._rows: list[dict] = []
+        self._shapes: dict[tuple, None] = {}  # the distinct key tuples of ``_rows``
+        self._trimmed: dict[tuple, bool] = {}  # key tuple -> whether every key is trimmed
+
+    def read(self, piece: str) -> None:
+        """Read a piece of text that ends at a LF, or at the end of the text."""
+        if piece[-1] != "\n":  # the last line of the text
+            piece += "\n"
+        # A CR before a LF is dropped from its line, so drop them all at once.
+        if "\r" in piece:
+            piece = piece.replace("\r\n", "\n")
+        find, at, size = piece.find, 0, len(piece)
+        objs: list[dict] = []
+        nested: list[int] = []  # the indices of the objects whose line holds a second brace
+        while at < size:
+            stop = find("\n", at)
+            try:
+                obj, end = _scan(piece, at)
+            except (StopIteration, ValueError, RecursionError):  # no value, or a malformed one
+                end = -1
+            if end == stop and type(obj) is dict:
+                if find("{", at + 1, stop) >= 0:
+                    nested.append(len(objs))
+                objs.append(obj)
+            else:
+                self._take(objs, nested)
+                objs, nested = [], []
+                self._alone(piece[at:stop])
+            at = stop + 1
+        self._take(objs, nested)
+        if len(self._rows) >= _CHUNK_ROWS:
+            self._columns.add_rows(self._rows, self._shapes)
+            self._rows, self._shapes = [], {}
+
+    def _alone(self, line: str) -> None:
+        self._lines_read += 1
+        row = _row_of_line(line, self._lines_read, self._depth)
+        if row is not None:
+            self._rows.append(row)
+            self._shapes[tuple(row)] = None
+
+    def _take(self, objs: list[dict], nested: list[int]) -> None:
+        """Keep a run of objects the scanner read, one to a line, flattening
+        those at the indices ``nested`` and those holding an untrimmed key."""
+        shapes = dict.fromkeys(map(tuple, objs))
+        trimmed = self._trimmed
+        for shape in shapes:
+            if shape not in trimmed:
+                trimmed[shape] = all(map(eq, shape, map(str.strip, shape)))
+        flat = set(nested)
+        if not all(map(trimmed.__getitem__, shapes)):
+            flat.update(compress(count(), map(not_, map(trimmed.__getitem__, map(tuple, objs)))))
+        if flat:
+            for index in sorted(flat):
+                line_no = self._lines_read + index + 1
+                objs[index] = _flatten(objs[index], self._depth, line_no)
+            shapes = dict.fromkeys(map(tuple, objs))
+        self._lines_read += len(objs)
+        self._rows += objs
+        self._shapes.update(shapes)
+
+    def table(self) -> Table:
+        self._columns.add_rows(self._rows, self._shapes)
+        if not self._columns.length:
+            raise IngestError("no data")
+        return self._columns.table()
+
+
 def _read_ndjson(text: _Text, options: IngestOptions) -> Table:
-    columns = _Columns()
-    rows: list[dict] = []
+    reader = _NdjsonReader(options.flatten_depth)
     # Lines end at LF alone: JSON strings may hold U+2028, U+2029 and U+0085
     # raw, at which ``str.splitlines`` would also break.
-    lines = chain.from_iterable(_lines(text, methodcaller("split", "\n"), "\n"))
-    for line_no, line in enumerate(lines, start=1):
-        line = line[:-1] if line.endswith("\r") else line
-        if not line.strip():
-            continue
-        obj = parse_json(line, IngestError, f"ndjson line {line_no}")
-        if not isinstance(obj, dict):
-            raise IngestError(f"malformed ndjson line {line_no}: not a JSON object")
-        # An object holds a nested object only if its line holds a second
-        # brace; a flat one with stripped keys is already a row.
-        if line.count("{") > 1 or not all(key == key.strip() for key in obj):
-            obj = _flatten(obj, options.flatten_depth, line_no)
-        rows.append(obj)
-        if len(rows) == _CHUNK_ROWS:
-            columns.add_rows(rows)
-            rows = []
-    columns.add_rows(rows)
-    if not columns.length:
-        raise IngestError("no data")
-    return columns.table()
+    for piece in chain.from_iterable(_lines(text, _whole_lines, "\n")):
+        reader.read(piece)
+    return reader.table()
 
 
 def read_table(source, source_format: str,

@@ -32,13 +32,22 @@ def check(where: str, key: str, value, default, error: type = ContractForgeError
         raise error(f"{where} key {key!r} must be {expected}, not {type(value).__name__}")
     if type(default) in (int, float):
         if not value >= 0:
-            raise error(f"{where} key {key!r} must be >= 0, not {value}")
+            raise error(f"{where} key {key!r} must be >= 0, not {_shown(value)}")
         limit = (threading.TIMEOUT_MAX if key in ("timeout", "backoff")
                  else sys.float_info.max if type(default) is float else sys.maxsize)
         if not value <= limit:
-            raise error(f"{where} key {key!r} must be at most {limit:g}, not {value}")
+            raise error(f"{where} key {key!r} must be at most {limit:g}, not {_shown(value)}")
     if type(default) is list and not all(isinstance(item, str) for item in value):
         raise error(f"{where} key {key!r} must hold only strings")
+
+
+def _shown(value) -> str:
+    """A refused number as a message writes it; an int past the int-string
+    digit limit, which has no text, by its size."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
 
 
 class _Settings:

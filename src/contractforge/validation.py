@@ -1,21 +1,27 @@
 """Validate rows against a contract, detect drift.
 
 One engine enforces fields and quality rules, and ``value_test`` is its only
-test of a lexeme: set membership (``values_in_set``), a class at or below a
-format (``matches_format``), or a number within bounds (``between``, a
-``None`` bound open).  A field is the value tests its spec implies, run in
-order: its lattice type (none for text, which every class sits below), its
-enum, then its range; a lexeme reports the violation of the first it fails.
+test: set membership (``values_in_set``), a class at or below a format
+(``matches_format``), or a number within bounds (``between``, a ``None``
+bound open).  A field is the value tests its spec implies, run in order:
+its lattice type (none for text, which every class sits below), its enum,
+then its range; a lexeme reports the violation of the first it fails.
 Nulls and missing keys are field-only and read from the column tally.  The
 empty lexeme passes every test, and only ``None`` is null.  Unknown row keys
 are violations unless ``allow_unknown``.
 
-``failing_cells`` is the one column walk.  It runs the tests, a test at a
-time, over the distinct cells of a :class:`~.profiling.Table` column with
-the classes of the table's kept class runs, the summary profiling reads too
-(a list of row dicts becomes a table through ``Table.from_rows``).  Only a
-column holding a failing cell is walked again, to flag the rows holding
-one: ``validate_rows`` turns those rows into violations, and
+A value test is a test of a column, not of a lexeme: ``value_test``
+compiles a rule kind to a function of a column's distinct cells and their
+class runs that returns the cells failing it, asking a frozenset for
+membership, each run's class for a format, and reading each ``integer`` or
+``number`` run as numbers in one pass for a range, so no Python runs per
+lexeme.  ``failing_cells`` is the one column walk.  It runs the tests over
+the distinct cells of a :class:`~.profiling.Table` column with the table's
+kept class runs, the summary profiling reads too (a list of row dicts
+becomes a table through ``Table.from_rows``), and the table keeps each
+test's result, so a rule repeating a field's test does not run it again.
+Only a column holding a failing cell is walked again, to find the rows
+holding one: ``validate_rows`` turns those rows into violations, and
 ``failing_rows`` only collects their indices, unknown keys always included.
 Both check the contract first, as ``evaluate_rules`` checks its rules.
 """
@@ -23,9 +29,9 @@ Both check the contract first, as ``evaluate_rules`` checks its rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, repeat, starmap
-from operator import attrgetter, is_not, not_
-from typing import Callable
+from itertools import chain, compress, count, filterfalse, repeat
+from operator import and_, attrgetter, ge, is_not, le, not_
+from typing import Callable, Iterable, Iterator
 
 from . import lexical
 from .errors import ContractForgeError
@@ -47,6 +53,10 @@ _VIOLATION_OF = {"matches_format": TYPE_MISMATCH, "values_in_set": ENUM_VIOLATIO
 #: The classes at or below each class of the lattice.
 _AT_OR_BELOW = {fmt: frozenset(cls for cls in lexical.CLASSES if lexical.is_subclass(cls, fmt))
                 for fmt in lexical.CLASSES}
+#: The classes a range reads as numbers.
+_NUMERIC = (lexical.INTEGER, lexical.NUMBER)
+#: The most failing distinct cells of a column that ``_rows_holding`` searches for one by one.
+_FEW_CELLS = 4
 #: The violation and observed text of a null and of a missing key.
 _NO_VALUE = ((None, (NULL_VIOLATION, "null")), (ABSENT, (MISSING_FIELD, "")))
 
@@ -78,45 +88,83 @@ class ValidationReport:
                 "violations": [v.to_doc() for v in self.violations]}
 
 
-def value_test(kind: str, params: dict) -> Callable[[str, str], bool]:
-    """Compile a value rule kind to its test of one lexeme and its class:
-    set membership, a class at or below the format, or a number within the
-    bounds, a ``None`` bound open.  ``failing_cells`` reads no verdict on a
-    blank cell."""
+def value_test(kind: str, params: dict) -> Callable[[list, list], Iterable]:
+    """Compile a value rule kind to its test of a column: given the
+    column's distinct cells and their class runs, the cells that fail.
+
+    Set membership asks a frozenset of the values.  A format fails the
+    runs whose class is not at or below it, a run at a time.  A range fails
+    the runs of other classes than ``integer`` and ``number``, reads each
+    run of those with ``int`` or ``float`` (an integer past the int-string
+    digit limit as ±inf), and compares the numbers with the bounds, a
+    ``None`` bound open.  ``failing_cells`` reads no verdict on a blank
+    cell."""
     if kind == "values_in_set":
-        values = params["values"]
-        return lambda lexeme, cls: lexeme in values
+        contains = frozenset(params["values"]).__contains__
+        return lambda cells, runs: filterfalse(contains, cells)
     if kind == "matches_format":
         conforming = _AT_OR_BELOW[params["format"]]
-        return lambda lexeme, cls: cls in conforming
+        return lambda cells, runs: chain.from_iterable(
+            cells[at:at + k] for cls, at, k in _spans(runs) if cls not in conforming)
     if kind != "between":
         raise ContractForgeError(f"unknown rule kind {kind!r}")
     lo, hi = params["min"], params["max"]
 
-    def between(lexeme: str, cls: str) -> bool:
-        number = lexical.number_in_class(lexeme, cls)
-        return number is not None and (lo is None or lo <= number) and (hi is None or number <= hi)
+    def between(cells: list, runs: list) -> list:
+        failing = []
+        for cls, at, k in _spans(runs):
+            lexemes = cells[at:at + k]
+            if cls not in _NUMERIC:
+                failing += lexemes
+            elif lo is not None or hi is not None:
+                numbers = _numbers(lexemes, cls)
+                above = repeat(True) if lo is None else map(le, repeat(lo), numbers)
+                below = repeat(True) if hi is None else map(ge, repeat(hi), numbers)
+                failing += compress(lexemes, map(not_, map(and_, above, below)))
+        return failing
     return between
+
+
+def _spans(runs: list) -> Iterator[tuple[str, int, int]]:
+    """Each class run as its class, its first index and its length."""
+    at = 0
+    for cls, k in runs:
+        yield cls, at, k
+        at += k
+
+
+def _numbers(lexemes: list[str], cls: str) -> list:
+    """The numbers of ``lexemes`` of the class ``integer`` or ``number``."""
+    try:
+        return list(map(int if cls == lexical.INTEGER else float, lexemes))
+    except ValueError:  # an integer past the int-string digit limit
+        return list(map(lexical.number_in_class, lexemes, repeat(cls)))
 
 
 def failing_cells(table: Table, name: str, tests: list[tuple[str, dict]]) -> dict:
     """``{cell: kind}`` for the distinct cells of column ``name`` that fail
     one of ``tests``, value rules ``(kind, params)``, each cell taking the
-    kind of the first it fails.  Each test runs once over the whole column;
-    blank cells are never reported, since the empty lexeme passes every test
-    and nulls and absent keys are field-only.  Set membership reads no
-    class, so a column tested only for it is not classified."""
-    tally = table.tally(name)
-    classes = (repeat(None) if all(kind == "values_in_set" for kind, _ in tests)
-               else list(chain.from_iterable(starmap(repeat, table.runs(name)))))
+    kind of the first it fails.  Each test runs once over the whole column,
+    and the table keeps what it finds, so a rule that repeats a field's test
+    does not run it again.  Blank cells are never reported, since the empty
+    lexeme passes every test and nulls and absent keys are field-only.  Set
+    membership reads no class, so a column tested only for it is not
+    classified."""
     failing: dict = {}
     # In reverse, so that the kind of the first failed test is the one kept.
     for kind, params in reversed(tests):
-        passed = map(value_test(kind, params), tally, classes)
-        failing.update(dict.fromkeys(compress(tally, map(not_, passed)), kind))
+        key = (name, kind, tuple(params["values"]) if kind == "values_in_set"
+               else tuple(params.values()))
+        failing.update(dict.fromkeys(table.kept(key, _failing, table, name, kind, params), kind))
     for blank in (None, ABSENT, ""):
         failing.pop(blank, None)
     return failing
+
+
+def _failing(table: Table, name: str, kind: str, params: dict) -> list:
+    """The distinct cells of column ``name`` that fail one value test."""
+    runs = None if kind == "values_in_set" else table.runs(name)
+    return list(value_test(kind, params)(list(table.tally(name)), runs))
 
 
 def _field_tests(spec: FieldSpec) -> list[tuple[str, dict]]:
@@ -136,8 +184,8 @@ def _field_failures(spec: FieldSpec, table: Table) -> dict:
     """``{cell: (violation kind, observed)}`` for the cells of the field's
     column that fail it: nulls and absent keys, read from the tally, and the
     lexemes ``failing_cells`` finds."""
-    tally = table.tally(spec.name)
-    failing = {} if spec.nullable else {cell: v for cell, v in _NO_VALUE if cell in tally}
+    failing = {} if spec.nullable else {cell: v for cell, v in _NO_VALUE
+                                        if cell in table.tally(spec.name)}
     for cell, kind in failing_cells(table, spec.name, _field_tests(spec)).items():
         failing[cell] = _VIOLATION_OF[kind], cell
     return failing
@@ -148,9 +196,22 @@ def value_conforms(spec: FieldSpec, value) -> bool:
     return not _field_failures(spec, Table.from_rows([{spec.name: value}]))
 
 
-def _rows_holding(column: tuple, cells: dict):
-    """The indices of the cells of ``column`` that are keys of ``cells``."""
-    return compress(count(), map(cells.__contains__, column)) if cells else ()
+def _rows_holding(table: Table, name: str, cells: dict) -> list[int]:
+    """The indices, ascending, of the rows whose cell in column ``name`` is
+    a key of ``cells``.  A column with few such cells, as a column holding
+    defects mostly has, is searched for each as often as its tally counts
+    it; any other is walked once."""
+    if not cells:
+        return []
+    column = table.column(name)
+    if len(cells) > _FEW_CELLS:
+        return list(compress(count(), map(cells.__contains__, column)))
+    rows: list[int] = []
+    for cell in cells:
+        at = -1
+        for _ in range(table.tally(name)[cell]):
+            rows.append(at := column.index(cell, at + 1))
+    return sorted(rows)
 
 
 def _unknown_rows(contract: Contract, table: Table) -> set[int]:
@@ -177,7 +238,7 @@ def validate_rows(contract: Contract, rows,
     for spec in contract.fields:
         column, failing = table.column(spec.name), _field_failures(spec, table)
         violations += [Violation(index, spec.name, *failing[column[index]])
-                       for index in _rows_holding(column, failing)]
+                       for index in _rows_holding(table, spec.name, failing)]
     if not allow_unknown:
         known = {f.name for f in contract.fields}
         for index in sorted(_unknown_rows(contract, table)):
@@ -200,7 +261,7 @@ def failing_rows(contract: Contract, rows) -> set[int]:
     table = Table.from_rows(rows)
     failed = _unknown_rows(contract, table)
     for spec in contract.fields:
-        failed.update(_rows_holding(table.column(spec.name), _field_failures(spec, table)))
+        failed.update(_rows_holding(table, spec.name, _field_failures(spec, table)))
     return failed
 
 

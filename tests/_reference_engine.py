@@ -2,14 +2,17 @@
 
 Independent of ``validation``, ``expectations``, ``profiling`` and
 ``lexical`` internals: row validation runs ``_check_field`` per cell, rule
-evaluation runs ``_value_passes`` per value, ``classify_lexeme`` is the
-regex ladder, and ``profile_column`` classifies every cell, exactly as
-before.  The readers build rows cell by cell as before, and the repair
-chain's ``_balanced_span`` and ``remove_trailing_commas`` each scan string
-literals with their own loop.  Used only by the differential tests, which
-require the live engine to produce the same reports, profiles, rows and
-repaired text.  Numbers are read with plain ``int``/``float``,
-so inputs must stay within the int-string digit limit.
+evaluation runs ``_value_passes`` per value, ``failing_cells`` runs each
+value test per distinct lexeme, ``classify_lexeme`` is the regex ladder,
+and ``profile_column`` classifies every cell, exactly as before.  The
+readers build rows cell by cell as before (``read_ndjson_by_line`` is the
+per-line ndjson reader the scanning one replaced), and the repair chain's
+``_balanced_span`` and ``remove_trailing_commas`` each scan string literals
+with their own loop.  Used only by the differential tests, which require
+the live engine to produce the same reports, profiles, rows and repaired
+text.  Numbers are read with plain ``int``/``float``, an integer past the
+int-string digit limit as a float (±inf), as ``lexical.number_in_class``
+reads it.
 """
 
 from __future__ import annotations
@@ -24,15 +27,20 @@ from contractforge.errors import ContractForgeError, IngestError, parse_json
 from contractforge.expectations import RuleResult
 from contractforge.lexical import BOOLEAN, DATE, EMPTY, INTEGER, NUMBER, STRING, TIMESTAMP
 from contractforge.model import TYPES, Contract, QualityRule
-from contractforge.profiling import (DELIMITED, SOURCE_FORMATS, ColumnProfile, DataProfile,
-                                     IngestOptions, lexeme_of)
+from contractforge.profiling import (ABSENT, DELIMITED, SOURCE_FORMATS, ColumnProfile,
+                                     DataProfile, IngestOptions, lexeme_of)
 from contractforge.validation import (ENUM_VIOLATION, MISSING_FIELD, NULL_VIOLATION,
                                       RANGE_VIOLATION, TYPE_MISMATCH, UNKNOWN_FIELD,
                                       ValidationReport, Violation)
 
 
 def _numeric_value(lexeme: str, cls: str) -> int | float:
-    return int(lexeme) if cls == lexical.INTEGER else float(lexeme)
+    if cls == lexical.INTEGER:
+        try:
+            return int(lexeme)
+        except ValueError:  # past the int-string digit limit
+            return float(lexeme)
+    return float(lexeme)
 
 
 def _check_field(spec, value, row_index: int, out: list[Violation]) -> None:
@@ -115,20 +123,37 @@ def evaluate_rules(rules: list[QualityRule], rows: list[dict]) -> list[RuleResul
 
 
 def _value_passes(rule: QualityRule, lexeme: str) -> bool:
-    if rule.kind == "values_in_set":
-        return lexeme in rule.params["values"]
-    if rule.kind == "between":
+    return _passes(rule.kind, rule.params, lexeme)
+
+
+def _passes(kind: str, params: dict, lexeme: str) -> bool:
+    """One value test of one lexeme; a ``None`` bound is open."""
+    if kind == "values_in_set":
+        return lexeme in params["values"]
+    if kind == "between":
         cls = classify_lexeme(lexeme)
-        if cls == lexical.INTEGER:
-            value: int | float = int(lexeme)
-        elif cls == lexical.NUMBER:
-            value = float(lexeme)
-        else:
+        if cls not in (lexical.INTEGER, lexical.NUMBER):
             return False
-        return rule.params["min"] <= value <= rule.params["max"]
-    if rule.kind == "matches_format":
-        return classify_lexeme(lexeme) == rule.params["format"]
-    raise ContractForgeError(f"unknown rule kind {rule.kind!r}")
+        value = _numeric_value(lexeme, cls)
+        lo, hi = params["min"], params["max"]
+        return (lo is None or lo <= value) and (hi is None or value <= hi)
+    if kind == "matches_format":
+        return lexical.is_subclass(classify_lexeme(lexeme), params["format"])
+    raise ContractForgeError(f"unknown rule kind {kind!r}")
+
+
+def failing_cells(column, tests: list[tuple[str, dict]]) -> dict:
+    """``{cell: kind}`` for the distinct non-blank cells of a column that
+    fail a test, each taking the kind of the first it fails."""
+    failing: dict = {}
+    for cell in dict.fromkeys(column):
+        if cell in (None, "") or cell is ABSENT:
+            continue
+        for kind, params in tests:
+            if not _passes(kind, params, cell):
+                failing[cell] = kind
+                break
+    return failing
 
 
 # -- lexical: the classifier ladder ----------------------------------------------
@@ -257,6 +282,39 @@ def _flatten(obj: dict, depth: int, line_no: int) -> dict:
                 raise IngestError(f"line {line_no}: duplicate key {name!r} after normalization")
             flat[name] = lexeme_of(value)
     return flat
+
+
+def read_ndjson_by_line(text: str, options: IngestOptions | None = None):
+    """The per-line ndjson reader: lines end at LF alone, a CR before it is
+    dropped, a line blank under ``str.strip`` is skipped, and each other
+    line is read alone with ``parse_json``.  Returns the table as (columns,
+    ``{column: cells}``, ``{row index: keys}`` for rows whose keys are out of
+    column order, row count); each cell ``lexeme_of`` its value, ``ABSENT``
+    where the row lacks the key."""
+    options = options or IngestOptions()
+    rows: list[dict] = []
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line[:-1] if line.endswith("\r") else line
+        if not line.strip():
+            continue
+        obj = parse_json(line, IngestError, f"ndjson line {line_no}")
+        if not isinstance(obj, dict):
+            raise IngestError(f"malformed ndjson line {line_no}: not a JSON object")
+        if line.count("{") > 1 or not all(key == key.strip() for key in obj):
+            obj = _flatten(obj, options.flatten_depth, line_no)
+        rows.append(obj)
+    if not rows:
+        raise IngestError("no data")
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    cells = {name: [lexeme_of(row[name]) if name in row else ABSENT for row in rows]
+             for name in columns}
+    position = {name: at for at, name in enumerate(columns)}
+    key_orders = {}
+    for index, row in enumerate(rows):
+        at = [position[key] for key in row]
+        if at != sorted(at):
+            key_orders[index] = tuple(row)
+    return columns, cells, key_orders, len(rows)
 
 
 def _read_ndjson(text: str, options: IngestOptions) -> tuple[list[str], list[dict]]:

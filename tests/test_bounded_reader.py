@@ -48,7 +48,7 @@ def _table_of_rows(rows: list[dict]) -> Table:
             unordered[keys] = keys
     key_orders = {index: shared for index, keys in enumerate(map(tuple, rows))
                   if (shared := unordered.get(keys))} if unordered else {}
-    cells = [_lexemes(tuple(row.get(name, ABSENT) for row in rows)) for name in positions]
+    cells = [tuple(_lexemes([row.get(name, ABSENT) for row in rows])) for name in positions]
     return Table(positions, cells, len(rows), key_orders)
 
 

@@ -15,9 +15,10 @@ import _reference_engine as reference
 from _builders import ENUM_POOL, FIELD_NAMES, random_contract
 from contractforge.expectations import evaluate_rules, synthesize_rules
 from contractforge.inference import infer_contract
-from contractforge.model import QualityRule, parse_contract
+from contractforge.lexical import CLASSES
+from contractforge.model import Constraints, Contract, FieldSpec, QualityRule, parse_contract
 from contractforge.profiling import Table, ingest, read_table
-from contractforge.validation import failing_rows, validate_rows
+from contractforge.validation import failing_cells, failing_rows, validate_rows
 
 HAND_LABELED = Path(__file__).parent / "data" / "hand_labeled"
 TABLES = sorted(p.stem for p in HAND_LABELED.glob("*.csv"))
@@ -206,3 +207,72 @@ def test_failing_rows_are_the_rows_with_violations():
 
     check()
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# -- value tests against the per-lexeme reference --------------------------------
+
+#: Lexemes a range and a format trip on: ints past 2**53 and past the
+#: int-string digit limit (read as ±inf), inf and nan spelled out, blanks.
+HUGE = "9" * 5000
+VALUE_LEXEMES = ["", "0", "-0", "7", "-3", "007", "+5", "10", "11", "2.5", "-0.5", "1e3",
+                 "1E400", "-1e400", ".5", "7.", str(2 ** 53), str(2 ** 53 + 1),
+                 str(-2 ** 53 - 1), HUGE, "-" + HUGE, "inf", "-inf", "nan", "NaN", "Infinity",
+                 "2021-03-04", "2021-02-30", "2021-03-04T05:06:07Z", "true", "txt", " 7"]
+#: Bounds, open (``None``), fractional and past 2**53 included.
+OPEN_BOUNDS = st.one_of(st.none(), st.integers(-12, 12), st.floats(-12, 12),
+                        st.sampled_from([0.5, -0.5, 10.9, 2 ** 53, 2 ** 53 + 1, 2.0 ** 53,
+                                         -2 ** 53 - 1]))
+VALUE_TESTS = st.lists(st.one_of(
+    st.builds(lambda values: ("values_in_set", {"values": values}),
+              st.lists(st.sampled_from(VALUE_LEXEMES), max_size=3)),
+    st.builds(lambda fmt: ("matches_format", {"format": fmt}), st.sampled_from(CLASSES)),
+    st.builds(lambda lo, hi: ("between", {"min": lo, "max": hi}), OPEN_BOUNDS, OPEN_BOUNDS),
+), min_size=1, max_size=3)
+#: A column's cells: lexemes, nulls and, where ``ABSENT``, a missing key.
+VALUE_COLUMN = st.lists(st.one_of(st.none(), st.just(ABSENT), st.sampled_from(VALUE_LEXEMES)),
+                        max_size=14)
+
+
+def _rows_of(cells: list) -> list[dict]:
+    return [{} if cell is ABSENT else {"c": cell} for cell in cells]
+
+
+def test_failing_cells_match_the_per_lexeme_reference():
+    """Each test runs on the column's distinct cells and class runs; the
+    reference runs it on each distinct lexeme.  Blank cells never fail,
+    also under ``values_in_set``, which no blank is in."""
+    failed = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(VALUE_COLUMN, VALUE_TESTS)
+    def check(cells, tests):
+        table = Table.from_rows(_rows_of(cells))
+        live = failing_cells(table, "c", tests)
+        assert live == reference.failing_cells(table.column("c"), tests)
+        assert not {None, ""} & set(live)
+        failed.update(live.values())
+
+    check()
+    assert failed == {"values_in_set", "matches_format", "between"}
+
+
+@pytest.mark.parametrize("logical_type", ["integer", "number"])
+@pytest.mark.parametrize("bounds", [(0.5, 10.9), (0.2, 0.8), (None, 7), (-3, None),
+                                    (2 ** 53, 2 ** 53 + 1), (-2 ** 53, 2.0 ** 53), (None, None)],
+                         ids=str)
+def test_ranges_validate_as_the_reference_validates(logical_type, bounds):
+    """Fractional bounds on ``integer`` fields, open bounds, ints past 2**53
+    and past the digit limit, and ``inf``/``nan`` lexemes, in row
+    validation and the ``between`` rule."""
+    lo, hi = bounds
+    constraints = None if bounds == (None, None) else Constraints(min_value=lo, max_value=hi)
+    contract = Contract(name="t", fields=[FieldSpec("c", logical_type, True, constraints)])
+    cells = VALUE_LEXEMES + [None, ABSENT, "10", "7"]
+    rows = _rows_of(cells)
+    rules = ([QualityRule("between", "c", {"min": lo, "max": hi}, "warning")]
+             if None not in bounds else [])
+    rules.append(QualityRule("values_in_set", "c", {"values": ["7", "10"]}))
+    live, ref = _both(contract, rules, rows, False)
+    assert live == ref
+    table = Table.from_rows(rows)
+    assert failing_rows(contract, table) == {v["row_index"] for v in live[0]["violations"]}

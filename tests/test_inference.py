@@ -1,11 +1,14 @@
 """Deterministic inference: lattice folding, enum promotion, safe fallback."""
 
+import math
+
 import pytest
 
 from contractforge.errors import ContractForgeError
+from contractforge.expectations import evaluate_rules, synthesize_rules
 from contractforge.inference import infer_contract, safe_generic_contract
 from contractforge.model import canonicalize
-from contractforge.profiling import DataProfile, profile_column
+from contractforge.profiling import DataProfile, ingest, profile_column, read_table
 from contractforge.validation import validate_rows
 
 
@@ -63,6 +66,31 @@ class TestInferField:
         big = "1" + "0" * 400
         spec = infer_contract(one_column_profile(["1", big])).fields[0]
         assert (spec.constraints.min_value, spec.constraints.max_value) == (1, int(big))
+
+    @pytest.mark.parametrize("source_format", ["delimited", "ndjson"])
+    def test_number_bounds_round_outward(self, source_format):
+        """An int extreme with no exact float gives the float past it, not
+        the nearest, which for 30 ones lies below it: the inferred contract
+        and its range rule then accept every row the profile was made of."""
+        ones = "1" * 30
+        data = (f"b\n{ones}\n1.5\n-{ones}\n" if source_format == "delimited"
+                else f'{{"b": {ones}}}\n{{"b": 1.5}}\n{{"b": -{ones}}}\n').encode()
+        profile = ingest(data, source_format)
+        contract = infer_contract(profile)
+        spec = contract.fields[0]
+        assert spec.logical_type == "number"
+        lo, hi = spec.constraints.min_value, spec.constraints.max_value
+        assert lo < -int(ones) and hi > int(ones)
+        assert (math.nextafter(lo, 0), math.nextafter(hi, 0)) == (-float(ones), float(ones))
+        _, rows = read_table(data, source_format)
+        assert validate_rows(contract, rows).all_passed
+        rules = synthesize_rules(profile, contract.fields)
+        assert [rule.kind for rule in rules] == ["between", "not_null"]
+        assert all(result.passed for result in evaluate_rules(rules, rows))
+
+    def test_exact_number_bounds_stay(self):
+        spec = infer_contract(one_column_profile(["1", "2.5", str(2 ** 53)])).fields[0]
+        assert (spec.constraints.min_value, spec.constraints.max_value) == (1.0, 2.0 ** 53)
 
     def test_date_and_timestamp_stay_distinct(self):
         assert infer_contract(one_column_profile(["2021-01-01"])).fields[0].logical_type == "date"

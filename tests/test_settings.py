@@ -48,11 +48,17 @@ def _http(**options):
      "delimiter", IngestError),
     (lambda: ingest(b"a\n1\n", "delimited", IngestOptions(value_cap=10**20)),
      "value_cap", IngestError),
+    # An int with no text (past the int-string digit limit) is named by its size.
+    (lambda: read_table(b"a\n1\n", "delimited", IngestOptions(value_cap=10**5000)),
+     "value_cap", IngestError),
+    (lambda: read_table(b"a\n1\n", "delimited", IngestOptions(row_cap=-10**5000)),
+     "row_cap", IngestError),
     (lambda: GenerationRequest(prompt="p", max_output_chars=-1), "max_output_chars",
      ContractForgeError),
 ], ids=["threshold-nan", "mode-bogus", "max-output-chars-negative", "retries-negative",
         "retries-float", "backoff-infinite", "backoff-negative", "timeout-nan",
-        "delimiter-int", "value-cap-huge", "request-max-output-chars-negative"])
+        "delimiter-int", "value-cap-huge", "value-cap-past-the-digit-limit",
+        "row-cap-negative-past-the-digit-limit", "request-max-output-chars-negative"])
 def test_library_refuses_a_bad_setting_by_name(call, key, error):
     with pytest.raises(error, match=f"key '{key}' must"):
         call()
