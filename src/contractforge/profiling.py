@@ -235,14 +235,6 @@ def _lexemes(cells: Sequence) -> Sequence:
     odd = kinds - _LEXEME_TYPES
     if odd == {bool}:
         return list(map(_BOOLEANS.get, cells, cells))
-    if odd == {int}:
-        # With no bool or float to collide with, equal ints are one dict
-        # key, so each distinct cell is rendered once (``format`` gives
-        # text as it is) and equal lexemes are one string.
-        distinct = dict.fromkeys(cells)
-        lexemes = dict(zip(distinct, map(format, distinct)))
-        lexemes.update(_BLANKS)
-        return list(map(lexemes.__getitem__, cells))
     if odd <= _NUMBER_TYPES:
         # ``str`` gives text as it is, and ints and floats as ``repr`` does.
         return list(map(_BLANKS.get, cells, map(str, cells)))
@@ -612,8 +604,9 @@ class _NdjsonReader:
     of a table.
 
     Each line is decoded with one call of the scanner at its start.  A line
-    that holds a flat object and nothing else joins a run of such objects;
-    any other line ends the run and is read alone with ``_row_of_line``.  A
+    that holds an object and nothing else, but for one CR before its LF,
+    joins a run of such objects; any other line, whole as the text gives it,
+    ends the run and is read alone with ``_row_of_line``.  A
     run's objects are rows as they are, except those whose line holds a
     second brace or whose key tuple, checked once per distinct tuple, holds
     an untrimmed key: those are flattened.  Rows, and their distinct key
@@ -632,9 +625,6 @@ class _NdjsonReader:
         """Read a piece of text that ends at a LF, or at the end of the text."""
         if piece[-1] != "\n":  # the last line of the text
             piece += "\n"
-        # A CR before a LF is dropped from its line, so drop them all at once.
-        if "\r" in piece:
-            piece = piece.replace("\r\n", "\n")
         find, at, size = piece.find, 0, len(piece)
         objs: list[dict] = []
         nested: list[int] = []  # the indices of the objects whose line holds a second brace
@@ -643,8 +633,9 @@ class _NdjsonReader:
             try:
                 obj, end = _scan(piece, at)
             except (StopIteration, ValueError, RecursionError):  # no value, or a malformed one
-                end = -1
-            if end == stop and type(obj) is dict:
+                obj = end = None
+            # A line may end in one CR before its LF, which is dropped.
+            if (end == stop or end == stop - 1 and piece[end] == "\r") and type(obj) is dict:
                 if find("{", at + 1, stop) >= 0:
                     nested.append(len(objs))
                 objs.append(obj)

@@ -55,8 +55,6 @@ _AT_OR_BELOW = {fmt: frozenset(cls for cls in lexical.CLASSES if lexical.is_subc
                 for fmt in lexical.CLASSES}
 #: The classes a range reads as numbers.
 _NUMERIC = (lexical.INTEGER, lexical.NUMBER)
-#: The most failing distinct cells of a column that ``_rows_holding`` searches for one by one.
-_FEW_CELLS = 4
 #: The violation and observed text of a null and of a missing key.
 _NO_VALUE = ((None, (NULL_VIOLATION, "null")), (ABSENT, (MISSING_FIELD, "")))
 
@@ -153,12 +151,23 @@ def failing_cells(table: Table, name: str, tests: list[tuple[str, dict]]) -> dic
     failing: dict = {}
     # In reverse, so that the kind of the first failed test is the one kept.
     for kind, params in reversed(tests):
-        key = (name, kind, tuple(params["values"]) if kind == "values_in_set"
-               else tuple(params.values()))
+        key = _test_key(name, kind, params)
         failing.update(dict.fromkeys(table.kept(key, _failing, table, name, kind, params), kind))
     for blank in (None, ABSENT, ""):
         failing.pop(blank, None)
     return failing
+
+
+def _test_key(name: str, kind: str, params: dict) -> tuple:
+    """What a table keeps a value test's failing cells under: the column,
+    the kind and the params that kind reads, any others left out."""
+    if kind == "values_in_set":
+        return name, kind, tuple(params["values"])
+    if kind == "matches_format":
+        return name, kind, params["format"]
+    if kind == "between":
+        return name, kind, params["min"], params["max"]
+    return name, kind
 
 
 def _failing(table: Table, name: str, kind: str, params: dict) -> list:
@@ -196,22 +205,9 @@ def value_conforms(spec: FieldSpec, value) -> bool:
     return not _field_failures(spec, Table.from_rows([{spec.name: value}]))
 
 
-def _rows_holding(table: Table, name: str, cells: dict) -> list[int]:
-    """The indices, ascending, of the rows whose cell in column ``name`` is
-    a key of ``cells``.  A column with few such cells, as a column holding
-    defects mostly has, is searched for each as often as its tally counts
-    it; any other is walked once."""
-    if not cells:
-        return []
-    column = table.column(name)
-    if len(cells) > _FEW_CELLS:
-        return list(compress(count(), map(cells.__contains__, column)))
-    rows: list[int] = []
-    for cell in cells:
-        at = -1
-        for _ in range(table.tally(name)[cell]):
-            rows.append(at := column.index(cell, at + 1))
-    return sorted(rows)
+def _rows_holding(column: tuple, cells: dict):
+    """The indices of the cells of ``column`` that are keys of ``cells``."""
+    return compress(count(), map(cells.__contains__, column)) if cells else ()
 
 
 def _unknown_rows(contract: Contract, table: Table) -> set[int]:
@@ -238,7 +234,7 @@ def validate_rows(contract: Contract, rows,
     for spec in contract.fields:
         column, failing = table.column(spec.name), _field_failures(spec, table)
         violations += [Violation(index, spec.name, *failing[column[index]])
-                       for index in _rows_holding(table, spec.name, failing)]
+                       for index in _rows_holding(column, failing)]
     if not allow_unknown:
         known = {f.name for f in contract.fields}
         for index in sorted(_unknown_rows(contract, table)):
@@ -261,7 +257,7 @@ def failing_rows(contract: Contract, rows) -> set[int]:
     table = Table.from_rows(rows)
     failed = _unknown_rows(contract, table)
     for spec in contract.fields:
-        failed.update(_rows_holding(table, spec.name, _field_failures(spec, table)))
+        failed.update(_rows_holding(table.column(spec.name), _field_failures(spec, table)))
     return failed
 
 

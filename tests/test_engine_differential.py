@@ -276,3 +276,23 @@ def test_ranges_validate_as_the_reference_validates(logical_type, bounds):
     assert live == ref
     table = Table.from_rows(rows)
     assert failing_rows(contract, table) == {v["row_index"] for v in live[0]["violations"]}
+
+
+def test_rules_with_extra_params_keep_their_own_failing_cells():
+    """A table keeps each test's failing cells under the params its kind
+    reads, so a param no kind reads, hashable or not, neither breaks the
+    key nor makes two different tests share one."""
+    cells = VALUE_LEXEMES + [None, ABSENT, "3", "7", "2021-03-04T05:06:07Z"]
+    table = Table.from_rows(_rows_of(cells))
+    rules = [
+        QualityRule("between", "c", {"min": 0, "max": 5, "x": 9}),
+        QualityRule("between", "c", {"x": 0, "min": 5, "max": 9}),
+        QualityRule("matches_format", "c", {"format": "date", "x": "timestamp"}),
+        QualityRule("matches_format", "c", {"x": "date", "format": "timestamp"}),
+        QualityRule("values_in_set", "c", {"values": ["7"], "note": [1]}),
+        QualityRule("between", "c", {"min": 0, "max": 5, "note": [1]}),
+    ]
+    live = [r.to_doc() for r in evaluate_rules(rules, table)]
+    assert live == [r.to_doc() for r in reference.evaluate_rules(rules, table)]
+    assert live[0]["rows_failed"] != live[1]["rows_failed"]
+    assert live[2]["rows_failed"] != live[3]["rows_failed"]

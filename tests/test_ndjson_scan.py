@@ -36,6 +36,7 @@ ODD_LINES = [
     '{"a":1},{"b":2}', '{"k":[{"x":1}', '{"y":2}]}',
     '{"a":1} ', ' {"a":1}', '{"a":1}\t', '\ufeff{"a":1}',
     "[1]", "1", '"x"', "null", "true", "{", "}", "not json", '{"a":1}{"b":2}',
+    '{"a":', '{"a":"x', '{"a":1}\r',
     '{"a":NaN}', '{"a":Infinity,"b":-Infinity}', '{"a":-0,"b":-0.0,"c":0.0}',
     '{"a":1e400,"b":-1e400,"c":1E5,"d":1.50}',
     '{"v":1}', '{"v":1.0}', '{"v":true}', '{"v":"1"}', '{"v":[1]}', '{"v":{}}',
@@ -67,7 +68,7 @@ def _document(lines: list[str], ends: list[str], last: str) -> str:
 @st.composite
 def documents(draw) -> str:
     lines = draw(LINES)
-    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n"]), min_size=len(lines),
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r\r\n"]), min_size=len(lines),
                          max_size=len(lines)))
     return _document(lines, ends, draw(st.sampled_from(["", "", "\n", "\r\n", " ", "\r"])))
 
@@ -109,7 +110,7 @@ def check_every_chunk(text: str, options: IngestOptions | None = None) -> tuple:
 def test_each_odd_line_reads_as_the_per_line_reader_reads_it(line):
     flat = '{"a":1,"b":"x"}'
     for lines in ([line], [flat, line, flat], [flat] * 9 + [line] + [flat] * 9):
-        for end in ("\n", "\r\n"):
+        for end in ("\n", "\r\n", "\r\r\n"):
             check_every_chunk(_document(lines, [end] * len(lines), ""))
 
 
@@ -125,6 +126,17 @@ def test_a_value_does_not_run_past_its_line(text):
     """Each of these lines fails alone, though scanning on past its end
     would read an object."""
     assert check_every_chunk(text)[0] == "error"
+
+
+@pytest.mark.parametrize("line, error", [
+    ('{"a":', "ndjson line 1: Expecting value: line 1 column 7 (char 6)"),
+    ('{"a":"x', "ndjson line 1: Invalid control character at: line 1 column 8 (char 7)"),
+])
+def test_only_one_cr_is_dropped_before_a_malformed_lines_lf(line, error):
+    """The per-line reader drops one CR before a LF, so an error on a line
+    ending in two counts the other as part of the line."""
+    assert check_every_chunk('{"a":1}\r\n' + line + "\r\r\n") == (
+        "error", error.replace("line 1:", "line 2:", 1))
 
 
 def test_mixed_cell_types_keep_their_own_lexemes():
