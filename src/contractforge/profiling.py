@@ -12,33 +12,31 @@ Null conventions: in delimited input the empty cell is null (the literals
 in ndjson both explicit ``null`` and an absent key count as null.
 
 ``read_table`` reads a source into a :class:`Table`, which holds one tuple
-of lexemes per column and keeps what is computed from it: per column the
-tally of its cells and the ``lexical.class_runs`` of its distinct cells,
-each computed on first use.  ``profile_table``, row validation and rule
-evaluation all read that summary, so a table is tallied and classified
-once per column, after the shared per-column metrics of Deequ (Schelter et
-al., VLDB 2018).
-``ingest`` is ``read_table`` followed by ``profile_table``, and
-``profile_column`` profiles a one-column table.  Read as a sequence, a table
-gives the row dicts of the public API, built on demand.
+of lexemes per column and keeps, per column, the tally of its cells and the
+``lexical.class_runs`` of its distinct cells, each computed on first use.
+``profile_table``, row validation and rule evaluation all read that
+summary, after the shared per-column metrics of Deequ (Schelter et al.,
+VLDB 2018).  ``ingest`` builds no table: the same reader counts each chunk
+of rows into one running tally per column, a merge that keeps first-seen
+order, and keeps only the first ``row_cap`` rows.  ``profile_column``
+profiles a one-column table.  As a sequence a table gives row dicts.
 
 The reader is bounded.  It pulls a source (text, bytes, any bytes-like
-object, or a handle) a fixed block at a time, bytes through an incremental
-UTF-8 decoder; cuts each block into its whole lines, carrying a cut line
-over to the next block; and appends every chunk of rows to the table's
-column lists.  Besides the table it holds one block and one chunk: never
-the whole text, a copy of it, or every row at once.  Columns and key orders
-are kept against the first-seen column order of all chunks so far, so the
-table, and any error, are the ones reading the whole text at once gives.
+object, or a handle) a block at a time, bytes through an incremental UTF-8
+decoder, cuts each block after its last line end, and adds every chunk of
+rows to its column store.  Besides that store it holds one block and one
+chunk.  Columns and key orders are kept against the first-seen column
+order of all chunks so far, so the table, the profile and any error are
+the ones reading the whole text at once gives.
 
 The ndjson reader runs no Python per cell, a column at a time after
 MonetDB/X100 (Boncz et al., CIDR 2005).  It decodes each line with one
 call of the JSON scanner at the line's start (``_NdjsonReader``), checks
 key trimming once per distinct key tuple, pulls each column from the rows
 with one ``map(dict.get, ...)`` and renders a column's non-text cells in
-bulk by exact type (``_lexemes``).  Any line the scanner does not take
-whole is read alone by ``_row_of_line``, the only place an ndjson error
-message is formed.
+bulk by exact type (``_lexemes``); a line holding a list or a nested
+object is made a row alone (``_row_of``).  Any line the scanner does not
+take whole is read alone by ``_row_of_line``.
 """
 
 from __future__ import annotations
@@ -61,9 +59,9 @@ DELIMITED = "delimited"
 NDJSON = "ndjson"
 SOURCE_FORMATS = (DELIMITED, NDJSON)
 
-#: Rows a reader collects before appending their cells to the table's
-#: columns, and characters or bytes it reads from a source at a time.
-_CHUNK_ROWS = 1024
+#: Rows a reader collects before adding their cells to its column store,
+#: and characters or bytes it reads from a source at a time.
+_CHUNK_ROWS = 256
 _BLOCK_SIZE = 1 << 16
 
 
@@ -183,12 +181,10 @@ def lexeme_of(value) -> str | None:
     classifier expects it (``true``/``false`` for booleans, minimal digits for
     numbers, compact JSON for residual structure).
     """
-    if value is None:
-        return None
+    if value is None or isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, str):
-        return value
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -219,16 +215,11 @@ _RENDER = {int: repr, float: repr, bool: _BOOLEANS.__getitem__}
 
 
 def _lexemes(cells: Sequence) -> Sequence:
-    """A column's cells as lexemes, rendered in bulk by exact type: text,
-    nulls and ``ABSENT`` as they are, ints and floats as ``repr`` gives
-    them, booleans as ``true`` and ``false``, and any others (lists and
-    dicts) with ``lexeme_of``.
-
-    A column holding both booleans and numbers, or any other type, is
-    mapped by identity, not by value: ``True == 1 == 1.0`` and
-    ``0.0 == -0.0`` are one dict key, a list is none, and ``bool`` is a
-    subclass of ``int``.
-    """
+    """A column's cells as lexemes, rendered in bulk by exact type as
+    ``lexeme_of`` renders each.  A column holding both booleans and
+    numbers, or any other type, is mapped by identity, not by value:
+    ``True == 1 == 1.0`` and ``0.0 == -0.0`` are one dict key, a list is
+    none, and ``bool`` is a subclass of ``int``."""
     kinds = set(map(type, cells))
     if kinds <= _LEXEME_TYPES:
         return cells
@@ -243,6 +234,16 @@ def _lexemes(cells: Sequence) -> Sequence:
         picked = list(compress(cells, map(is_, map(type, cells), repeat(kind))))
         lexemes.update(zip(map(id, picked), map(_RENDER.get(kind, lexeme_of), picked)))
     return list(map(lexemes.get, map(id, cells), cells))
+
+
+def _runs_of(tally: Counter) -> list[tuple[str, int]]:
+    """The ``class_runs`` of a tally's cells in its order, a null or
+    ``ABSENT`` read as the empty lexeme."""
+    lexemes = list(tally)
+    for blank in (None, ABSENT):
+        if blank in tally:
+            lexemes[lexemes.index(blank)] = ""
+    return class_runs(lexemes)
 
 
 class Table(Sequence):
@@ -263,8 +264,6 @@ class Table(Sequence):
         self._length = length
         # Row index -> that row's keys, for rows whose keys are not in column order.
         self._key_orders = key_orders or {}
-        self._tallies: dict[str, Counter] = {}
-        self._runs: dict[str, list[tuple[str, int]]] = {}
         self._kept: dict = {}
 
     @classmethod
@@ -292,26 +291,13 @@ class Table(Sequence):
         return value
 
     def tally(self, name: str) -> Counter:
-        """The cells of column ``name`` counted, in first-seen order;
-        computed on first use and kept, so callers must not change it."""
-        tally = self._tallies.get(name)
-        if tally is None:
-            tally = self._tallies[name] = Counter(self.column(name))
-        return tally
+        """The cells of column ``name`` counted, in first-seen order; kept
+        under a key led by a function, which no column name equals."""
+        return self.kept((Counter, name), lambda: Counter(self.column(name)))
 
     def runs(self, name: str) -> list[tuple[str, int]]:
-        """The ``class_runs`` of column ``name``'s distinct cells in tally
-        order, a null or ``ABSENT`` read as the empty lexeme; computed on
-        first use and kept, so callers must not change it."""
-        runs = self._runs.get(name)
-        if runs is None:
-            tally = self.tally(name)
-            lexemes = list(tally)
-            for blank in (None, ABSENT):
-                if blank in tally:
-                    lexemes[lexemes.index(blank)] = ""
-            runs = self._runs[name] = class_runs(lexemes)
-        return runs
+        """``_runs_of`` the tally of column ``name``; kept as ``tally`` is."""
+        return self.kept((_runs_of, name), _runs_of, self.tally(name))
 
     def _row(self, index: int) -> dict:
         cells = self._cells
@@ -347,11 +333,8 @@ def profile_column(values: Sequence, name: str = "",
                    value_cap: int = IngestOptions.value_cap) -> ColumnProfile:
     """Profile one column given its raw lexemes (``None``, ``""`` and
     ``ABSENT`` = null); any other non-text cell is read with ``lexeme_of``.
-
-    Counts are exact over the full list; ``sample_values`` keeps the first
-    ``value_cap`` *distinct* non-null lexemes in first-seen order, so small
-    value domains are retained completely.
-    """
+    ``sample_values`` keeps the first ``value_cap`` distinct non-null
+    lexemes in first-seen order, so small value domains are kept whole."""
     cells = tuple(_lexemes(list(values)))
     table = Table([name], [cells], len(cells))
     return profile_table(table, DELIMITED, IngestOptions(value_cap=value_cap)).columns[0]
@@ -457,36 +440,59 @@ def _frozen(column: list) -> tuple:
 
 
 class _Columns:
-    """The columns of a table being read, as lists that chunks of rows are
-    appended to.
+    """The column store of a source being read, a chunk of rows at a time.
 
     Columns keep their first-seen order over all chunks, and a row whose
     keys are out of that order has them kept under its index in the whole
     table, so ``table`` returns the table the rows of every chunk make at
-    once.
+    once.  With a ``row_cap`` each column is also a tally, the ``Counter``
+    of all its cells in first-seen order, and only the first ``row_cap``
+    rows are kept: ``table`` then holds those rows alone.
     """
 
-    def __init__(self, names=()):
-        self.cells: dict[str, list] = {name: [] for name in names}
+    def __init__(self, row_cap: int | None = None):
+        self.cells: dict[str, list] = {}
+        self.tallies: dict[str, Counter] | None = None if row_cap is None else {}
         self.length = 0
-        self._positions = {name: at for at, name in enumerate(self.cells)}
+        self._cap = float("inf") if row_cap is None else row_cap
+        self._positions: dict[str, int] = {}
         self._key_orders: dict[int, tuple] = {}
         # Key sequence -> itself where out of column order, else None.
         self._orders: dict[tuple, tuple | None] = {}
 
+    def _kept(self, rows: int) -> int:
+        """How many of ``rows`` rows added next the store keeps as cells."""
+        return max(0, min(rows, self._cap - self.length))
+
+    def add_column(self, name: str) -> None:
+        """Start a column that is ``ABSENT`` on every row so far."""
+        self._positions[name] = len(self._positions)
+        self.cells[name] = [ABSENT] * min(self.length, self._cap)
+        if self.tallies is not None:
+            self.tallies[name] = Counter([ABSENT] * self.length)
+
+    def _extend(self, pulled, rows: int) -> None:
+        """Add ``rows`` rows given as one sequence of cells per column, in
+        column order."""
+        kept = self._kept(rows)
+        for name, cells in zip(self.cells, pulled):
+            if self.tallies is not None:
+                self.tallies[name].update(cells)
+            self.cells[name].extend(cells[:kept] if kept < rows else cells)
+        self.length += rows
+
     def add_records(self, records: list[list[str]], nulls: dict) -> None:
-        """Append delimited records, one cell per column in column order;
-        a cell in ``nulls`` becomes ``None``."""
-        for column, cells in zip(self.cells.values(), zip(*records)):
-            column.extend(map(nulls.get, cells, cells))
-        self.length += len(records)
+        """Add delimited records, one cell per column in column order; a
+        cell in ``nulls`` becomes ``None``."""
+        self._extend([list(map(nulls.get, cells, cells)) for cells in zip(*records)],
+                     len(records))
 
     def add_rows(self, rows: list[dict], shapes: dict | None = None) -> None:
-        """Append row dicts, whose values are read as lexemes as ``_lexemes``
+        """Add row dicts, whose values are read as lexemes as ``_lexemes``
         renders them; a key first seen here starts a column that is
         ``ABSENT`` on every earlier row.  A caller that has the rows' distinct
         key tuples in first-seen order passes them as ``shapes``."""
-        cells, positions, orders = self.cells, self._positions, self._orders
+        positions, orders = self._positions, self._orders
         if shapes is None:
             if not set(map(type, rows)) <= {dict}:
                 rows = list(map(dict, rows))  # so that ``dict.get`` reads each
@@ -496,28 +502,25 @@ class _Columns:
                 continue
             for key in shape:
                 if key not in positions:
-                    positions[key] = len(positions)
-                    cells[key] = [ABSENT] * self.length
+                    self.add_column(key)
             at = [positions[key] for key in shape]
             orders[shape] = shape if at != sorted(at) else None
         if any(map(orders.get, shapes)):
-            self._key_orders.update({self.length + index: order for index, order
-                                     in enumerate(map(orders.get, map(tuple, rows))) if order})
-        names = list(cells)
+            self._key_orders.update({self.length + index: order for index, order in enumerate(
+                map(orders.get, map(tuple, islice(rows, self._kept(len(rows)))))) if order})
+        names = list(self.cells)
         if len(rows) < len(names):  # short and wide: a row at a time, then transposed
             pulled = zip(*[list(map(row.get, names, repeat(ABSENT))) for row in rows])
         else:
             pulled = (list(map(dict.get, rows, repeat(name), repeat(ABSENT))) for name in names)
-        for column, row_cells in zip(cells.values(), pulled):
-            column.extend(_lexemes(row_cells))
-        self.length += len(rows)
+        self._extend(map(_lexemes, pulled), len(rows))
 
     def table(self) -> "Table":
-        return Table(self.cells, map(_frozen, self.cells.values()), self.length,
+        return Table(self.cells, map(_frozen, self.cells.values()), min(self.length, self._cap),
                      self._key_orders)
 
 
-def _read_delimited(text: _Text, options: IngestOptions) -> Table:
+def _read_delimited(text: _Text, options: IngestOptions, columns: _Columns) -> None:
     if len(options.delimiter) != 1:
         raise IngestError(f"delimiter must be one character, got {options.delimiter!r}")
     # ``newline=""`` leaves line ends to the reader, so a bare CR ends a
@@ -528,23 +531,18 @@ def _read_delimited(text: _Text, options: IngestOptions) -> Table:
         header = next(reader, None)
         if header is None:
             raise IngestError("no data")
-        names = [name.strip() for name in header]
-        seen: set[str] = set()
-        for name in names:
-            if name in seen:
+        for name in map(str.strip, header):
+            if name in columns.cells:
                 raise IngestError(f"duplicate column name {name!r} after normalization")
-            seen.add(name)
-        columns = _Columns(names)
+            columns.add_column(name)
         nulls = dict.fromkeys(["", *options.null_tokens])
         records: list[list[str]] = []
         for index, record in enumerate(reader):
             if not record:  # blank line, not a record
                 continue
-            if len(record) != len(names):
-                raise IngestError(
-                    f"ragged row {index + 1} (line {reader.line_num}): "
-                    f"expected {len(names)} cells, got {len(record)}"
-                )
+            if len(record) != len(header):
+                raise IngestError(f"ragged row {index + 1} (line {reader.line_num}): "
+                                  f"expected {len(header)} cells, got {len(record)}")
             records.append(record)
             if len(records) == _CHUNK_ROWS:
                 columns.add_records(records, nulls)
@@ -552,7 +550,6 @@ def _read_delimited(text: _Text, options: IngestOptions) -> Table:
     except csv.Error as exc:
         raise IngestError(f"malformed delimited line {reader.line_num}: {exc}") from None
     columns.add_records(records, nulls)
-    return columns.table()
 
 
 def _flatten(obj: dict, depth: int, line_no: int) -> dict:
@@ -572,6 +569,17 @@ def _flatten(obj: dict, depth: int, line_no: int) -> dict:
     return flat
 
 
+def _row_of(obj: dict, line_no: int, depth: int) -> dict:
+    """``obj``, read from ndjson line ``line_no``, as a row: flattened to
+    ``depth``, the lists and objects left in it rendered here, so that
+    nesting too deep for ``_flatten`` or the encoder is this line's error."""
+    try:
+        return {key: lexeme_of(value) if type(value) in (list, dict) else value
+                for key, value in _flatten(obj, depth, line_no).items()}
+    except RecursionError:
+        raise IngestError(f"ndjson line {line_no}: nesting too deep to read") from None
+
+
 #: The scanner ``json.loads`` runs: one call reads the JSON value that
 #: starts at an index of a text, and returns it and the index after it.
 _scan = json.JSONDecoder().scan_once
@@ -584,41 +592,34 @@ def _whole_lines(text: str) -> list[str]:
 
 
 def _row_of_line(line: str, line_no: int, depth: int) -> dict | None:
-    """The row of one ndjson line read alone, or ``None`` for a blank line;
-    the only place an ndjson line's error is formed."""
+    """The row of one ndjson line read alone, or ``None`` for a blank line."""
     line = line[:-1] if line.endswith("\r") else line
     if not line.strip():
         return None
     obj = parse_json(line, IngestError, f"ndjson line {line_no}")
     if not isinstance(obj, dict):
         raise IngestError(f"malformed ndjson line {line_no}: not a JSON object")
-    # An object holds a nested object only if its line holds a second
-    # brace; a flat one with stripped keys is already a row.
-    if line.count("{") > 1 or not all(key == key.strip() for key in obj):
-        obj = _flatten(obj, depth, line_no)
-    return obj
+    return _row_of(obj, line_no, depth)
 
 
 class _NdjsonReader:
-    """Reads ndjson text, a piece of whole lines at a time, into the columns
-    of a table.
+    """Reads ndjson text, a piece of whole lines at a time, into a column store.
 
     Each line is decoded with one call of the scanner at its start.  A line
     that holds an object and nothing else, but for one CR before its LF,
-    joins a run of such objects; any other line, whole as the text gives it,
-    ends the run and is read alone with ``_row_of_line``.  A
-    run's objects are rows as they are, except those whose line holds a
-    second brace or whose key tuple, checked once per distinct tuple, holds
-    an untrimmed key: those are flattened.  Rows, and their distinct key
-    tuples, go to the columns once they number ``_CHUNK_ROWS`` or more.
+    joins a run of such objects; any other line ends the run and is read
+    alone with ``_row_of_line``.  A run's objects are rows as they are,
+    except those whose line holds a bracket or a second brace or whose key
+    tuple, checked once per distinct tuple, holds an untrimmed key, which go
+    through ``_row_of``.  Rows go to the store once they number ``_CHUNK_ROWS``.
     """
 
-    def __init__(self, depth: int):
-        self._columns = _Columns()
+    def __init__(self, depth: int, columns: _Columns):
+        self._columns = columns
         self._depth = depth
         self._lines_read = 0
-        self._rows: list[dict] = []
-        self._shapes: dict[tuple, None] = {}  # the distinct key tuples of ``_rows``
+        self.rows: list[dict] = []
+        self.shapes: dict[tuple, None] = {}  # the distinct key tuples of ``rows``
         self._trimmed: dict[tuple, bool] = {}  # key tuple -> whether every key is trimmed
 
     def read(self, piece: str) -> None:
@@ -627,7 +628,7 @@ class _NdjsonReader:
             piece += "\n"
         find, at, size = piece.find, 0, len(piece)
         objs: list[dict] = []
-        nested: list[int] = []  # the indices of the objects whose line holds a second brace
+        nested: list[int] = []  # the indices of the objects whose line holds a bracket or brace
         while at < size:
             stop = find("\n", at)
             try:
@@ -636,7 +637,7 @@ class _NdjsonReader:
                 obj = end = None
             # A line may end in one CR before its LF, which is dropped.
             if (end == stop or end == stop - 1 and piece[end] == "\r") and type(obj) is dict:
-                if find("{", at + 1, stop) >= 0:
+                if find("{", at + 1, stop) >= 0 or find("[", at, stop) >= 0:
                     nested.append(len(objs))
                 objs.append(obj)
             else:
@@ -645,20 +646,21 @@ class _NdjsonReader:
                 self._alone(piece[at:stop])
             at = stop + 1
         self._take(objs, nested)
-        if len(self._rows) >= _CHUNK_ROWS:
-            self._columns.add_rows(self._rows, self._shapes)
-            self._rows, self._shapes = [], {}
+        if len(self.rows) >= _CHUNK_ROWS:
+            self._columns.add_rows(self.rows, self.shapes)
+            self.rows, self.shapes = [], {}
 
     def _alone(self, line: str) -> None:
         self._lines_read += 1
         row = _row_of_line(line, self._lines_read, self._depth)
         if row is not None:
-            self._rows.append(row)
-            self._shapes[tuple(row)] = None
+            self.rows.append(row)
+            self.shapes[tuple(row)] = None
 
     def _take(self, objs: list[dict], nested: list[int]) -> None:
-        """Keep a run of objects the scanner read, one to a line, flattening
-        those at the indices ``nested`` and those holding an untrimmed key."""
+        """Keep a run of objects the scanner read, one to a line, making rows
+        with ``_row_of`` of those at the indices ``nested`` and those holding
+        an untrimmed key."""
         shapes = dict.fromkeys(map(tuple, objs))
         trimmed = self._trimmed
         for shape in shapes:
@@ -669,49 +671,32 @@ class _NdjsonReader:
             flat.update(compress(count(), map(not_, map(trimmed.__getitem__, map(tuple, objs)))))
         if flat:
             for index in sorted(flat):
-                line_no = self._lines_read + index + 1
-                objs[index] = _flatten(objs[index], self._depth, line_no)
+                objs[index] = _row_of(objs[index], self._lines_read + index + 1, self._depth)
             shapes = dict.fromkeys(map(tuple, objs))
         self._lines_read += len(objs)
-        self._rows += objs
-        self._shapes.update(shapes)
-
-    def table(self) -> Table:
-        self._columns.add_rows(self._rows, self._shapes)
-        if not self._columns.length:
-            raise IngestError("no data")
-        return self._columns.table()
+        self.rows += objs
+        self.shapes.update(shapes)
 
 
-def _read_ndjson(text: _Text, options: IngestOptions) -> Table:
-    reader = _NdjsonReader(options.flatten_depth)
+def _read_ndjson(text: _Text, options: IngestOptions, columns: _Columns) -> None:
+    reader = _NdjsonReader(options.flatten_depth, columns)
     # Lines end at LF alone: JSON strings may hold U+2028, U+2029 and U+0085
     # raw, at which ``str.splitlines`` would also break.
     for piece in chain.from_iterable(_lines(text, _whole_lines, "\n")):
         reader.read(piece)
-    return reader.table()
+    columns.add_rows(reader.rows, reader.shapes)
+    if not columns.length:
+        raise IngestError("no data")
 
 
-def read_table(source, source_format: str,
-               options: IngestOptions | None = None) -> tuple[list[str], Table]:
-    """Read every row of a source as (column names, :class:`Table`).
-
-    The source is text, bytes or any bytes-like object, or a handle that
-    reads either; bytes are UTF-8.  It is read ``_BLOCK_SIZE`` characters
-    or bytes at a time, and every ``_CHUNK_ROWS`` rows are appended to the
-    table's columns, so besides the table a read holds one block and one
-    chunk, never the whole text or a list of every row.  Cells are lexemes
-    or ``None``; an ndjson row lacks the keys absent on its line.  Used by
-    ingest and by row-level validation, which needs all rows rather than
-    the capped profile sample; ``list(table)`` gives the rows as dicts.
-    """
-    options = options or IngestOptions()
+def _read(source, source_format: str, options: IngestOptions, columns: _Columns) -> _Columns:
+    """Read every row of a source into the column store ``columns``."""
     options.validate()
     if source_format not in SOURCE_FORMATS:
         raise IngestError(f"unknown source format {source_format!r}")
     text = _Text(source)
     try:
-        table = (_read_delimited if source_format == DELIMITED else _read_ndjson)(text, options)
+        (_read_delimited if source_format == DELIMITED else _read_ndjson)(text, options, columns)
     except Exception as exc:
         # Errors come in the order of decoding the whole text, checking that
         # it is not blank, then reading it: so the rest of the source is read
@@ -724,7 +709,39 @@ def read_table(source, source_format: str,
         raise
     if text.blank:
         raise IngestError("no data")
+    return columns
+
+
+def read_table(source, source_format: str,
+               options: IngestOptions | None = None) -> tuple[list[str], Table]:
+    """Read every row of a source as (column names, :class:`Table`).
+
+    The source is text, bytes or any bytes-like object, or a handle that
+    reads either; bytes are UTF-8.  It is read ``_BLOCK_SIZE`` characters
+    or bytes at a time, and every ``_CHUNK_ROWS`` rows are appended to the
+    table's columns, so besides the table a read holds one block and one
+    chunk.  Cells are lexemes or ``None``; an ndjson row lacks the keys
+    absent on its line.  ``list(table)`` gives the rows as dicts.
+    """
+    table = _read(source, source_format, options or IngestOptions(), _Columns()).table()
     return list(table.columns), table
+
+
+def _column_profile(name: str, length: int, tally: Counter, runs: list[tuple[str, int]],
+                    value_cap: int) -> ColumnProfile:
+    """The profile of a column of ``length`` cells from its tally, in
+    first-seen order, and the tally's ``_runs_of``."""
+    # The runs follow the tally's order, so each run's counts are the next
+    # ones in the tally, and the histogram keeps that order.
+    counts = iter(tally.values())
+    histogram: dict[str, int] = {}
+    for cls, k in runs:
+        histogram[cls] = histogram.get(cls, 0) + sum(islice(counts, k))
+    blanks = (None, "", ABSENT)
+    return ColumnProfile(name, length, sum(map(tally.__getitem__, blanks)),
+                         len(tally) - sum(map(tally.__contains__, blanks)),
+                         list(islice((cell for cell in tally if cell and cell is not ABSENT),
+                                     value_cap)), histogram)
 
 
 def profile_table(table: Table, source_format: str, options: IngestOptions | None = None,
@@ -734,36 +751,19 @@ def profile_table(table: Table, source_format: str, options: IngestOptions | Non
     classified again.  Columns appear in the table's first-seen order."""
     options = options or IngestOptions()
     options.validate()
-    columns = []
-    for name in table.columns:
-        tally = table.tally(name)
-        # The runs follow the tally's first-seen order, so each run's counts
-        # are the next ones in the tally, and the histogram keeps that order.
-        counts = iter(tally.values())
-        histogram: dict[str, int] = {}
-        for cls, k in table.runs(name):
-            histogram[cls] = histogram.get(cls, 0) + sum(islice(counts, k))
-        columns.append(ColumnProfile(
-            name=name,
-            total_count=len(table),
-            null_count=tally[None] + tally[""] + tally[ABSENT],
-            distinct_count=len(tally) - sum(map(tally.__contains__, (None, "", ABSENT))),
-            sample_values=list(islice((cell for cell in tally if cell and cell is not ABSENT),
-                                      options.value_cap)),
-            lexical_histogram=histogram,
-        ))
-    return DataProfile(
-        dataset_name=dataset_name,
-        row_count=len(table),
-        columns=columns,
-        source_format=source_format,
-        sample_rows=table[: options.row_cap],
-    )
+    return DataProfile(dataset_name, len(table), [
+        _column_profile(name, len(table), table.tally(name), table.runs(name), options.value_cap)
+        for name in table.columns], source_format, table[: options.row_cap])
 
 
 def ingest(source, source_format: str, options: IngestOptions | None = None,
            dataset_name: str = "dataset") -> DataProfile:
-    """Profile a finite byte stream into a :class:`DataProfile`: the
-    ``profile_table`` of its ``read_table``."""
-    _, table = read_table(source, source_format, options)
-    return profile_table(table, source_format, options, dataset_name)
+    """Profile a source read as ``read_table`` reads it into the
+    ``profile_table`` of its table, without building the table: each chunk
+    of rows is counted into one running tally per column, and only the
+    first ``row_cap`` rows are kept, for the sample rows."""
+    options = options or IngestOptions()
+    columns = _read(source, source_format, options, _Columns(options.row_cap))
+    return DataProfile(dataset_name, columns.length, [
+        _column_profile(name, columns.length, tally, _runs_of(tally), options.value_cap)
+        for name, tally in columns.tallies.items()], source_format, list(columns.table()))

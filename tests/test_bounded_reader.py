@@ -7,6 +7,11 @@ the way a handle splits its reads, it must give the table the whole-text
 reader gives: the same columns, cells, key orders and length, or the same
 error message.  ``whole_text_read_table`` below is that reader as it was:
 decode everything, then parse it, then build the table from every row.
+
+``ingest`` runs the same reader but builds no table: it counts each chunk
+into one tally per column and keeps only the first ``row_cap`` rows.  Its
+profile must be the ``profile_table`` of the source's table byte for byte,
+or its error the same text, whatever the chunk size.
 """
 
 import csv
@@ -21,7 +26,8 @@ import _reference_engine as reference
 from contractforge import profiling
 from contractforge.errors import IngestError, parse_json
 from contractforge.profiling import (ABSENT, DELIMITED, SOURCE_FORMATS, IngestOptions, Table,
-                                     _flatten, _lexemes, read_table)
+                                     _flatten, _lexemes, dump_profile, ingest, profile_table,
+                                     read_table)
 
 
 # -- the whole-text reader ---------------------------------------------------------
@@ -243,12 +249,15 @@ CASES = {
 }
 
 
+def case_options(name: str) -> IngestOptions | None:
+    return {"null tokens": IngestOptions(null_tokens=["NA"]),
+            "blank text with a whitespace delimiter": IngestOptions(delimiter=" ")}.get(name)
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_named_cases_read_as_the_whole_text(monkeypatch, name):
     data, source_format = CASES[name]
-    options = IngestOptions(null_tokens=["NA"]) if name == "null tokens" else None
-    if name == "blank text with a whitespace delimiter":
-        options = IngestOptions(delimiter=" ")
+    options = case_options(name)
     if name == "field past the limit":  # 131 kB: short reads only, and large blocks
         check_every_way(monkeypatch, data, source_format, chunks=(7,), blocks=(1000, 1 << 16))
         return
@@ -376,3 +385,103 @@ def test_random_tables_read_as_the_reference_reads_them(source, chunk, block):
     assert got == expected
     if got[0] == "rows":
         assert [list(row) for row in got[2]] == [list(row) for row in expected[2]]
+
+
+# -- ingest against the profile of the whole table ---------------------------------
+
+def table_profile(source, source_format: str, options: IngestOptions | None = None):
+    return profile_table(read_table(source, source_format, options)[1], source_format, options)
+
+
+def profile_outcome(profile, data: bytes, source_format: str, options=None) -> tuple:
+    """The profile's text and its sample rows' key orders, which the text
+    sorts; or the error."""
+    try:
+        got = profile(data, source_format, options)
+    except IngestError as exc:
+        return "error", str(exc)
+    return "profile", dump_profile(got), [list(row) for row in got.sample_rows]
+
+
+def check_ingest(monkeypatch, data: bytes, source_format: str, options=None,
+                 chunks=(1, 7, 10**9), blocks=(1, 7, 1 << 16)) -> tuple:
+    """``ingest`` gives the profile of the table ``read_table`` reads, or
+    its error, at every chunk size.  An ndjson chunk ends only with a
+    block, so the block sizes vary too."""
+    expected = profile_outcome(table_profile, data, source_format, options)
+    for chunk in chunks:
+        monkeypatch.setattr(profiling, "_CHUNK_ROWS", chunk)
+        for block in blocks:
+            monkeypatch.setattr(profiling, "_BLOCK_SIZE", block)
+            got = profile_outcome(ingest, data, source_format, options)
+            assert got == expected, (chunk, block)
+    return expected
+
+
+#: Row caps past a chunk of 1 and of 7 rows, and with no sample rows at all.
+CAPPED = [IngestOptions(row_cap=12, value_cap=3), IngestOptions(row_cap=0, value_cap=0)]
+
+PROFILE_CASES = {
+    "null tokens past a chunk": (
+        b"a,b,c\n" + b"".join(b"%d,%s,%s\n" % (i, [b"NA", b"", b"x"][i % 3], b"-" * (i % 2))
+                               for i in range(30)), "delimited",
+        IngestOptions(null_tokens=["NA", "-"], row_cap=12)),
+    "flatten depth 0": (
+        _ndjson(*[{"a": {"b": i}, "c": [i, {"d": None}], "e": {}} for i in range(9)]), "ndjson",
+        IngestOptions(flatten_depth=0)),
+    "keys first seen in later chunks, out of column order": (
+        _ndjson(*[{"a": i % 4} for i in range(11)], {"z": "late", "a": 1},
+                *[{"a": None, "y": True} for i in range(9)], {"y": 1.5, "q": [], "a": 2}),
+        "ndjson", None),
+    "a column absent from every sample row": (
+        _ndjson(*[{"a": str(i)} for i in range(20)], {"a": "x", "z": 0}), "ndjson", None),
+    "an all-null column": (
+        _ndjson(*[{"a": i, "n": None} for i in range(20)], {"a": 0}), "ndjson", None),
+    "an all-empty delimited column": (b"a,b\n" + b"1,\n" * 20, "delimited", None),
+    "mixed cell types in one column": (
+        _ndjson(*[{"v": v} for v in [1, 1.0, True, "1", [1], -0.0, 0.0, None, "", 2 ** 70]] * 3),
+        "ndjson", None),
+}
+
+
+@pytest.mark.parametrize("name", [*CASES, *PROFILE_CASES])
+def test_ingest_gives_the_profile_of_the_table(monkeypatch, name):
+    if name in PROFILE_CASES:
+        data, source_format, options = PROFILE_CASES[name]
+    else:
+        (data, source_format), options = CASES[name], case_options(name)
+    # 131 kB read a byte at a time is slow, and no line end is near a block.
+    blocks = (1000, 1 << 16) if name == "field past the limit" else (1, 7, 1 << 16)
+    for each in (options, *CAPPED):
+        check_ingest(monkeypatch, data, source_format, each, blocks=blocks)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**9])
+def test_ingest_keeps_no_cells_past_the_sample_rows(monkeypatch, chunk):
+    monkeypatch.setattr(profiling, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(profiling, "_BLOCK_SIZE", 7)
+    data = _ndjson(*[{"a": i} for i in range(10)], {"c": 0, "a": 0}, *[{"a": i} for i in range(19)],
+                   {"b": 1, "a": 0})
+    columns = profiling._read(data, "ndjson", IngestOptions(), profiling._Columns(12))
+    assert columns.length == 31 and list(columns.cells) == ["a", "c", "b"]
+    assert {name: len(cells) for name, cells in columns.cells.items()} == {"a": 12, "c": 12, "b": 12}
+    assert columns.tallies["b"] == {ABSENT: 30, "1": 1} and columns._key_orders == {10: ("c", "a")}
+
+
+def test_random_sources_ingest_as_their_tables_profile():
+    seen = {f"{kind} {source_format}": 0 for kind in ("profile", "error")
+            for source_format in SOURCE_FORMATS}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(SOUP.map(lambda d: (d, "delimited")), SOUP.map(lambda d: (d, "ndjson")),
+                     delimited().map(lambda d: (d, "delimited")),
+                     NDJSON.map(lambda d: (d, "ndjson"))),
+           st.sampled_from([None, *CAPPED, IngestOptions(null_tokens=["a", "1"], flatten_depth=0)]))
+    def check(source, options):
+        data, source_format = source
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            kind = check_ingest(monkeypatch, data, source_format, options)[0]
+        seen[f"{kind} {source_format}"] += 1
+
+    check()
+    assert all(count >= 15 for count in seen.values()), seen

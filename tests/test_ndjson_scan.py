@@ -20,6 +20,7 @@ text.  The traps the inputs below are chosen for:
 """
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 import _reference_engine as reference
 from contractforge import profiling
 from contractforge.errors import IngestError
-from contractforge.profiling import IngestOptions, read_table
+from contractforge.profiling import ABSENT, IngestOptions, ingest, read_table
 
 #: Lines that are no flat one-object line, each read by the per-line code.
 ODD_LINES = [
@@ -155,6 +156,58 @@ def test_huge_and_deep_lines_give_the_per_line_errors():
         "error", "ndjson line 2: integer literal too long to read")
     assert check_every_chunk('{"a":1}\n{"deep":' + "[" * 3000 + "]" * 3000 + "}\n") == (
         "error", "ndjson line 2: nesting too deep to read")
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _at_depth(frames: int, call):
+    """``call()`` from ``frames`` more frames down the stack."""
+    return call() if frames == 0 else _at_depth(frames - 1, call)
+
+
+@pytest.mark.parametrize("read", [read_table, ingest])
+@pytest.mark.parametrize("shape", ["lists", "objects"])
+def test_deep_nesting_reads_or_is_its_lines_error(read, shape):
+    """A line nested near the recursion limit reads as a table, or gives
+    its line's nesting error, at whatever stack depth it is read: the
+    scanner may take a line that rendering its value, or flattening it,
+    then cannot.  The limit is set about 1 000 frames past the test, so
+    that on Python 3.11 the sweep crosses from read lines to failed ones
+    at both depths."""
+    options = IngestOptions(flatten_depth=10**6)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 1010)
+    try:
+        for frames in (0, 6):
+            outcomes = []
+            for depth in range(980, 1001):
+                if shape == "lists":
+                    value = "[" * depth + "]" * depth
+                    line, name = '{"a":' + value + "}\n", "a"
+                else:
+                    value, line, name = "1", '{"a":' * depth + "1" + "}" * depth + "\n", \
+                        ".".join("a" * depth)
+                data = ('{"b":0}\n' + line).encode()
+                try:
+                    got = _at_depth(frames, lambda: read(data, "ndjson", options))
+                except IngestError as exc:
+                    assert str(exc) == "ndjson line 2: nesting too deep to read", depth
+                    outcomes.append("error")
+                    continue
+                outcomes.append("read")
+                if read is ingest:
+                    assert got.column(name).sample_values == [value], depth
+                else:
+                    assert got[1].column(name) == (ABSENT, value), depth
+            # Deeper lines fail first: once one fails, every deeper one does.
+            assert outcomes == sorted(outcomes, reverse=True), (frames, outcomes)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_a_flatten_error_comes_before_a_later_line_error():
