@@ -758,10 +758,10 @@ def profile_table(table: Table, source_format: str, options: IngestOptions | Non
 
 def ingest(source, source_format: str, options: IngestOptions | None = None,
            dataset_name: str = "dataset") -> DataProfile:
-    """Profile a source read as ``read_table`` reads it into the
-    ``profile_table`` of its table, without building the table: each chunk
-    of rows is counted into one running tally per column, and only the
-    first ``row_cap`` rows are kept, for the sample rows."""
+    """Profile a source: the ``profile_table`` of its ``read_table`` table,
+    made without building that table.  Each chunk of rows is counted into
+    one running tally per column, and only the first ``row_cap`` rows are
+    kept, for the sample rows."""
     options = options or IngestOptions()
     columns = _read(source, source_format, options, _Columns(options.row_cap))
     return DataProfile(dataset_name, columns.length, [
