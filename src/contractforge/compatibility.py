@@ -10,9 +10,11 @@ only safe when it is nullable.
 
 from __future__ import annotations
 
+import math
+
 from . import lexical
 from .errors import ContractForgeError
-from .model import CompatibilityVerdict, Contract, FieldSpec
+from .model import TYPES, CompatibilityVerdict, Contract, FieldSpec
 from .validation import value_conforms
 
 COMPATIBILITY_MODES = ("none", "backward", "forward", "full")
@@ -33,18 +35,29 @@ def _value_set_reasons(name: str, narrow: FieldSpec, wide: FieldSpec) -> list[st
         if rejected:
             return [f"field {name!r}: allowed values {rejected} are not accepted any more"]
         return []
+    lo_a, hi_a = lo, hi = _bounds(narrow)
+    if TYPES[ta].lattice == lexical.INTEGER:
+        # The values are the integers in the range; a range holding none
+        # accepts no non-null value but "", which every field accepts.
+        lo = None if lo_a is None else math.ceil(lo_a)
+        hi = None if hi_a is None else math.floor(hi_a)
+        if lo is not None and hi is not None and lo > hi:
+            return []
     if tb == "enum_string":
         return [f"field {name!r}: type {ta} narrowed to a fixed value set"]
-    if not lexical.is_subclass(ta, tb):
+    if not lexical.is_subclass(TYPES[ta].lattice, TYPES[tb].lattice):
         return [f"field {name!r}: values of type {ta} are not all accepted as {tb}"]
-    lo_a, hi_a = _bounds(narrow)
     lo_b, hi_b = _bounds(wide)
-    narrowed = []
+    # The reason names each bound that cuts into the declared range, and is
+    # given when one cuts into the values the range accepts.
+    narrowed, cut = [], False
     if lo_b is not None and (lo_a is None or lo_a < lo_b):
         narrowed.append(f"lower bound {lo_b}")
+        cut = lo is None or lo < lo_b
     if hi_b is not None and (hi_a is None or hi_a > hi_b):
         narrowed.append(f"upper bound {hi_b}")
-    if narrowed:
+        cut = cut or hi is None or hi > hi_b
+    if cut:
         return [f"field {name!r}: numeric range narrowed ({', '.join(narrowed)})"]
     return []
 

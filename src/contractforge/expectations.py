@@ -7,14 +7,13 @@ sample, so range rules carry warning severity; set and null rules are
 errors.
 
 Value rules run on the engine fields use: ``values_in_set``, ``between``
-and ``matches_format`` are ``validation.value_test`` kinds, and
-``validation.failing_cells`` finds the distinct lexemes of a column that
-fail one, on the kept tally and class runs of a :class:`~.profiling.Table`,
-so a table that was just validated or profiled is not tallied or
-classified again, and a rule that repeats a field's test is not run again.
-Nulls and absent keys fail only ``not_null``, the empty lexeme fails no
-rule, and ``unique`` counts the repeats of the other lexemes.
-``evaluate_rules`` checks each rule before it runs any.
+and ``matches_format`` are ``validation.value_test`` kinds, which
+``validation.failing_cells`` runs on the kept tally and class runs of a
+:class:`~.profiling.Table`, so a table already validated or profiled is not
+tallied or classified again, nor a field's test run again.  Only the nulls
+(``profiling.NULLS``) fail ``not_null``, and ``unique`` counts the repeats
+of the cells that are not blank (``profiling.BLANKS``).  ``evaluate_rules``
+checks each rule before it runs any.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from .errors import ContractForgeError
 from .inference import ENUM_MIN_ROWS, _numeric_bounds
 from .model import NUMERIC_TYPES, TEMPORAL_TYPES, FieldSpec, QualityRule
-from .profiling import ABSENT, DataProfile, Table
+from .profiling import BLANKS, NULLS, DataProfile, Table
 from .validation import failing_cells
 
 #: Column must be unique over at least this many rows before a uniqueness
@@ -98,11 +97,11 @@ def evaluate_rules(rules: list[QualityRule], rows) -> list[RuleResult]:
     for rule in rules:
         tally = table.tally(rule.column)
         if rule.kind == "not_null":
-            failed = tally[None] + tally[ABSENT]
+            failed = sum(map(tally.__getitem__, NULLS))
         elif rule.kind == "unique":
-            # Non-blank cells less their distinct values.
-            blanks = [cell for cell in (None, ABSENT, "") if cell in tally]
-            failed = len(table) - sum(tally[cell] for cell in blanks) - (len(tally) - len(blanks))
+            # Cells less distinct cells, a blank cell's repeats not counted.
+            failed = len(table) - len(tally) - sum(tally[cell] - 1 for cell in BLANKS
+                                                   if cell in tally)
         else:
             failed = sum(map(tally.__getitem__,
                              failing_cells(table, rule.column, [(rule.kind, rule.params)])))

@@ -9,7 +9,8 @@ rejects a profile whose column name is not trimmed.
 
 Null conventions: in delimited input the empty cell is null (the literals
 ``"null"``/``"NA"`` are data unless listed in ``IngestOptions.null_tokens``);
-in ndjson both explicit ``null`` and an absent key count as null.
+in ndjson both explicit ``null`` and an absent key are null (``NULLS``), and
+a profile counts the empty lexeme with them (``BLANKS``).
 
 ``read_table`` reads a source into a :class:`Table`, which holds one tuple
 of lexemes per column and keeps, per column, the tally of its cells and the
@@ -33,8 +34,8 @@ The ndjson reader runs no Python per cell, a column at a time after
 MonetDB/X100 (Boncz et al., CIDR 2005).  It decodes each line with one
 call of the JSON scanner at the line's start (``_NdjsonReader``), checks
 key trimming once per distinct key tuple, pulls each column from the rows
-with one ``map(dict.get, ...)`` and renders a column's non-text cells in
-bulk by exact type (``_lexemes``); a line holding a list or a nested
+with one ``map(dict.get, ...)`` and renders a column of numbers or of
+booleans in bulk (``_lexemes``); a line holding a list or a nested
 object is made a row alone (``_row_of``).  Any line the scanner does not
 take whole is read alone by ``_row_of_line``.
 """
@@ -49,7 +50,7 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
-from operator import eq, is_, not_
+from operator import eq, not_
 
 from .errors import IngestError, dump_json, parse_json
 from .lexical import class_runs
@@ -201,25 +202,26 @@ class _Absent:
 
 #: Stands, in a :class:`Table` column, for a key a row lacks.
 ABSENT = _Absent()
+#: The null cells, which only ``nullable`` and ``not_null`` refuse, and the
+#: blank ones: the nulls and the empty lexeme, which profiles count as null,
+#: every value test passes and ``unique`` skips.
+NULLS = (None, ABSENT)
+BLANKS = (*NULLS, "")
 
-
-#: Cell types a column keeps as they are: text, null and :data:`ABSENT`.
-_LEXEME_TYPES = {str, type(None), _Absent}
+#: Cell types a column keeps as they are: text and the nulls.
+_LEXEME_TYPES = {str, *map(type, NULLS)}
 #: Cell types ``str`` renders as ``repr`` does.
 _NUMBER_TYPES = {int, float}
-#: The lexemes of the two booleans, and the blank cells kept as they are.
+#: The lexemes of the two booleans, and the null cells kept as they are.
 _BOOLEANS = {True: "true", False: "false"}
-_BLANKS = {None: None, ABSENT: ABSENT}
-#: How cells of each exact non-text type are rendered; any other with ``lexeme_of``.
-_RENDER = {int: repr, float: repr, bool: _BOOLEANS.__getitem__}
+_NULLS_KEPT = dict(zip(NULLS, NULLS))
 
 
 def _lexemes(cells: Sequence) -> Sequence:
-    """A column's cells as lexemes, rendered in bulk by exact type as
-    ``lexeme_of`` renders each.  A column holding both booleans and
-    numbers, or any other type, is mapped by identity, not by value:
-    ``True == 1 == 1.0`` and ``0.0 == -0.0`` are one dict key, a list is
-    none, and ``bool`` is a subclass of ``int``."""
+    """A column's cells as lexemes, as ``lexeme_of`` renders each: a column
+    of text and nulls as it is, one of booleans or of numbers in bulk, and
+    any other a cell at a time.  A list or an object nested too deep to
+    render is an :class:`IngestError`."""
     kinds = set(map(type, cells))
     if kinds <= _LEXEME_TYPES:
         return cells
@@ -228,21 +230,19 @@ def _lexemes(cells: Sequence) -> Sequence:
         return list(map(_BOOLEANS.get, cells, cells))
     if odd <= _NUMBER_TYPES:
         # ``str`` gives text as it is, and ints and floats as ``repr`` does.
-        return list(map(_BLANKS.get, cells, map(str, cells)))
-    lexemes: dict = {}
-    for kind in odd:
-        picked = list(compress(cells, map(is_, map(type, cells), repeat(kind))))
-        lexemes.update(zip(map(id, picked), map(_RENDER.get(kind, lexeme_of), picked)))
-    return list(map(lexemes.get, map(id, cells), cells))
+        return list(map(_NULLS_KEPT.get, cells, map(str, cells)))
+    try:
+        return [cell if cell is ABSENT else lexeme_of(cell) for cell in cells]
+    except RecursionError:
+        raise IngestError("nesting too deep to read") from None
 
 
 def _runs_of(tally: Counter) -> list[tuple[str, int]]:
-    """The ``class_runs`` of a tally's cells in its order, a null or
-    ``ABSENT`` read as the empty lexeme."""
+    """The ``class_runs`` of a tally's cells in its order, a null read as ``""``."""
     lexemes = list(tally)
-    for blank in (None, ABSENT):
-        if blank in tally:
-            lexemes[lexemes.index(blank)] = ""
+    for null in NULLS:
+        if null in tally:
+            lexemes[lexemes.index(null)] = ""
     return class_runs(lexemes)
 
 
@@ -331,8 +331,8 @@ class Table(Sequence):
 
 def profile_column(values: Sequence, name: str = "",
                    value_cap: int = IngestOptions.value_cap) -> ColumnProfile:
-    """Profile one column given its raw lexemes (``None``, ``""`` and
-    ``ABSENT`` = null); any other non-text cell is read with ``lexeme_of``.
+    """Profile one column given its raw lexemes, a blank one (``BLANKS``)
+    counted as null; any other non-text cell is read with ``lexeme_of``.
     ``sample_values`` keeps the first ``value_cap`` distinct non-null
     lexemes in first-seen order, so small value domains are kept whole."""
     cells = tuple(_lexemes(list(values)))
@@ -508,11 +508,7 @@ class _Columns:
         if any(map(orders.get, shapes)):
             self._key_orders.update({self.length + index: order for index, order in enumerate(
                 map(orders.get, map(tuple, islice(rows, self._kept(len(rows)))))) if order})
-        names = list(self.cells)
-        if len(rows) < len(names):  # short and wide: a row at a time, then transposed
-            pulled = zip(*[list(map(row.get, names, repeat(ABSENT))) for row in rows])
-        else:
-            pulled = (list(map(dict.get, rows, repeat(name), repeat(ABSENT))) for name in names)
+        pulled = (list(map(dict.get, rows, repeat(name), repeat(ABSENT))) for name in self.cells)
         self._extend(map(_lexemes, pulled), len(rows))
 
     def table(self) -> "Table":
@@ -737,11 +733,10 @@ def _column_profile(name: str, length: int, tally: Counter, runs: list[tuple[str
     histogram: dict[str, int] = {}
     for cls, k in runs:
         histogram[cls] = histogram.get(cls, 0) + sum(islice(counts, k))
-    blanks = (None, "", ABSENT)
-    return ColumnProfile(name, length, sum(map(tally.__getitem__, blanks)),
-                         len(tally) - sum(map(tally.__contains__, blanks)),
-                         list(islice((cell for cell in tally if cell and cell is not ABSENT),
-                                     value_cap)), histogram)
+    return ColumnProfile(name, length, sum(map(tally.__getitem__, BLANKS)),
+                         len(tally) - sum(map(tally.__contains__, BLANKS)),
+                         list(islice((cell for cell in tally if cell not in BLANKS), value_cap)),
+                         histogram)
 
 
 def profile_table(table: Table, source_format: str, options: IngestOptions | None = None,

@@ -6,23 +6,21 @@ test: set membership (``values_in_set``), a class at or below a format
 bound open).  A field is the value tests its spec implies, run in order:
 its lattice type (none for text, which every class sits below), its enum,
 then its range; a lexeme reports the violation of the first it fails.
-Nulls and missing keys are field-only and read from the column tally.  The
-empty lexeme passes every test, and only ``None`` is null.  Unknown row keys
-are violations unless ``allow_unknown``.
+Nulls (``profiling.NULLS``: ``None`` and a missing key) are field-only and
+read from the column tally.  The empty lexeme is blank, not null: it passes
+every test (``profiling.BLANKS``).  Unknown row keys are violations unless
+``allow_unknown``.
 
 A value test is a test of a column, not of a lexeme: ``value_test``
 compiles a rule kind to a function of a column's distinct cells and their
-class runs that returns the cells failing it, asking a frozenset for
-membership, each run's class for a format, and reading each ``integer`` or
-``number`` run as numbers in one pass for a range, so no Python runs per
-lexeme.  ``failing_cells`` is the one column walk.  It runs the tests over
-the distinct cells of a :class:`~.profiling.Table` column with the table's
-kept class runs, the summary profiling reads too (a list of row dicts
-becomes a table through ``Table.from_rows``), and the table keeps each
-test's result, so a rule repeating a field's test does not run it again.
-Only a column holding a failing cell is walked again, to find the rows
-holding one: ``validate_rows`` turns those rows into violations, and
-``failing_rows`` only collects their indices, unknown keys always included.
+class runs that returns the cells failing it, so no Python runs per lexeme.
+``failing_cells`` is the one column walk, over the kept tally and class runs
+of a :class:`~.profiling.Table` column (a list of row dicts becomes a table
+through ``Table.from_rows``).  The table keeps each test's result under the
+column, the kind and the params as given, so a rule repeating a field's test
+does not run it again.  Only a column holding a failing cell is walked
+again, to find its rows: ``validate_rows`` turns them into violations, and
+``failing_rows`` collects their indices, unknown keys always included.
 Both check the contract first, as ``evaluate_rules`` checks its rules.
 """
 
@@ -37,7 +35,7 @@ from . import lexical
 from .errors import ContractForgeError
 from .inference import infer_column_type
 from .model import TYPES, Contract, FieldSpec
-from .profiling import ABSENT, DataProfile, Table
+from .profiling import ABSENT, BLANKS, NULLS, DataProfile, Table
 
 TYPE_MISMATCH = "type_mismatch"
 NULL_VIOLATION = "null_violation"
@@ -56,7 +54,7 @@ _AT_OR_BELOW = {fmt: frozenset(cls for cls in lexical.CLASSES if lexical.is_subc
 #: The classes a range reads as numbers.
 _NUMERIC = (lexical.INTEGER, lexical.NUMBER)
 #: The violation and observed text of a null and of a missing key.
-_NO_VALUE = ((None, (NULL_VIOLATION, "null")), (ABSENT, (MISSING_FIELD, "")))
+_NO_VALUE = tuple(zip(NULLS, ((NULL_VIOLATION, "null"), (MISSING_FIELD, ""))))
 
 
 @dataclass
@@ -151,23 +149,13 @@ def failing_cells(table: Table, name: str, tests: list[tuple[str, dict]]) -> dic
     failing: dict = {}
     # In reverse, so that the kind of the first failed test is the one kept.
     for kind, params in reversed(tests):
-        key = _test_key(name, kind, params)
+        # Kept under the params as given, in any order, made hashable by
+        # ``repr``: a param the kind does not read only stops two tests sharing.
+        key = name, kind, frozenset(map(repr, params.items()))
         failing.update(dict.fromkeys(table.kept(key, _failing, table, name, kind, params), kind))
-    for blank in (None, ABSENT, ""):
+    for blank in BLANKS:
         failing.pop(blank, None)
     return failing
-
-
-def _test_key(name: str, kind: str, params: dict) -> tuple:
-    """What a table keeps a value test's failing cells under: the column,
-    the kind and the params that kind reads, any others left out."""
-    if kind == "values_in_set":
-        return name, kind, tuple(params["values"])
-    if kind == "matches_format":
-        return name, kind, params["format"]
-    if kind == "between":
-        return name, kind, params["min"], params["max"]
-    return name, kind
 
 
 def _failing(table: Table, name: str, kind: str, params: dict) -> list:

@@ -8,6 +8,7 @@ bound) and tests old-valid implies new-valid with the row validator.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 from contractforge.model import Contract, FieldSpec
@@ -24,7 +25,8 @@ def _bound_probes(bound: float | int, want_decimals: bool) -> list[str]:
     if as_float.is_integer():
         probes += [str(int(as_float)), str(int(as_float) - 1), str(int(as_float) + 1)]
     else:
-        probes += [repr(as_float)]
+        # The integers either side: an ``integer`` range holds only those.
+        probes += [repr(as_float), str(math.floor(as_float)), str(math.ceil(as_float))]
     if want_decimals:
         probes += [repr(as_float - 0.5), repr(as_float + 0.5)]
     return probes

@@ -148,6 +148,19 @@ class TestValidateCommand:
         assert main(["validate", str(toy_contract_file), str(bad),
                      "--format", "delimited"]) == 1
 
+    def test_violations_past_20_are_counted_not_listed(self, tmp_path, toy_contract_file,
+                                                      capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(csv_bytes(["id", "price"], [["x", "2.5"]] * 23))
+        capsys.readouterr()
+        assert main(["validate", str(toy_contract_file), str(bad),
+                     "--format", "delimited"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "rows passed: 0/23, violations: 23"
+        assert err[1:21] == [f"  row {i} field 'id': type_mismatch (observed 'x')"
+                             for i in range(20)]
+        assert err[21:] == ["  ... and 3 more"]
+
     def test_invalid_contract_exits_2(self, tmp_path, toy_csv):
         broken = tmp_path / "broken.json"
         broken.write_text("{nope")

@@ -151,6 +151,43 @@ class TestBackwardRules:
 
 
 class TestOracleAgreement:
+    @pytest.mark.parametrize("old_spec, new_spec, backward", [
+        (FieldSpec("n", "integer", True, Constraints(min_value=0.5, max_value=10)),
+         FieldSpec("n", "integer", True, Constraints(min_value=1, max_value=10)), True),
+        (FieldSpec("n", "integer", True, Constraints(min_value=0, max_value=10.9)),
+         FieldSpec("n", "integer", True, Constraints(min_value=0, max_value=10)), True),
+        (FieldSpec("n", "integer", True, Constraints(min_value=0.2, max_value=0.8)),
+         FieldSpec("n", "integer", True, Constraints(min_value=5, max_value=6)), True),
+        (FieldSpec("n", "integer", False, Constraints(min_value=0.2, max_value=0.8)),
+         FieldSpec("n", "boolean", False), True),
+        (FieldSpec("n", "integer", True, Constraints(min_value=0.5, max_value=10)),
+         FieldSpec("n", "integer", True, Constraints(min_value=1.5, max_value=10)), False),
+    ], ids=["fractional-min", "fractional-max", "empty-range", "empty-range-to-boolean",
+            "fractional-min-cuts-an-integer"])
+    def test_integer_ranges_are_read_as_their_integers(self, old_spec, new_spec, backward):
+        """An ``integer`` field accepts the integers of its range alone, so
+        ``[0.5, 10]`` is ``[1, 10]`` and ``[0.2, 0.8]`` accepts no value
+        but ``""``; the verdict is the oracle's in every mode.  The last pair
+        needs the oracle's integer probes next to a fractional bound: ``"1"``
+        passes ``[0.5, 10]`` and fails ``[1.5, 10]``."""
+        old, new = contract_of(old_spec), contract_of(new_spec)
+        assert rows_subsume(old, new) == backward
+        forward = rows_subsume(new, old)
+        expected = {"none": True, "backward": backward, "forward": forward,
+                    "full": backward and forward}
+        for mode, compatible in expected.items():
+            verdict = check_compatibility(old, new, mode)
+            assert verdict.compatible == compatible, (mode, verdict.reasons)
+
+    def test_a_narrowed_range_names_its_declared_bounds(self):
+        """Where a range is narrowed, the reason names each declared bound
+        that the new range cuts into, also one that cuts off no integer."""
+        old = contract_of(FieldSpec("n", "integer", True, Constraints(min_value=0.5, max_value=10)))
+        new = contract_of(FieldSpec("n", "integer", True, Constraints(min_value=1, max_value=9)))
+        assert check_compatibility(old, new).reasons == [
+            "field 'n': numeric range narrowed (lower bound 1, upper bound 9)"]
+        assert not rows_subsume(old, new)
+
     def test_random_pairs_agree_with_row_oracle(self):
         rng = random.Random(424242)
         outcomes = set()
@@ -162,6 +199,36 @@ class TestOracleAgreement:
                 i, canonicalize(old), canonicalize(new), verdict.reasons)
             outcomes.add(expected)
         assert outcomes == {True, False}  # the generator exercises both
+
+    def test_random_fractional_ranges_agree_with_row_oracle(self):
+        """One field each side, of a numeric or other type, with bounds on
+        halves and tenths, so that ranges often hold no integer or cut
+        between two."""
+        rng = random.Random(5)
+
+        def bound():
+            return rng.choice([None, rng.randint(-3, 3), rng.randint(-6, 6) / 2,
+                               rng.randint(-30, 30) / 10])
+
+        def spec() -> FieldSpec:
+            logical_type = rng.choice(["integer", "integer", "number", "boolean", "string"])
+            constraints = None
+            if logical_type in ("integer", "number"):
+                lo, hi = bound(), bound()
+                if lo is not None and hi is not None and lo > hi:
+                    lo, hi = hi, lo
+                constraints = Constraints(min_value=lo, max_value=hi)
+            return FieldSpec("n", logical_type, rng.random() < 0.5, constraints)
+
+        outcomes = set()
+        for i in range(400):
+            old, new = contract_of(spec()), contract_of(spec())
+            expected = rows_subsume(old, new)
+            verdict = check_compatibility(old, new, "backward")
+            assert verdict.compatible == expected, (
+                i, canonicalize(old), canonicalize(new), verdict.reasons)
+            outcomes.add(expected)
+        assert outcomes == {True, False}
 
     def test_duality_and_full_composition(self):
         rng = random.Random(99)

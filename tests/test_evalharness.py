@@ -172,6 +172,14 @@ class TestRunEval:
         assert "mean structural accuracy" in text
         assert "table0" in text
 
+    def test_human_table_lists_skipped_tables(self, small_corpus):
+        (small_corpus / "broken.profile.json").write_text("{not json")
+        metrics = run_eval(small_corpus, OracleBackend())
+        lines = format_metrics_table(metrics).splitlines()
+        at = lines.index("tables skipped:           1")
+        assert lines[at + 1] == f"  broken: {metrics.skipped[0]['error']}"
+        assert lines[at + 2].startswith("mean structural accuracy:")
+
     def test_two_pass_policy_over_corpus(self, small_corpus):
         from contractforge.generation import TWO_PASS, GenerationPolicy
 

@@ -6,7 +6,7 @@ import pytest
 
 from contractforge.errors import ContractForgeError
 from contractforge.expectations import evaluate_rules, synthesize_rules
-from contractforge.inference import infer_contract, safe_generic_contract
+from contractforge.inference import infer_contract, infer_field, safe_generic_contract
 from contractforge.model import canonicalize
 from contractforge.profiling import DataProfile, ingest, profile_column, read_table
 from contractforge.validation import validate_rows
@@ -61,6 +61,14 @@ class TestInferField:
         assert contract.fields[0].logical_type in ("integer", "number")
         assert contract.fields[0].constraints is None
         assert "Infinity" not in canonicalize(contract)
+
+    def test_integer_past_float_range_in_a_number_column_gives_no_range(self):
+        spec = infer_field(profile_column(["1.5", "9" * 400]))
+        assert (spec.logical_type, spec.constraints) == ("number", None)
+
+    def test_no_sampled_number_gives_no_range(self):
+        spec = infer_field(profile_column(["1", "2"], value_cap=0))
+        assert (spec.logical_type, spec.constraints) == ("integer", None)
 
     def test_long_integer_within_the_digit_limit_keeps_its_range(self):
         big = "1" + "0" * 400

@@ -29,7 +29,9 @@ from hypothesis import strategies as st
 import _reference_engine as reference
 from contractforge import profiling
 from contractforge.errors import IngestError
-from contractforge.profiling import ABSENT, IngestOptions, ingest, read_table
+from contractforge.model import Contract, FieldSpec
+from contractforge.profiling import ABSENT, IngestOptions, Table, ingest, profile_column, read_table
+from contractforge.validation import validate_rows
 
 #: Lines that are no flat one-object line, each read by the per-line code.
 ODD_LINES = [
@@ -206,6 +208,50 @@ def test_deep_nesting_reads_or_is_its_lines_error(read, shape):
                     assert got[1].column(name) == (ABSENT, value), depth
             # Deeper lines fail first: once one fails, every deeper one does.
             assert outcomes == sorted(outcomes, reverse=True), (frames, outcomes)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _profiled(value) -> list:
+    return profile_column([value], "a").sample_values
+
+
+def _tabled(value) -> list:
+    return list(Table.from_rows([{"a": value}]).column("a"))
+
+
+def _validated(value) -> list:
+    # An integer field refuses the rendered list and reports it as observed.
+    contract = Contract("t", [FieldSpec("a", "integer", True)])
+    return [v.observed for v in validate_rows(contract, [{"a": value}]).violations]
+
+
+@pytest.mark.parametrize("read", [_profiled, _tabled, _validated])
+def test_deep_nesting_in_a_row_dict_renders_or_is_an_ingest_error(read):
+    """A list built in Python, nested near the recursion limit, is rendered
+    with the rest of its column, not a line at a time: it reads as its
+    compact JSON text, or gives the nesting error, at whatever stack depth
+    it is read, and never a raw ``RecursionError``.  The limit is set
+    as in the ndjson sweep above, so the sweep crosses at both depths."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 1010)
+    try:
+        for frames in (0, 6):
+            outcomes = []
+            for depth in range(980, 1001):
+                value: list = []
+                for _ in range(depth - 1):
+                    value = [value]
+                try:
+                    got = _at_depth(frames, lambda: read(value))
+                except IngestError as exc:
+                    assert str(exc) == "nesting too deep to read", depth
+                    outcomes.append("error")
+                    continue
+                outcomes.append("read")
+                assert got == ["[" * depth + "]" * depth], depth
+            assert outcomes == sorted(outcomes, reverse=True), (frames, outcomes)
+            assert "error" in outcomes, frames
     finally:
         sys.setrecursionlimit(limit)
 

@@ -370,6 +370,18 @@ class TestIllTypedReplies:
         with pytest.raises(RegistryError, match="registry answered"):
             call(RegistryClient(f"http://{canned}"), orders)
 
+    @pytest.mark.parametrize("status, error, message", [
+        (502, RegistryError, "registry answered 502: <html>Bad Gateway</html>"),
+        (404, NotFoundError, "<html>Bad Gateway</html>"),
+    ], ids=["502", "404"])
+    def test_an_error_page_that_is_not_json_is_the_message(self, canned, monkeypatch,
+                                                           status, error, message):
+        monkeypatch.setattr(_CannedHandler, "status", status)
+        monkeypatch.setattr(_CannedHandler, "body", b"<html>Bad Gateway</html>")
+        with pytest.raises(error) as info:
+            RegistryClient(f"http://{canned}").get_latest("orders")
+        assert (type(info.value), str(info.value)) == (error, message)
+
     @pytest.mark.parametrize("status, body, argv", [
         (201, b'{"ok": true}', ["publish", "orders", "CONTRACT"]),
         (200, b"[1, 2]", ["approve", "orders", "1", "--reviewer", "alice"]),
