@@ -209,12 +209,12 @@ NULLS = (None, ABSENT)
 BLANKS = (*NULLS, "")
 
 #: Cell types a column keeps as they are: text and the nulls.
-_LEXEME_TYPES = {str, *map(type, NULLS)}
+_LEXEME_TYPES = {str, type(None), _Absent}
 #: Cell types ``str`` renders as ``repr`` does.
 _NUMBER_TYPES = {int, float}
 #: The lexemes of the two booleans, and the null cells kept as they are.
 _BOOLEANS = {True: "true", False: "false"}
-_NULLS_KEPT = dict(zip(NULLS, NULLS))
+_NULLS_KEPT = {null: null for null in NULLS}
 
 
 def _lexemes(cells: Sequence) -> Sequence:

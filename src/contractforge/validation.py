@@ -35,7 +35,7 @@ from . import lexical
 from .errors import ContractForgeError
 from .inference import infer_column_type
 from .model import TYPES, Contract, FieldSpec
-from .profiling import ABSENT, BLANKS, NULLS, DataProfile, Table
+from .profiling import ABSENT, BLANKS, DataProfile, Table
 
 TYPE_MISMATCH = "type_mismatch"
 NULL_VIOLATION = "null_violation"
@@ -54,7 +54,7 @@ _AT_OR_BELOW = {fmt: frozenset(cls for cls in lexical.CLASSES if lexical.is_subc
 #: The classes a range reads as numbers.
 _NUMERIC = (lexical.INTEGER, lexical.NUMBER)
 #: The violation and observed text of a null and of a missing key.
-_NO_VALUE = tuple(zip(NULLS, ((NULL_VIOLATION, "null"), (MISSING_FIELD, ""))))
+_NO_VALUE = {None: (NULL_VIOLATION, "null"), ABSENT: (MISSING_FIELD, "")}
 
 
 @dataclass
@@ -181,7 +181,7 @@ def _field_failures(spec: FieldSpec, table: Table) -> dict:
     """``{cell: (violation kind, observed)}`` for the cells of the field's
     column that fail it: nulls and absent keys, read from the tally, and the
     lexemes ``failing_cells`` finds."""
-    failing = {} if spec.nullable else {cell: v for cell, v in _NO_VALUE
+    failing = {} if spec.nullable else {cell: v for cell, v in _NO_VALUE.items()
                                         if cell in table.tally(spec.name)}
     for cell, kind in failing_cells(table, spec.name, _field_tests(spec)).items():
         failing[cell] = _VIOLATION_OF[kind], cell
