@@ -13,8 +13,10 @@ in ndjson both explicit ``null`` and an absent key are null (``NULLS``), and
 a profile counts the empty lexeme with them (``BLANKS``).
 
 ``read_table`` reads a source into a :class:`Table`, which holds one tuple
-of lexemes per column and keeps, per column, the tally of its cells and the
-``lexical.class_runs`` of its distinct cells, each computed on first use.
+of lexemes per column, sharing one string object per distinct lexeme of the
+column (dictionary encoding, after Abadi et al., SIGMOD 2006), and keeps,
+per column, the tally of its cells and the ``lexical.class_runs`` of its
+distinct cells, each computed on first use.
 ``profile_table``, row validation and rule evaluation all read that
 summary, after the shared per-column metrics of Deequ (Schelter et al.,
 VLDB 2018).  ``ingest`` builds no table: the same reader counts each chunk
@@ -251,11 +253,12 @@ class Table(Sequence):
 
     ``columns`` names the columns in first-seen order, and each column is a
     tuple of lexemes: ``None`` for null and :data:`ABSENT` where a row lacks
-    the key.  As a sequence a table gives row dicts, built on demand, each
-    with the keys present on its row in that row's own order; it equals a
-    list of the same dicts.  A table is immutable, so what is computed from
-    it holds: ``tally`` and ``runs`` compute a column's summary once and
-    keep it, and ``kept`` does so for any other value.
+    the key.  A table the reader builds shares one object among the equal
+    lexemes of a column.  As a sequence a table gives row dicts, built on
+    demand, each with the keys present on its row in that row's own order;
+    it equals a list of the same dicts.  A table is immutable, so what is
+    computed from it holds: ``tally`` and ``runs`` compute a column's
+    summary once and keep it, and ``kept`` does so for any other value.
     """
 
     def __init__(self, columns, cells, length: int, key_orders: dict | None = None):
@@ -452,6 +455,8 @@ class _Columns:
 
     def __init__(self, row_cap: int | None = None):
         self.cells: dict[str, list] = {}
+        # Column -> its kept lexemes, each mapped to the one object kept for it.
+        self._memos: dict[str, dict] = {}
         self.tallies: dict[str, Counter] | None = None if row_cap is None else {}
         self.length = 0
         self._cap = float("inf") if row_cap is None else row_cap
@@ -468,17 +473,21 @@ class _Columns:
         """Start a column that is ``ABSENT`` on every row so far."""
         self._positions[name] = len(self._positions)
         self.cells[name] = [ABSENT] * min(self.length, self._cap)
+        self._memos[name] = {}
         if self.tallies is not None:
             self.tallies[name] = Counter([ABSENT] * self.length)
 
     def _extend(self, pulled, rows: int) -> None:
         """Add ``rows`` rows given as one sequence of cells per column, in
-        column order."""
+        column order.  A kept cell goes through its column's memo, so equal
+        lexemes of a column are one object."""
         kept = self._kept(rows)
         for name, cells in zip(self.cells, pulled):
             if self.tallies is not None:
                 self.tallies[name].update(cells)
-            self.cells[name].extend(cells[:kept] if kept < rows else cells)
+            if kept < rows:
+                cells = cells[:kept]
+            self.cells[name].extend(map(self._memos[name].setdefault, cells, cells))
         self.length += rows
 
     def add_records(self, records: list[list[str]], nulls: dict) -> None:
@@ -512,6 +521,9 @@ class _Columns:
         self._extend(map(_lexemes, pulled), len(rows))
 
     def table(self) -> "Table":
+        """The table of the kept rows; the memos are dropped, for the
+        store's cells go to the table."""
+        self._memos.clear()
         return Table(self.cells, map(_frozen, self.cells.values()), min(self.length, self._cap),
                      self._key_orders)
 

@@ -468,6 +468,44 @@ def test_ingest_keeps_no_cells_past_the_sample_rows(monkeypatch, chunk):
     assert columns.tallies["b"] == {ABSENT: 30, "1": 1} and columns._key_orders == {10: ("c", "a")}
 
 
+def one_object_per_lexeme(table: Table) -> bool:
+    """Whether each column of ``table`` holds one object per distinct cell."""
+    return all(len(set(map(id, column))) == len(set(column))
+               for column in map(table.column, table.columns))
+
+
+#: Repeated lexemes of every cell type, a key first seen in a later chunk,
+#: and a row whose keys are out of column order.  Lexemes are longer than a
+#: character, for the interpreter shares one-character strings itself.
+SHARED = {
+    "delimited": b"n,s,f\n" + b"".join(b"%d,%s,%s\n" % (i % 4 + 10, [b"xy", b"", b"NA"][i % 3],
+                                                          b"%d.5" % (i % 2)) for i in range(30)),
+    "ndjson": _ndjson(*[{"n": i % 4 + 10, "s": ["xy", None, ""][i % 3], "f": i % 2 + 0.5,
+                         "b": i % 3 == 0} for i in range(20)],
+                      {"z": 70, "n": 11}, *[{"n": 10**20 + i % 2, "z": 70} for i in range(9)]),
+}
+
+
+@pytest.mark.parametrize("source_format", SOURCE_FORMATS)
+@pytest.mark.parametrize("chunk", [1, 7, 10**9])
+def test_a_column_holds_one_object_per_distinct_lexeme(monkeypatch, chunk, source_format):
+    """Every column of a read table, of the rows ``ingest`` keeps, and of a
+    table of row dicts shares one object among its equal lexemes, in every
+    chunk; the reader keeps no memo once its table is made."""
+    monkeypatch.setattr(profiling, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(profiling, "_BLOCK_SIZE", 7)
+    data, options = SHARED[source_format], IngestOptions(null_tokens=["NA"])
+    _, table = read_table(data, source_format, options)
+    assert one_object_per_lexeme(table) and len(table) == 30
+    assert table.column("n").count("11") > 1 and table == whole_text_read_table(
+        data, source_format, options)[1]
+    columns = profiling._read(data, source_format, options, profiling._Columns(12))
+    sample = columns.table()
+    assert one_object_per_lexeme(sample) and len(sample) == 12 and not columns._memos
+    rows = list(map(json.loads, SHARED["ndjson"].splitlines()))
+    assert one_object_per_lexeme(Table.from_rows(rows))
+
+
 def test_random_sources_ingest_as_their_tables_profile():
     seen = {f"{kind} {source_format}": 0 for kind in ("profile", "error")
             for source_format in SOURCE_FORMATS}

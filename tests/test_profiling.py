@@ -1,5 +1,6 @@
 """Ingest and column profiling over delimited and ndjson sources."""
 
+import csv
 import io
 import json
 import tracemalloc
@@ -260,56 +261,80 @@ def test_any_bytes_like_source_is_read_as_bytes(wrap):
         read_table(wrap(b"a\n\xff\n"), "delimited")
 
 
-def test_a_read_holds_little_besides_its_table():
-    """Reading a 20 000 x 12 table from a binary handle peaks at most 1.5
-    times the size of the table it returns, in either format: the reader
-    holds a block and a chunk of rows, not the whole text or every row."""
+def traced(call) -> tuple:
+    """``call()``, the bytes it leaves live and the most it held at once,
+    both as ``tracemalloc`` counts them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, live - before, peak - before
+
+
+def fresh_cells_size(data: bytes) -> int:
+    """The live size of a CSV's rows as ``csv.reader`` gives them, a fresh
+    string for every cell."""
+    return traced(lambda: list(csv.reader(io.StringIO(data.decode(), newline=""))))[1]
+
+
+def reader_test_sources() -> dict[str, bytes]:
+    """A 20 000 x 12 table of ids, free text, enums, numbers, booleans and
+    dates, as CSV and as ndjson."""
     names = list("abcdefghijkl")  # one-character keys: json.loads allocates none for them
     records = [[str(i), f"user {i * 7919 % 100_003}", ("new", "open", "done")[i % 3],
                 str(i % 97), f"{i * 0.37:.2f}", "true" if i % 2 else "false",
                 f"2024-{i % 12 + 1:02d}-{i % 28 + 1:02d}", f"C{i % 1000:04d}",
                 f"note {i}" if i % 5 == 0 else "", ("eu", "us", "apac")[i % 3],
                 str(i % 1000 / 8), f"R-{i:08d}"] for i in range(20_000)]
-    sources = {"delimited": csv_bytes(names, records),
-               "ndjson": "".join(json.dumps(dict(zip(names, record))) + "\n"
-                                 for record in records).encode()}
-    del records
-    for source_format, data in sources.items():
+    return {"delimited": csv_bytes(names, records),
+            "ndjson": "".join(json.dumps(dict(zip(names, record))) + "\n"
+                              for record in records).encode()}
+
+
+def test_a_read_holds_little_besides_its_table():
+    """Reading a 20 000 x 12 table from a binary handle peaks at most 1.5
+    times the size of the table it returns, in either format: the reader
+    holds a block and a chunk of rows, not the whole text or every row."""
+    for source_format, data in reader_test_sources().items():
         handle = io.BytesIO(data)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            table = read_table(handle, source_format)
-            live, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(table[1]) == 20_000
-        assert peak - before <= 1.5 * (live - before), (source_format, live - before, peak - before)
+        (_, table), live, peak = traced(lambda: read_table(handle, source_format))
+        assert len(table) == 20_000
+        assert peak <= 1.5 * live, (source_format, live, peak)
+
+
+def test_a_table_shares_each_columns_equal_lexemes():
+    """The live table of the 20 000 x 12 reader-test data, in either
+    format, is below 0.6 times the size of its cells as fresh strings: a
+    column keeps one object per distinct lexeme, so an enum column of three
+    values holds three strings."""
+    sources = reader_test_sources()
+    every_cell = fresh_cells_size(sources["delimited"])
+    for source_format, data in sources.items():
+        (_, table), live, _ = traced(lambda: read_table(data, source_format))
+        assert len(table) == 20_000 and live < 0.6 * every_cell, (source_format, live, every_cell)
 
 
 def test_ingest_peaks_below_the_table_it_does_not_build():
     """``ingest`` of a 1 000 x 100 CSV, a quarter of whose columns are
-    distinct ids, peaks below the live size of the table ``read_table``
-    makes of it: it keeps each column's tally and the sample rows, and
-    never every cell."""
-    data = csv_bytes([f"c{j}" for j in range(100)],
-                     [[f"{i}-{j}" if j % 4 == 0 else str((i * 7 + j) % 50) for j in range(100)]
-                      for i in range(1000)])
+    distinct ids, peaks below the live size of its cells as fresh strings:
+    it keeps each column's tally and the sample rows, and never every cell.
+    On columns of at most 50 values its peak hardly grows with the rows,
+    while the table of the same rows grows more than threefold from 1 000
+    rows to 4 000."""
+    def source(rows: int, ids: bool) -> bytes:
+        return csv_bytes([f"c{j}" for j in range(100)],
+                         [[f"{i}-{j}" if ids and j % 4 == 0 else str((i * 7 + j) % 50)
+                           for j in range(100)] for i in range(rows)])
 
-    def traced(call) -> tuple[int, int]:
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            result = call()
-            live, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert result
-        return live - before, peak - before
-
-    table_size, _ = traced(lambda: read_table(data, "delimited"))
-    _, ingest_peak = traced(lambda: ingest(data, "delimited"))
-    assert ingest_peak < table_size, (ingest_peak, table_size)
+    data = source(1000, ids=True)
+    ingest_peak = traced(lambda: ingest(data, "delimited"))[2]
+    assert ingest_peak < fresh_cells_size(data), ingest_peak
+    short, long = (traced(lambda: ingest(few, "delimited"))[2]
+                   for few in (source(1000, ids=False), source(4000, ids=False)))
+    assert long <= 1.25 * short, (short, long)
 
 
 def test_unknown_format_rejected():
